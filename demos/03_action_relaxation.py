@@ -52,7 +52,7 @@ for k in (0, 1, 10, 100, 1000, rep.n_iters):
         print(f"    iter {k:>5}: objective {obj:.3e}  grad max {gmax:.3e}  step {step:.3g}")
 print("  final diagnostics:")
 for key, val in rep.diagnostics.items():
-    print(f"    {key:<18} {val:.3e}")
+    print(f"    {key:<24} {val:.3e}" if isinstance(val, float) else f"    {key:<24} {val}")
 
 print()
 print("=" * 72)

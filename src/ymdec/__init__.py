@@ -1,7 +1,7 @@
 """Discrete exterior calculus and SU(2) Yang-Mills theory on a
 4-dimensional double complex: a combinatorial block or glued 4-sphere,
 matrix-valued forms, the cup/star/coboundary calculus, gauge fields with
-curvature and self-duality, and a gradient-descent action minimizer.
+curvature and self-duality, and a conjugate-gradient action minimizer.
 """
 
 __version__ = "0.1.0"

@@ -33,14 +33,6 @@ def mat_mul(a, b):
     return np.asarray(a) @ np.asarray(b)
 
 
-def mat_add(a, b):
-    return np.asarray(a) + np.asarray(b)
-
-
-def mat_scale(a, s):
-    return np.asarray(a) * s
-
-
 def commutator(a, b):
     """ab - ba."""
     a = np.asarray(a)

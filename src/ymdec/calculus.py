@@ -210,7 +210,8 @@ def norm_sq(f: Cochain) -> float:
     """(f, f); guaranteed real and >= 0."""
     v = inner_product(f, f)
     scale = float(np.abs(v)) + 1.0
-    assert abs(v.imag) <= 1e-10 * scale, f"inner product not real: {v}"
+    if not abs(v.imag) <= 1e-10 * scale:
+        raise ArithmeticError(f"inner product not real: {v}")
     return v.real
 
 

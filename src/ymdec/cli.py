@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +101,14 @@ def load_config(path=None, seed=None, output=None) -> dict:
     return cfg
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _validate(cfg):
     if cfg["topology"] not in ("sphere", "block"):
         raise ConfigError(f"topology must be sphere or block, got {cfg['topology']!r}")
@@ -107,17 +116,30 @@ def _validate(cfg):
     if (
         not isinstance(sizes, (list, tuple))
         or len(sizes) != 4
-        or any(not isinstance(n, int) or n < 2 for n in sizes)
+        or any(not _is_int(n) or n < 2 for n in sizes)
     ):
         raise ConfigError("sizes must be four integers >= 2")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
-    if cfg["amplitude"] < 0:
-        raise ConfigError("amplitude must be >= 0")
+    if not _is_number(cfg["amplitude"]) or cfg["amplitude"] < 0:
+        raise ConfigError("amplitude must be a finite number >= 0")
     for field, allowed in (("connection", ("zero", "random")), ("gauge", ("identity", "random", "sum_profile"))):
         v = cfg[field]
-        if not (v in allowed or (isinstance(v, str) and v.startswith("file:"))):
+        if not isinstance(v, str) or not (v in allowed or v.startswith("file:")):
             raise ConfigError(f"{field} must be one of {allowed} or file:<path>")
+    if cfg["output"] is not None and not isinstance(cfg["output"], str):
+        raise ConfigError("output must be null or a path")
+    s = cfg["solver"]
+    for key in ("max_iters", "seed"):
+        if not _is_int(s[key]) or s[key] < 0:
+            raise ConfigError(f"solver {key} must be a non-negative integer")
+    for key in ("grad_tol", "armijo_c", "backtrack_factor", "initial_step"):
+        if not _is_number(s[key]) or s[key] < 0:
+            raise ConfigError(f"solver {key} must be a finite number >= 0")
+    if not isinstance(s["objective"], str):
+        raise ConfigError("solver objective must be a string")
+    if not isinstance(s["anti"], bool):
+        raise ConfigError("solver anti must be true or false")
     try:
         _solver_config(cfg)
     except ValueError as e:
@@ -291,7 +313,7 @@ def main(argv=None) -> int:
     for name, blurb in (
         ("verify", "run the invariant suite"),
         ("action", "evaluate the action and residuals of a connection"),
-        ("relax", "minimize the action by gradient descent"),
+        ("relax", "minimize the action by nonlinear conjugate gradients"),
         ("selfdual", "minimize the self-dual residual"),
     ):
         p = sub.add_parser(name, help=blurb)

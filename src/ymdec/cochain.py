@@ -233,10 +233,18 @@ def sum_profile_gauge(domain: Domain, amplitude=1.0, seed=0) -> Cochain:
     return Cochain(domain, 0, vals, BASE)
 
 
+def _require_finite(f: Cochain):
+    # NaN compares false against every tolerance, so the deviation tests
+    # below would let it through
+    if not np.isfinite(f.values).all():
+        raise ValidationError("coefficients are not finite", float("inf"))
+
+
 def validate_connection(f: Cochain, tol=1e-10) -> Cochain:
-    """Check a degree-1 form is su(2)-valued; returns it unchanged."""
+    """Check a degree-1 form is finite and su(2)-valued; returns it unchanged."""
     if f.degree != 1:
         raise ValidationError("connection must have degree 1", 0.0)
+    _require_finite(f)
     dev = alg.su2_algebra_deviation(f.values)
     if dev > tol * max(1.0, np.abs(f.values).max()):
         raise ValidationError("coefficients are not su(2)", dev)
@@ -244,9 +252,10 @@ def validate_connection(f: Cochain, tol=1e-10) -> Cochain:
 
 
 def validate_gauge(f: Cochain, tol=1e-10) -> Cochain:
-    """Check a degree-0 form is SU(2)-valued; returns it unchanged."""
+    """Check a degree-0 form is finite and SU(2)-valued; returns it unchanged."""
     if f.degree != 0:
         raise ValidationError("gauge field must have degree 0", 0.0)
+    _require_finite(f)
     dev = alg.su2_group_deviation(f.values)
     if dev > tol:
         raise ValidationError("coefficients are not SU(2)", dev)

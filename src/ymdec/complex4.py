@@ -255,14 +255,6 @@ def star_cell(cell: Cell):
     )
 
 
-def star_chain(chain: Chain) -> Chain:
-    out = Chain()
-    for cell, coeff in chain:
-        sign, dual = star_cell(cell)
-        out.add(dual, sign * coeff)
-    return out
-
-
 def build_Vp(domain: Domain, p: int):
     """Diagonal chain of degree p: triples (cell, mirrored complement, sign).
 

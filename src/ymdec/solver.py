@@ -1,30 +1,28 @@
-"""Gradient-descent minimization of the Yang-Mills action and of the
-self-dual residual over su(2)-valued connections.
+"""Minimization of the Yang-Mills action and of the self-dual residual
+over su(2)-valued connections, stored as real coefficient arrays in the
+su(2) basis, shape (charts, k-extents, 4 axes, 3), so every update stays
+exactly in the algebra.
 
-Iterates are stored as real coefficient arrays in the su(2) basis, shape
-(charts, k-extents, 4 axes, 3), so every update stays exactly in the
-algebra.  The objective gradient is assembled in one adjoint sweep over
-the curvature stencil (no per-coefficient probing); finite differences
-verify it in the test suite.
-
-Plain steepest descent with Armijo backtracking; the line search is
-warm-started from a two-point curvature estimate, which handles the stiff
-conditioning near the flat-connection manifold without momentum or matrix
-state.  The optimizer is a harness for the calculus, not a performance
-contribution.
+Polak-Ribiere+ nonlinear conjugate gradients with an exact line search
+(Nocedal & Wright, Numerical Optimization, sec. 5.2): along A + tP the
+curvature is exactly F0 + t F1 + t^2 F2, so |F|^2 and |F -+ dual F|^2 are
+quartics in t, minimized at a root of a cubic.  An Armijo test guards each
+step; on failure, or when the conjugate direction is not a descent
+direction, the step restarts along the steepest descent.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra as alg
 from . import gauge
-from .calculus import norm_sq, shift_minus, shift_plus
+from .calculus import dual, norm_sq, shift_minus, shift_plus
 from .cochain import Cochain, interior
-from .complex4 import FULL_MASK, MASKS_BY_DEGREE, PERM_SIGN, Domain
+from .complex4 import Domain
 
 OBJECTIVES = ("action", "sd_residual")
 
@@ -37,6 +35,7 @@ class SolverAbort(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    # backtrack_factor, initial_step, seed: validated, unused, kept for old configs
     max_iters: int = 5000
     grad_tol: float = 1e-6
     armijo_c: float = 1e-4
@@ -63,7 +62,7 @@ class SolverReport:
     converged: bool = False
     reason: str = ""
     final: Cochain | None = None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # final scalars, evaluation counts
 
     @property
     def n_iters(self) -> int:
@@ -96,13 +95,8 @@ def action(A: Cochain) -> float:
     return norm_sq(gauge.curvature(A))
 
 
-def _dual2_values(vals: np.ndarray) -> np.ndarray:
-    """Dual map on stacked degree-2 components (stays on the same copy)."""
-    out = np.empty_like(vals)
-    masks = MASKS_BY_DEGREE[2]
-    for d, mask in enumerate(masks):
-        out[..., masks.index(FULL_MASK ^ mask), :, :] = PERM_SIGN[mask] * vals[..., d, :, :]
-    return out
+# an iterate, its objective and gradient, and its field: F or F -+ dual F
+_Point = namedtuple("_Point", "vecs obj grad field")
 
 
 class _Kernel:
@@ -117,64 +111,92 @@ class _Kernel:
         self.mask_dirs = mask[..., None, None, None]   # broadcasts over (dir, 2, 2)
         self.mask_cells = mask[..., None, None]        # broadcasts over (2, 2)
 
-    def curvature(self, mats: np.ndarray) -> np.ndarray:
-        """Stacked curvature components from the connection matrices."""
-        shape = mats.shape[:-3] + (6, 2, 2)
-        F = np.empty(shape, dtype=np.complex128)
-        for d, (i, j) in enumerate(gauge.DIR_PAIRS):
-            ai = mats[..., i - 1, :, :]
-            aj = mats[..., j - 1, :, :]
-            aj_i = shift_plus(self.domain, aj, i)
-            ai_j = shift_plus(self.domain, ai, j)
-            F[..., d, :, :] = (aj_i - aj) - (ai_j - ai) + ai @ aj_i - aj @ ai_j
+    def _field(self, F: np.ndarray) -> np.ndarray:
+        """The 2-form whose masked squared norm is the objective."""
+        if self.objective_name == "sd_residual":
+            d = dual(Cochain(self.domain, 2, F)).values
+            F = F + d if self.anti else F - d
         return F
 
-    def _residual(self, F: np.ndarray) -> np.ndarray:
-        d = _dual2_values(F)
-        return F + d if self.anti else F - d
-
     def objective(self, vecs: np.ndarray) -> float:
-        # overflow is legitimate on wild line-search trials; the descent
-        # loop checks finiteness and aborts with a diagnostic
+        # overflow on wild iterates is legitimate; the descent checks finiteness
+        A = vectors_to_connection(self.domain, vecs)
         with np.errstate(over="ignore", invalid="ignore"):
-            F = self.curvature(alg.embed_su2(vecs))
-            if self.objective_name == "sd_residual":
-                F = self._residual(F)
-            return float(np.sum(np.abs(self.mask_dirs * F) ** 2))
+            R = self._field(gauge.curvature_components(A).values)
+            return float(np.sum(np.abs(self.mask_dirs * R) ** 2))
 
     def gradient(self, vecs: np.ndarray) -> np.ndarray:
-        """d(objective)/d(coefficients), one adjoint sweep over the stencil.
+        return self.evaluate(vecs).grad
 
-        For a weight 2-form W the pairing 2 Re (dF(delta), W) collects, per
-        axis i, the matrix
+    def evaluate(self, vecs: np.ndarray) -> _Point:
+        """Objective and gradient from one curvature evaluation; the gradient
+        is one adjoint sweep: for a weight 2-form W the pairing
+        2 Re (dF(delta), W) collects, per axis i, the matrix
           M_i(n) = sum_{j != i} [W^{ij H}_n + A^j_{tau_i n} W^{ij H}_n]
                                - [W^{ij H} + W^{ij H} A^j](sigma_j n)
         restricted to interior cells; the gradient components are
         2 Re tr(lam_a M_i).  W = F for the action, W = 2 (F -+ dual F) for
         the (anti-)self-dual residual.
         """
-        mats = alg.embed_su2(vecs)
-        F = self.curvature(mats)
-        if self.objective_name == "sd_residual":
-            W = 2.0 * self._residual(F)
-        else:
-            W = F
-        Wd = alg.conj_transpose(W)
-        M = np.zeros(mats.shape, dtype=np.complex128)
-        for i in (1, 2, 3, 4):
-            acc = None
-            for j in (1, 2, 3, 4):
-                if j == i:
-                    continue
-                d = _PAIR_INDEX[(min(i, j), max(i, j))]
-                wij = Wd[..., d, :, :] if i < j else -Wd[..., d, :, :]
-                aj = mats[..., j - 1, :, :]
-                t1 = self.mask_cells * (wij + shift_plus(self.domain, aj, i) @ wij)
-                t2 = self.mask_cells * (wij + wij @ aj)
-                term = t1 - shift_minus(self.domain, t2, j)
-                acc = term if acc is None else acc + term
-            M[..., i - 1, :, :] = acc
-        return 2.0 * np.real(np.einsum("ars,...sr->...a", alg.LAMBDA, M))
+        A = vectors_to_connection(self.domain, vecs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = self._field(gauge.curvature_components(A).values)
+            W = 2.0 * R if self.objective_name == "sd_residual" else R
+            Wd = alg.conj_transpose(W)
+            M = np.zeros(A.values.shape, dtype=np.complex128)
+            for i in (1, 2, 3, 4):
+                acc = None
+                for j in (1, 2, 3, 4):
+                    if j == i:
+                        continue
+                    d = _PAIR_INDEX[(min(i, j), max(i, j))]
+                    wij = Wd[..., d, :, :] if i < j else -Wd[..., d, :, :]
+                    aj = A.values[..., j - 1, :, :]
+                    t1 = self.mask_cells * (wij + shift_plus(self.domain, aj, i) @ wij)
+                    t2 = self.mask_cells * (wij + wij @ aj)
+                    term = t1 - shift_minus(self.domain, t2, j)
+                    acc = term if acc is None else acc + term
+                M[..., i - 1, :, :] = acc
+            grad = 2.0 * np.real(np.einsum("ars,...sr->...a", alg.LAMBDA, M))
+            return _Point(vecs, float(np.sum(np.abs(self.mask_dirs * R) ** 2)), grad, R)
+
+    def line_coefficients(self, at: _Point, p: np.ndarray) -> np.ndarray:
+        """c with objective(at.vecs + t p) = c[0] + c[1] t + ... + c[4] t^4:
+        F(A + tP) = F0 + t F1 + t^2 F2 on the curvature stencil, with
+          F1^{ij} = dP^{ij} + A^i P^j_{tau_i} + P^i A^j_{tau_i}
+                            - A^j P^i_{tau_j} - P^j A^i_{tau_j},
+          F2^{ij} = P^i P^j_{tau_i} - P^j P^i_{tau_j}; the residual map is linear.
+        """
+        mats, dirs = alg.embed_su2(at.vecs), alg.embed_su2(p)
+        F1, F2 = np.empty_like(at.field), np.empty_like(at.field)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, (i, j) in enumerate(gauge.DIR_PAIRS):
+                ai, aj = mats[..., i - 1, :, :], mats[..., j - 1, :, :]
+                pi, pj = dirs[..., i - 1, :, :], dirs[..., j - 1, :, :]
+                aj_i, pj_i = (shift_plus(self.domain, x, i) for x in (aj, pj))
+                ai_j, pi_j = (shift_plus(self.domain, x, j) for x in (ai, pi))
+                F1[..., d, :, :] = ((pj_i - pj) - (pi_j - pi) + ai @ pj_i + pi @ aj_i
+                                    - aj @ pi_j - pj @ ai_j)
+                F2[..., d, :, :] = pi @ pj_i - pj @ pi_j
+            r = [self.mask_dirs * R for R in (at.field, self._field(F1), self._field(F2))]
+            g = np.array([[np.vdot(x, y).real for y in r] for x in r])
+            return np.array([g[0, 0], 2 * g[0, 1], g[1, 1] + 2 * g[0, 2], 2 * g[1, 2], g[2, 2]])
+
+
+def _line_minimum(c: np.ndarray) -> float | None:
+    """The t > 0 of least value among the stationary points of the quartic
+    sum_n c[n] t^n, or None if there is none or c is not finite.  In units
+    of tau every coefficient of the derivative is at most |c[1]|; leading
+    ones at rounding level there (c[4] ~ 0: P u P negligible) are dropped."""
+    d = np.array([c[1], 2 * c[2], 3 * c[3], 4 * c[4]])
+    if not (np.isfinite(c).all() and d[0] < 0 and d[1:].any()):
+        return None
+    tau = 1.0 / max((abs(d[n]) / -d[0]) ** (1.0 / n) for n in (1, 2, 3))
+    ds = d * tau ** np.arange(4) / -d[0]
+    roots = np.roots(np.trim_zeros(np.where(abs(ds) > 1e-13, ds, 0.0), "b")[::-1])
+    s = roots.real[(roots.imag == 0) & (roots.real > 0)]
+    values = np.polyval((c * tau ** np.arange(5))[::-1], s)
+    return float(tau * s[np.argmin(values)]) if s.size else None
 
 
 def action_gradient(A: Cochain) -> np.ndarray:
@@ -196,69 +218,74 @@ def grad_max_norm(grad: np.ndarray) -> float:
     return float(np.sqrt((grad**2).sum(axis=-1)).max()) if grad.size else 0.0
 
 
+def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, armijo_c: float, counts: dict):
+    """(t, point) at the exact line minimum along p, or None if p is not a
+    descent direction, the line has no minimum or the step fails Armijo."""
+    slope = float(np.vdot(at.grad, p))
+    if not slope < 0:
+        return None
+    counts["line_coefficient_evals"] += 1
+    t = _line_minimum(kern.line_coefficients(at, p))
+    if t is None:
+        return None
+    counts["objective_gradient_evals"] += 1
+    new = kern.evaluate(at.vecs + t * p)
+    if not np.isfinite(new.obj):
+        raise SolverAbort(f"objective not finite at step {t}: {new.obj}")
+    if new.obj > at.obj + armijo_c * t * slope:
+        return None
+    return t, new
+
+
 def _descend(domain: Domain, vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
     report = SolverReport(objective_name=kern.objective_name)
-    obj = kern.objective(vecs)
-    if not np.isfinite(obj):
-        raise SolverAbort(f"objective not finite at start: {obj}")
-    grad = kern.gradient(vecs)
-    gmax = grad_max_norm(grad)
-    report.iterations.append((obj, gmax, 0.0))
-    step = cfg.initial_step
-    prev_vecs = prev_grad = None
+    counts = {"objective_gradient_evals": 1, "line_coefficient_evals": 0, "restarts": 0}
+    at = kern.evaluate(vecs)
+    if not np.isfinite(at.obj):
+        raise SolverAbort(f"objective not finite at start: {at.obj}")
+    gmax = grad_max_norm(at.grad)
+    report.iterations.append((at.obj, gmax, 0.0))
+    p, steepest = -at.grad, True
     for _ in range(cfg.max_iters):
         if gmax <= cfg.grad_tol:
             break
-        gsq = float((grad**2).sum())
-        # two-point curvature estimate warm-starts the line search; the
-        # descent direction stays the raw gradient and every accepted step
-        # still passes the Armijo test below
-        if prev_vecs is not None:
-            dv = (vecs - prev_vecs).ravel()
-            dg = (grad - prev_grad).ravel()
-            denom = float(dv @ dg)
-            step = float(dv @ dv) / denom if denom > 0 else min(step / cfg.backtrack_factor, 1e12)
-        while True:
-            trial = vecs - step * grad
-            trial_obj = kern.objective(trial)
-            if not np.isfinite(trial_obj):
-                raise SolverAbort(f"objective not finite at step {step}: {trial_obj}")
-            if trial_obj <= obj - cfg.armijo_c * step * gsq:
-                break
-            step *= cfg.backtrack_factor
-            if step < 1e-18:
-                report.reason = "line search stalled"
-                break
-        if report.reason:
+        step = _line_step(kern, at, p, cfg.armijo_c, counts)
+        if step is None and not steepest:
+            counts["restarts"] += 1
+            p = -at.grad
+            step = _line_step(kern, at, p, cfg.armijo_c, counts)
+        if step is None:
+            report.reason = "line search stalled"
             break
-        prev_vecs, prev_grad = vecs, grad
-        vecs, obj = trial, trial_obj
-        grad = kern.gradient(vecs)
-        gmax = grad_max_norm(grad)
-        report.iterations.append((obj, gmax, step))
+        t, new = step
+        beta = max(0.0, float(np.vdot(new.grad, new.grad - at.grad) / np.vdot(at.grad, at.grad)))
+        p, steepest, at = beta * p - new.grad, beta == 0.0, new
+        gmax = grad_max_norm(at.grad)
+        report.iterations.append((at.obj, gmax, t))
     if not report.reason:
         if gmax <= cfg.grad_tol:
             report.converged = True
             report.reason = "gradient below tolerance"
         else:
             report.reason = "iteration limit reached"
-    final = vectors_to_connection(domain, vecs)
-    report.final = final
+    report.final = final = vectors_to_connection(domain, at.vecs)
     F = gauge.curvature(final)
     report.diagnostics = {
         "action": norm_sq(F),
         "ym_residual_norm": gauge.yang_mills_residual_norm(final),
         "sd_residual": gauge.sd_residual(F),
         "bianchi_defect": gauge.bianchi_residual(final),
+        **counts,
     }
     return report
 
 
 def minimize(A0: Cochain, cfg: SolverConfig) -> SolverReport:
-    """Projected gradient descent with Armijo backtracking.
+    """Nonlinear CG with an exact line search on the configured objective.
 
     Iterates are coefficient vectors, hence exactly su(2)-valued; stops at
-    cfg.grad_tol on the gradient max-norm or at the iteration cap.
+    cfg.grad_tol on the gradient max-norm, at the iteration cap, or when a
+    steepest descent step fails the Armijo test.
     """
     kern = _Kernel(A0.domain, cfg.objective)
     return _descend(A0.domain, connection_vectors(A0), cfg, kern)

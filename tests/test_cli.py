@@ -1,6 +1,10 @@
 """Tests for the batch front end: configs, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +178,85 @@ class TestSolverCommands:
         payload = out[out.index("{") :]
         report = json.loads(payload)
         assert report["command"] == "action"
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"amplitude": "abc"},
+            {"amplitude": float("nan")},
+            {"seed": True},
+            {"sizes": [2, 2, 2, True]},
+            {"output": 5},
+            {"gauge": 5},
+            {"solver": {"max_iters": -5}},
+            {"solver": {"max_iters": 10.5}},
+            {"solver": {"grad_tol": "nan"}},
+            {"solver": {"grad_tol": float("inf")}},
+            {"solver": {"armijo_c": "0.1"}},
+            {"solver": {"seed": True}},
+            {"solver": {"anti": "yes"}},
+            {"solver": {"objective": ["action"]}},
+        ],
+    )
+    def test_bad_field_types_are_config_errors(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, **payload)
+        assert run(["relax", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def _nan_connection_config(self, tmp_path):
+        a = co.random_connection(Domain((2, 2, 2, 2), "sphere"), 0.2, seed=3)
+        a.values[0, 0, 0, 0, 0, 0, 0, 1] = np.nan
+        conn = tmp_path / "nan.form.json"
+        conn.write_bytes(co.serialize(a))
+        return write_config(tmp_path, connection=f"file:{conn}")
+
+    def test_nan_connection_file_is_config_error(self, tmp_path, capsys):
+        assert run(["action", "--config", self._nan_connection_config(tmp_path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_nan_connection_file_is_config_error_without_asserts(self, tmp_path):
+        # python -O strips assert statements; the guard must not be one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "ymdec", "action", "--config",
+             self._nan_connection_config(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_on_non_cubic_sphere(self, tmp_path, capsys):
+        path = write_config(tmp_path, sizes=[2, 3, 4, 2], gauge="identity")
+        out = tmp_path / "report.json"
+        assert run(["verify", "--config", path, "--output", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        skipped = report["scalars"]["skipped_checks"]
+        assert set(skipped) == {
+            "gauge_group_closure", "right_cup_dual_compatible", "ym_residual_gauge_invariance"
+        }
+        names = {c["name"] for c in report["checks"]}
+        assert not names & set(skipped) and "bianchi_identity" in names
+        assert all(c["pass"] for c in report["checks"])
+
+    def test_sum_profile_gauge_on_non_cubic_sphere_is_config_error(self, tmp_path):
+        path = write_config(tmp_path, sizes=[2, 3, 4, 2], gauge="sum_profile")
+        assert run(["verify", "--config", path]) == 2
+
+    def test_relax_report_counts_evaluations_and_is_byte_stable(self, tmp_path):
+        out = tmp_path / "final.form.json"
+        path = write_config(
+            tmp_path, amplitude=0.05, solver={"max_iters": 80, "grad_tol": 1e-5}, output=str(out)
+        )
+        report_path = tmp_path / "final.form.json.report.json"
+        assert run(["relax", "--config", path]) == 0
+        first = report_path.read_bytes()
+        assert run(["relax", "--config", path]) == 0
+        assert report_path.read_bytes() == first
+        scalars = json.loads(first)["scalars"]
+        for key in ("objective_gradient_evals", "line_coefficient_evals", "restarts"):
+            assert type(scalars[key]) is int
+        assert scalars["line_coefficient_evals"] == scalars["iterations"] + scalars["restarts"]

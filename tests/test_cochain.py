@@ -100,6 +100,17 @@ class TestConstructors:
         with pytest.raises(co.ValidationError):
             co.validate_gauge(h)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validation_rejects_non_finite_coefficients(self, bad):
+        a = co.random_connection(SPHERE, 0.5, seed=7)
+        a.values[0, 0, 0, 0, 0, 1, 0, 1] = bad
+        with pytest.raises(co.ValidationError):
+            co.validate_connection(a)
+        h = co.random_gauge(SPHERE, seed=8)
+        h.values[0, 0, 0, 0, 0, 0, 1, 1] = bad
+        with pytest.raises(co.ValidationError):
+            co.validate_gauge(h)
+
     @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
     def test_sum_profile_gauge_paired_shifts(self, domain):
         h = co.sum_profile_gauge(domain, amplitude=1.0, seed=9)

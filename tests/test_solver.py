@@ -218,3 +218,109 @@ class TestSelfDual:
         assert max(anti_defects) <= 1e-2
         assert max(rep.diagnostics["sd_component_defects"]) <= 1e-2
         assert min(sd_defects) > max(anti_defects)
+
+
+def _rotated(vecs, seed):
+    """The coefficient vectors in another global SU(2) frame: a rotation of
+    su(2), the adjoint action of a constant gauge."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return vecs @ q.T
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("domain", [SPHERE, BLOCK], ids=["sphere", "block"])
+    @pytest.mark.parametrize(
+        "objective,anti",
+        [("action", False), ("sd_residual", False), ("sd_residual", True)],
+        ids=["action", "sd", "anti-sd"],
+    )
+    def test_quartic_matches_objective_along_the_line(self, domain, objective, anti):
+        kern = so._Kernel(domain, objective, anti=anti)
+        vecs = so.connection_vectors(co.random_connection(domain, 0.6, seed=21))
+        p = np.random.default_rng(22).uniform(-0.5, 0.5, size=vecs.shape)
+        c = kern.line_coefficients(kern.evaluate(vecs), p)
+        for t in (-1.3, -0.2, 0.4, 1.0, 2.5):
+            want = kern.objective(vecs + t * p)
+            assert np.polyval(c[::-1], t) == pytest.approx(want, rel=1e-12)
+
+    def test_line_minimum_of_exact_quartics(self):
+        # (t - 1)^2 (t^2 + 1): stationary only at t = 1
+        assert so._line_minimum(np.array([1.0, -2.0, 2.0, -2.0, 1.0])) == pytest.approx(1.0)
+        # S' = 4 (t - 1)(t - 2)(t - 3): minima at 1 and 3 with S(1) > S(3)
+        c = np.array([0.0, -24.0, 22.0, -8.0, 1.0])
+        assert so._line_minimum(c) == pytest.approx(3.0)
+        # no descent from t = 0, or a line that is not finite
+        assert so._line_minimum(np.array([1.0, 2.0, 1.0, 0.0, 1.0])) is None
+        assert so._line_minimum(np.array([1.0, -2.0, np.inf, 0.0, 1.0])) is None
+
+    @pytest.mark.parametrize("c4", [0.0, 1e-300, 1e-40])
+    def test_degenerate_quartic_term(self, c4):
+        # c4 ~ 0 leaves the quadratic (t - 1)^2 minimized at t = 1
+        t = so._line_minimum(np.array([1.0, -2.0, 1.0, 0.0, c4]))
+        assert t == pytest.approx(1.0, rel=1e-12)
+
+    def test_direction_with_vanishing_quartic_term(self):
+        # constant commuting axis coefficients: P u P = 0 on every interior cell
+        kern = so._Kernel(SPHERE, "action")
+        vecs = so.connection_vectors(co.random_connection(SPHERE, 0.3, seed=23))
+        p = np.zeros_like(vecs)
+        p[..., 2] = (0.3, -0.7, 0.2, 0.5)
+        at = kern.evaluate(vecs)
+        if np.vdot(at.grad, p) > 0:
+            p = -p
+        c = kern.line_coefficients(at, p)
+        assert c[4] <= 1e-30 * c[2]
+        t = so._line_minimum(c)
+        best = kern.objective(vecs + t * p)
+        for f in (0.99, 1.01):
+            assert best <= kern.objective(vecs + f * t * p)
+
+    def test_non_descent_direction_restarts(self, monkeypatch):
+        kern = so._Kernel(SPHERE, "action")
+        at = kern.evaluate(so.connection_vectors(co.random_connection(SPHERE, 0.3, seed=24)))
+        counts = {"line_coefficient_evals": 0, "objective_gradient_evals": 0}
+        assert so._line_step(kern, at, at.grad, 1e-4, counts) is None
+        assert counts == {"line_coefficient_evals": 0, "objective_gradient_evals": 0}
+
+        calls = []
+        line_step = so._line_step
+
+        def reverse_first_conjugate_direction(kern, at, p, armijo_c, counts):
+            calls.append((p, at.grad))
+            return line_step(kern, at, -p if len(calls) == 2 else p, armijo_c, counts)
+
+        monkeypatch.setattr(so, "_line_step", reverse_first_conjugate_direction)
+        a0 = co.random_connection(SPHERE, 0.1, seed=24)
+        rep = so.minimize(a0, so.SolverConfig(max_iters=5000, grad_tol=1e-6))
+        assert rep.diagnostics["restarts"] == 1
+        p, grad = calls[2]
+        assert np.array_equal(p, -grad)
+        assert rep.converged
+
+    def test_counters_match_the_trace(self):
+        a0 = co.random_connection(SPHERE, 0.1, seed=25)
+        rep = so.minimize(a0, so.SolverConfig(max_iters=40, grad_tol=0.0))
+        d = rep.diagnostics
+        assert all(type(d[k]) is int for k in ("objective_gradient_evals", "line_coefficient_evals", "restarts"))
+        assert d["line_coefficient_evals"] == rep.n_iters + d["restarts"]
+        assert d["objective_gradient_evals"] >= rep.n_iters + 1
+        again = so.minimize(a0, so.SolverConfig(max_iters=40, grad_tol=0.0))
+        assert again.diagnostics == d and again.iterations == rep.iterations
+
+    def test_relaxes_amplitude_one_under_default_cap(self):
+        a0 = co.random_connection(SPHERE, 1.0, seed=7)
+        rep = so.minimize(a0, so.SolverConfig())
+        assert rep.converged and rep.n_iters < 5000
+
+    def test_iteration_count_independent_of_global_frame(self):
+        vecs = so.connection_vectors(co.random_connection(SPHERE, 0.1, seed=7))
+        counts = []
+        for seed in (1, 2, 3):
+            a0 = so.vectors_to_connection(SPHERE, _rotated(vecs, seed))
+            rep = so.minimize(a0, so.SolverConfig())
+            assert rep.converged
+            counts.append(rep.n_iters)
+        assert max(counts) - min(counts) <= 0.01 * min(counts)
