@@ -102,6 +102,35 @@ def exp_su2(v):
     return out
 
 
+# Quaternion planes.  e_a = -i sigma_a = 2 lam_a obey e1 e2 = e3 and
+# e_a^2 = -1, so s I + sum_a u_a e_a is the real quaternion (s, u), with
+# squared Frobenius norm 2 (s^2 + |u|^2); the su(2) coefficient vector v is
+# the pure quaternion u = v / 2.  Plane arrays put the component axis first,
+# so every component is one contiguous array over the lattice.
+
+
+def plane_dot(x, y):
+    """Componentwise dot product of vector planes (3, ...) -> (...)."""
+    return np.einsum("c...,c...->...", x, y)
+
+
+def plane_cross(x, y, out=None):
+    """Cross product of vector planes (3, ...) -> (3, ...), one component
+    plane at a time, so no temporary is larger than a plane."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    for c in range(3):
+        n, p = (c + 1) % 3, (c + 2) % 3
+        np.subtract(x[n] * y[p], x[p] * y[n], out=out[c])
+    return out
+
+
+def quaternion_matrices(s, u):
+    """The 2x2 matrices s I + sum_a u_a e_a of scalar planes s (...) and
+    vector planes u (3, ...), shape (..., 2, 2)."""
+    return s[..., None, None] * IDENTITY2 + embed_su2(2.0 * np.moveaxis(u, 0, -1))
+
+
 def su2_algebra_deviation(m):
     """Max |.| distance of m from anti-Hermitian traceless, entrywise."""
     m = np.asarray(m)

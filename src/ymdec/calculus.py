@@ -84,6 +84,30 @@ def shift_minus(domain: Domain, vals: np.ndarray, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def gather_table(domain: Domain):
+    """(tau, sigma): flat cell indices of tau_axis n and sigma_axis n, row
+    axis - 1, shape (4, ncells + 1), cells in storage order.
+
+    Built by shifting an array of cell ids, so the gluing keeps its one
+    definition in shift_plus/shift_minus.  Row ncells is a sentinel: a read
+    past the block halo points there, and the sentinel points at itself.
+    Arrays gathered through the table carry a zero row at that index.
+    """
+    ncells = domain.ncharts * int(np.prod(domain.extents))
+    ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
+
+    def table(shift):
+        # the shifts fill a read past the halo with 0, which marks the sentinel
+        t = np.stack([shift(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)]) - 1
+        t[t < 0] = ncells
+        t = np.concatenate([t, np.full((4, 1), ncells)], axis=1)
+        t.setflags(write=False)
+        return t
+
+    return table(shift_plus), table(shift_minus)
+
+
+@lru_cache(maxsize=None)
 def _coboundary_plan(p: int):
     """(out_index, axis, sign, in_index) quadruples for degree p -> p + 1."""
     plan = []

@@ -16,6 +16,9 @@ algebra), so they are measured rather than gated.
 
 from __future__ import annotations
 
+import logging
+import time
+
 import numpy as np
 
 from . import algebra as alg
@@ -35,6 +38,23 @@ from .complex4 import (
     boundary,
     boundary_cell,
 )
+
+log = logging.getLogger(__name__)
+
+
+class _TimedChecks(list):
+    """The check list of a verify run.  Appending an entry logs the wall time
+    since the previous one, which is the time that check took."""
+
+    def __init__(self):
+        super().__init__()
+        self._last = time.perf_counter()
+
+    def append(self, entry):
+        now = time.perf_counter()
+        log.info("check %s %.3f s", entry["name"], now - self._last)
+        self._last = now
+        super().append(entry)
 
 
 def _check(name, defect, tol):
@@ -117,7 +137,7 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form=No
     the scalar "skipped_checks".
     """
     rng_base = int(seed)
-    checks = []
+    checks = _TimedChecks()
     scalars = {}
 
     checks.append(_check("star_basis_tables", _star_table_defect(domain), 1e-12))
@@ -333,7 +353,7 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form=No
         worst = max(worst, abs(grad[idx] - fd) / max(np.abs(grad).max(), 1e-12))
     checks.append(_check("action_gradient_fd", worst, 1e-6))
 
-    return checks, scalars
+    return list(checks), scalars
 
 
 def connection_scalars(A) -> dict:

@@ -24,7 +24,10 @@ next to it with ".report.json" appended.  A fixed-format summary table is
 always printed to stdout; without an output path the JSON report follows
 it.
 
-Exit codes: 0 pass, 1 check failure, 2 config error, 3 solver abort.
+Exit codes: 0 pass, 1 check failure, 2 config error, 3 solver abort or
+non-finite arithmetic (an overflowing action or check).  With -v the wall
+time of each phase (load, solve, diagnostics, write; each check of verify)
+is logged to stderr; it never enters the report.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -41,6 +45,9 @@ from . import cochain as co
 from . import solver as so
 from .checks import connection_scalars, run_verify_checks
 from .complex4 import Domain
+from .timing import phase
+
+log = logging.getLogger(__name__)
 
 CELL_ORDERING = "chart-major,k-lexicographic,mask-ascending,row-major/v1"
 
@@ -230,8 +237,10 @@ def _report_skeleton(command, cfg) -> dict:
 def cmd_verify(cfg):
     domain = make_domain(cfg)
     report = _report_skeleton("verify", cfg)
+    with phase(log, "load"):
+        gauge_form = build_gauge(cfg, domain)
     checks, scalars = run_verify_checks(
-        domain, cfg["seed"], cfg["amplitude"], gauge_form=build_gauge(cfg, domain)
+        domain, cfg["seed"], cfg["amplitude"], gauge_form=gauge_form
     )
     report["checks"] = checks
     report["scalars"] = scalars
@@ -242,14 +251,18 @@ def cmd_verify(cfg):
 def cmd_action(cfg):
     domain = make_domain(cfg)
     report = _report_skeleton("action", cfg)
-    report["scalars"] = connection_scalars(build_connection(cfg, domain))
+    with phase(log, "load"):
+        A = build_connection(cfg, domain)
+    with phase(log, "diagnostics"):
+        report["scalars"] = connection_scalars(A)
     return 0, report
 
 
 def _solver_command(cfg, name):
     domain = make_domain(cfg)
     report = _report_skeleton(name, cfg)
-    a0 = build_connection(cfg, domain)
+    with phase(log, "load"):
+        a0 = build_connection(cfg, domain)
     solver_cfg = _solver_config(cfg)
     if name == "relax":
         result = so.minimize(a0, solver_cfg)
@@ -291,17 +304,18 @@ def render_report(report) -> bytes:
 
 
 def _emit(report, cfg, final_form=None):
-    payload = render_report(report)
-    out = cfg["output"]
-    _print_table(report)
-    if out is None:
-        sys.stdout.write(payload.decode())
-        return
-    if final_form is not None:
-        Path(out).write_bytes(co.serialize(final_form))
-        Path(out + ".report.json").write_bytes(payload)
-    else:
-        Path(out).write_bytes(payload)
+    with phase(log, "write"):
+        payload = render_report(report)
+        out = cfg["output"]
+        _print_table(report)
+        if out is None:
+            sys.stdout.write(payload.decode())
+            return
+        if final_form is not None:
+            Path(out).write_bytes(co.serialize(final_form))
+            Path(out + ".report.json").write_bytes(payload)
+        else:
+            Path(out).write_bytes(payload)
 
 
 def main(argv=None) -> int:
@@ -320,8 +334,27 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="path to a RunConfig JSON file")
         p.add_argument("--output", help="output path (overrides config)")
         p.add_argument("--seed", type=int, help="seed (overrides config)")
+        p.add_argument(
+            "-v", "--verbose", action="store_true", help="log the wall time of each phase to stderr"
+        )
     args = parser.parse_args(argv)
 
+    root = logging.getLogger("ymdec")
+    handler = None
+    if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        root.addHandler(handler)
+        root.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        if handler is not None:
+            root.removeHandler(handler)
+            root.setLevel(logging.NOTSET)
+
+
+def _run(args) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, output=args.output)
     except ConfigError as e:
@@ -345,6 +378,10 @@ def main(argv=None) -> int:
         return 2
     except so.SolverAbort as e:
         print(f"solver abort: {e}", file=sys.stderr)
+        return 3
+    except ArithmeticError as e:
+        # a valid but enormous connection overflows the action or a check
+        print(f"numerical abort: {e}", file=sys.stderr)
         return 3
     return code
 

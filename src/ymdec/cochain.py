@@ -289,13 +289,15 @@ def deserialize(payload: bytes) -> Cochain:
             raise MalformedFormError(f"missing field {key!r}")
     if doc["version"] != FILE_VERSION:
         raise FormVersionError(f"unsupported version {doc['version']!r}")
-    if doc["copy"] not in COPY_FLAGS:
+    if not isinstance(doc["copy"], str) or doc["copy"] not in COPY_FLAGS:
         raise MalformedFormError(f"unknown copy flag {doc['copy']!r}")
     try:
         domain = Domain(tuple(doc["sizes"]), doc["topology"])
         degree = int(doc["degree"])
+        if not 0 <= degree <= 4:
+            raise ValueError(f"degree must be 0..4, got {degree}")
         shape = Cochain.shape(domain, degree)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise FormShapeError(str(e)) from e
     try:
         pairs = np.asarray(doc["data"], dtype=np.float64)

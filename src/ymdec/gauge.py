@@ -10,9 +10,22 @@ The discretized gauge transform A' = h u d(h^-1) + h u A u h^-1 is only
 approximately su(2)-valued (h_k h^-1_{tau_i k} - I has a Hermitian trace
 part whenever the two group elements differ); gauge_transform measures the
 deviation instead of assuming membership.
+
+The curvature stencil has one implementation, on real quaternion planes
+(see algebra): F is the product of su(2) elements, so it lies in
+H = span_R{I, lam_a}.  connection_planes stores A as pure quaternion
+planes over the flat cells plus a zero sentinel row, gather_pairs reads
+the four operands of every axis pair through the cached gather table of
+calculus, and curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for
+pure x, y.  curvature_components and the solver kernel both build on it;
+curvature() on the gl(2, C) Cochain calculus is the oracle it is checked
+against.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,15 +35,19 @@ from .calculus import (
     copy_swap,
     cup,
     dual,
+    gather_table,
     norm,
     shift_plus,
     star,
 )
-from .cochain import Cochain, ValidationError, add, interior, scale, sub
-from .complex4 import MASKS_BY_DEGREE, mask_axes
+from .cochain import Cochain, ValidationError, add, interior, scale, sub, validate_connection
+from .complex4 import MASKS_BY_DEGREE, Domain, mask_axes
 
 # ordered axis pairs matching the degree-2 direction sets (ascending masks)
 DIR_PAIRS = tuple(mask_axes(m) for m in MASKS_BY_DEGREE[2])
+# 0-based first and second axis of each pair
+PAIR_I = np.array([i - 1 for i, _ in DIR_PAIRS])
+PAIR_J = np.array([j - 1 for _, j in DIR_PAIRS])
 
 
 def curvature(A: Cochain) -> Cochain:
@@ -40,24 +57,90 @@ def curvature(A: Cochain) -> Cochain:
     return add(coboundary(A), cup(A, A))
 
 
+class PairPlanes(NamedTuple):
+    """Operands of the curvature stencil for every axis pair i < j:
+    x^i, x^j, x^j(tau_i n), x^i(tau_j n), each of shape (3, ncells + 1, 6)."""
+
+    i: np.ndarray
+    j: np.ndarray
+    j_ti: np.ndarray
+    i_tj: np.ndarray
+
+
+def connection_planes(vecs: np.ndarray) -> np.ndarray:
+    """Pure quaternion planes of su(2) coefficient vectors (charts, k..., 4, 3):
+    shape (3, ncells + 1, 4), cells in storage order, zero sentinel row last."""
+    v = vecs.reshape(-1, 4, 3)
+    out = np.zeros((3, v.shape[0] + 1, 4))
+    out[:, :-1] = 0.5 * np.moveaxis(v, -1, 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair_gather(domain: Domain):
+    """Flat cell indices of tau_i n and tau_j n per pair, (ncells + 1, 6) each."""
+    tau, _ = gather_table(domain)
+    out = tau[PAIR_I].T.copy(), tau[PAIR_J].T.copy()
+    for t in out:
+        t.setflags(write=False)
+    return out
+
+
+def gather_pairs(domain: Domain, a: np.ndarray) -> PairPlanes:
+    """The stencil operands of axis planes a (see connection_planes)."""
+    ti, tj = _pair_gather(domain)
+    return PairPlanes(a[:, :, PAIR_I], a[:, :, PAIR_J], a[:, ti, PAIR_J], a[:, tj, PAIR_I])
+
+
+def curvature_stencil(x: PairPlanes, y: PairPlanes) -> np.ndarray:
+    """x^i y^j(tau_i) - x^j y^i(tau_j) for pure quaternion operands, as
+    planes (4, ncells + 1, 6), scalar first:
+      scalar  x^j . y^i(tau_j) - x^i . y^j(tau_i)
+      vector  x^i x y^j(tau_i) - x^j x y^i(tau_j)
+    The quadratic part of the curvature is stencil(a, a); along A + tP it
+    contributes stencil(a, p) + stencil(p, a) at order t and stencil(p, p)
+    at order t^2.
+    """
+    out = np.empty((4,) + x.i.shape[1:])
+    np.subtract(alg.plane_dot(x.j, y.i_tj), alg.plane_dot(x.i, y.j_ti), out=out[0])
+    alg.plane_cross(x.i, y.j_ti, out=out[1:])
+    out[1:] -= alg.plane_cross(x.j, y.i_tj)
+    return out
+
+
+def add_pair_difference(out: np.ndarray, x: PairPlanes) -> None:
+    """out += (x^j(tau_i) - x^j) - (x^i(tau_j) - x^i): the coboundary of
+    pair planes, added in place to vector planes."""
+    out += x.j_ti
+    out -= x.j
+    out -= x.i_tj
+    out += x.i
+
+
+def curvature_planes(x: PairPlanes) -> np.ndarray:
+    """F = dA + A u A as quaternion planes (4, ncells + 1, 6), scalar first."""
+    F = curvature_stencil(x, x)
+    add_pair_difference(F[1:], x)
+    return F
+
+
 def curvature_components(A: Cochain) -> Cochain:
-    """Curvature assembled directly from the component stencil.
+    """Curvature assembled from the component stencil on quaternion planes,
 
     F^{ij}_k = (A^j_{tau_i k} - A^j_k) - (A^i_{tau_j k} - A^i_k)
-               + A^i_k A^j_{tau_i k} - A^j_k A^i_{tau_j k}
+               + A^i_k A^j_{tau_i k} - A^j_k A^i_{tau_j k},
 
-    Independent evaluation route used by the solver kernel; must agree with
-    curvature() to machine precision.
+    embedded back as F = s I + 2 sum_a u_a lam_a.  Independent of the
+    Cochain route of curvature(), with which it must agree to machine
+    precision.  The stencil reads only the su(2) part of A, so a degree-1
+    form that validate_connection rejects raises ValidationError instead
+    of being projected silently.
     """
-    out = Cochain.zeros(A.domain, 2, A.copy)
-    v = A.values
-    for d, (i, j) in enumerate(DIR_PAIRS):
-        ai = v[..., i - 1, :, :]
-        aj = v[..., j - 1, :, :]
-        aj_i = shift_plus(A.domain, aj, i)
-        ai_j = shift_plus(A.domain, ai, j)
-        out.values[..., d, :, :] = (aj_i - aj) - (ai_j - ai) + ai @ aj_i - aj @ ai_j
-    return out
+    validate_connection(A)
+    a = connection_planes(alg.project_su2(A.values))
+    F = curvature_planes(gather_pairs(A.domain, a))[:, :-1]
+    values = alg.quaternion_matrices(F[0], F[1:])
+    return Cochain(A.domain, 2, values.reshape(A.values.shape[:-3] + (6, 2, 2)), A.copy)
 
 
 def covariant_d(A: Cochain, omega: Cochain) -> Cochain:

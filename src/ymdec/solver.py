@@ -9,10 +9,22 @@ curvature is exactly F0 + t F1 + t^2 F2, so |F|^2 and |F -+ dual F|^2 are
 quartics in t, minimized at a root of a cubic.  An Armijo test guards each
 step; on failure, or when the conjugate direction is not a descent
 direction, the step restarts along the steepest descent.
+
+The kernel works on real quaternion planes (Creutz, Phys. Rev. D 21, 2308,
+1980: SU(2) as a0 + i a.sigma).  A connection is three pure quaternion
+planes over the flat cells, gathered per axis pair through the cached
+gather table of calculus; the curvature is gauge.curvature_stencil, the
+one stencil also behind gauge.curvature_components; the dual map is a
+signed permutation of the six pair planes; and the adjoint gradient needs
+only vector parts.  The gl(2, C) Cochain calculus (gauge.curvature,
+action) stays the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import logging
+import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -20,13 +32,16 @@ import numpy as np
 
 from . import algebra as alg
 from . import gauge
-from .calculus import dual, norm_sq, shift_minus, shift_plus
+from .calculus import _star_plan, gather_table, norm_sq
 from .cochain import Cochain, interior
 from .complex4 import Domain
+from .timing import phase
+
+log = logging.getLogger(__name__)
 
 OBJECTIVES = ("action", "sd_residual")
 
-_PAIR_INDEX = {pair: n for n, pair in enumerate(gauge.DIR_PAIRS)}
+_PAIRS = np.arange(len(gauge.DIR_PAIRS))
 
 
 class SolverAbort(RuntimeError):
@@ -45,11 +60,17 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        n, tol = self.max_iters, self.grad_tol
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"max_iters must be a non-negative integer, got {n!r}")
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"grad_tol must be a finite number >= 0, got {tol!r}")
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must be in (0, 1)")
         if not 0 < self.backtrack_factor < 1:
             raise ValueError("backtrack_factor must be in (0, 1)")
-        if self.initial_step <= 0:
+        if not self.initial_step > 0:
             raise ValueError("initial_step must be positive")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -95,92 +116,114 @@ def action(A: Cochain) -> float:
     return norm_sq(gauge.curvature(A))
 
 
-# an iterate, its objective and gradient, and its field: F or F -+ dual F
-_Point = namedtuple("_Point", "vecs obj grad field")
+# an iterate, its objective and gradient, its masked field (F or F -+ dual F)
+# and the gathered stencil operands of its planes
+_Point = namedtuple("_Point", "vecs obj grad field planes")
 
 
 class _Kernel:
-    """Array-level objective/gradient evaluations for one domain."""
+    """Array-level objective, gradient and line coefficients for one domain,
+    on quaternion planes: fields are (scalar, vector) planes over the flat
+    cells and the six axis pairs (see gauge.curvature_stencil).  With a
+    field R = s I + sum_a u_a e_a the objective is 2 sum mask (s^2 + |u|^2).
+    """
 
     def __init__(self, domain: Domain, objective: str, anti: bool = False):
+        if objective not in OBJECTIVES:
+            raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
         self.domain = domain
         self.objective_name = objective
         self.anti = anti
-        mask = np.zeros((domain.ncharts, *domain.extents), dtype=np.float64)
+        self.shape = (domain.ncharts, *domain.extents, 4, 3)
+        mask = np.zeros((domain.ncharts, *domain.extents))
         mask[interior(domain)[:5]] = 1.0
-        self.mask_dirs = mask[..., None, None, None]   # broadcasts over (dir, 2, 2)
-        self.mask_cells = mask[..., None, None]        # broadcasts over (2, 2)
+        self.mask = np.append(mask.ravel(), 0.0)[:, None]   # (cells + sentinel, pair)
+        _, sigma = gather_table(domain)
+        self.sigma_i, self.sigma_j = sigma[gauge.PAIR_I].T.copy(), sigma[gauge.PAIR_J].T.copy()
+        # the dual map on pair planes: a signed permutation
+        plan = sorted(_star_plan(2))
+        self.dual_perm = [i for _, _, i in plan]
+        self.dual_sign = (1.0 if anti else -1.0) * np.array([sign for _, sign, _ in plan])
+        # pair-to-axis incidence, (6, 4)
+        self.to_axis_i, self.to_axis_j = np.eye(4)[gauge.PAIR_I], np.eye(4)[gauge.PAIR_J]
 
     def _field(self, F: np.ndarray) -> np.ndarray:
-        """The 2-form whose masked squared norm is the objective."""
+        """The masked field whose squared norm is the objective; overwrites F."""
         if self.objective_name == "sd_residual":
-            d = dual(Cochain(self.domain, 2, F)).values
-            F = F + d if self.anti else F - d
+            R = F[..., self.dual_perm]
+            R *= self.dual_sign
+            R += F
+            F = R
+        F *= self.mask
         return F
+
+    def _planes(self, vecs: np.ndarray) -> gauge.PairPlanes:
+        return gauge.gather_pairs(self.domain, gauge.connection_planes(vecs))
 
     def objective(self, vecs: np.ndarray) -> float:
         # overflow on wild iterates is legitimate; the descent checks finiteness
-        A = vectors_to_connection(self.domain, vecs)
         with np.errstate(over="ignore", invalid="ignore"):
-            R = self._field(gauge.curvature_components(A).values)
-            return float(np.sum(np.abs(self.mask_dirs * R) ** 2))
+            r = self._field(gauge.curvature_planes(self._planes(vecs)))
+            return 2.0 * float(np.vdot(r, r))
 
     def gradient(self, vecs: np.ndarray) -> np.ndarray:
         return self.evaluate(vecs).grad
 
     def evaluate(self, vecs: np.ndarray) -> _Point:
-        """Objective and gradient from one curvature evaluation; the gradient
-        is one adjoint sweep: for a weight 2-form W the pairing
-        2 Re (dF(delta), W) collects, per axis i, the matrix
-          M_i(n) = sum_{j != i} [W^{ij H}_n + A^j_{tau_i n} W^{ij H}_n]
-                               - [W^{ij H} + W^{ij H} A^j](sigma_j n)
-        restricted to interior cells; the gradient components are
-        2 Re tr(lam_a M_i).  W = F for the action, W = 2 (F -+ dual F) for
-        the (anti-)self-dual residual.
+        """Objective and gradient from one curvature evaluation.  The gradient
+        is one adjoint sweep: for a weight W = (w0, w) the pairing
+        sum <dF, W> collects per pair (i, j) the vector parts of
+          W + W conj(A^j(tau_i n))   on axis i at n,
+          W + conj(A^j) W            on axis i at tau_j n, subtracted,
+          W + W conj(A^i(tau_j n))   on axis j at n, subtracted,
+          W + conj(A^i) W            on axis j at tau_i n,
+        and the gradient is twice that sum.  W is the masked field R for the
+        action and 2 R for the (anti-)self-dual residual; the sweep is linear
+        in W, so it runs on R and the factor is applied at the end.
         """
-        A = vectors_to_connection(self.domain, vecs)
+        x = self._planes(vecs)
         with np.errstate(over="ignore", invalid="ignore"):
-            R = self._field(gauge.curvature_components(A).values)
-            W = 2.0 * R if self.objective_name == "sd_residual" else R
-            Wd = alg.conj_transpose(W)
-            M = np.zeros(A.values.shape, dtype=np.complex128)
-            for i in (1, 2, 3, 4):
-                acc = None
-                for j in (1, 2, 3, 4):
-                    if j == i:
-                        continue
-                    d = _PAIR_INDEX[(min(i, j), max(i, j))]
-                    wij = Wd[..., d, :, :] if i < j else -Wd[..., d, :, :]
-                    aj = A.values[..., j - 1, :, :]
-                    t1 = self.mask_cells * (wij + shift_plus(self.domain, aj, i) @ wij)
-                    t2 = self.mask_cells * (wij + wij @ aj)
-                    term = t1 - shift_minus(self.domain, t2, j)
-                    acc = term if acc is None else acc + term
-                M[..., i - 1, :, :] = acc
-            grad = 2.0 * np.real(np.einsum("ars,...sr->...a", alg.LAMBDA, M))
-            return _Point(vecs, float(np.sum(np.abs(self.mask_dirs * R) ** 2)), grad, R)
+            r = self._field(gauge.curvature_planes(x))
+            w0, w = r[0], r[1:]
+            on_i = _weighted(w0, w, x.j_ti, -1)
+            on_i -= _weighted(w0, w, x.j, 1)[:, self.sigma_j, _PAIRS]
+            on_j = _weighted(w0, w, x.i, 1)[:, self.sigma_i, _PAIRS]
+            on_j -= _weighted(w0, w, x.i_tj, -1)
+            G = on_i @ self.to_axis_i
+            G += on_j @ self.to_axis_j
+            G *= 4.0 if self.objective_name == "sd_residual" else 2.0
+            grad = np.ascontiguousarray(G[:, :-1].transpose(1, 2, 0)).reshape(self.shape)
+            return _Point(vecs, 2.0 * float(np.vdot(r, r)), grad, r, x)
 
     def line_coefficients(self, at: _Point, p: np.ndarray) -> np.ndarray:
         """c with objective(at.vecs + t p) = c[0] + c[1] t + ... + c[4] t^4:
         F(A + tP) = F0 + t F1 + t^2 F2 on the curvature stencil, with
-          F1^{ij} = dP^{ij} + A^i P^j_{tau_i} + P^i A^j_{tau_i}
-                            - A^j P^i_{tau_j} - P^j A^i_{tau_j},
-          F2^{ij} = P^i P^j_{tau_i} - P^j P^i_{tau_j}; the residual map is linear.
+          F1 = dP + stencil(A, P) + stencil(P, A),  F2 = stencil(P, P);
+        the residual map is linear.  Only P is gathered: the operands of A
+        are kept in the point.
         """
-        mats, dirs = alg.embed_su2(at.vecs), alg.embed_su2(p)
-        F1, F2 = np.empty_like(at.field), np.empty_like(at.field)
+        x, y = at.planes, self._planes(p)
         with np.errstate(over="ignore", invalid="ignore"):
-            for d, (i, j) in enumerate(gauge.DIR_PAIRS):
-                ai, aj = mats[..., i - 1, :, :], mats[..., j - 1, :, :]
-                pi, pj = dirs[..., i - 1, :, :], dirs[..., j - 1, :, :]
-                aj_i, pj_i = (shift_plus(self.domain, x, i) for x in (aj, pj))
-                ai_j, pi_j = (shift_plus(self.domain, x, j) for x in (ai, pi))
-                F1[..., d, :, :] = ((pj_i - pj) - (pi_j - pi) + ai @ pj_i + pi @ aj_i
-                                    - aj @ pi_j - pj @ ai_j)
-                F2[..., d, :, :] = pi @ pj_i - pj @ pi_j
-            r = [self.mask_dirs * R for R in (at.field, self._field(F1), self._field(F2))]
-            g = np.array([[np.vdot(x, y).real for y in r] for x in r])
-            return np.array([g[0, 0], 2 * g[0, 1], g[1, 1] + 2 * g[0, 2], 2 * g[1, 2], g[2, 2]])
+            F1 = gauge.curvature_stencil(x, y)
+            F1 += gauge.curvature_stencil(y, x)
+            gauge.add_pair_difference(F1[1:], y)
+            r0, r1, r2 = at.field, self._field(F1), self._field(gauge.curvature_stencil(y, y))
+            g00, g01, g02, g11, g12, g22 = (
+                float(np.vdot(u, v))
+                for u, v in ((r0, r0), (r0, r1), (r0, r2), (r1, r1), (r1, r2), (r2, r2))
+            )
+            return 2.0 * np.array([g00, 2 * g01, g11 + 2 * g02, 2 * g12, g22])
+
+
+def _weighted(w0: np.ndarray, w: np.ndarray, b: np.ndarray, side: int) -> np.ndarray:
+    """Vector part of W + W conj(b) (side -1) or of W + conj(b) W (side 1)
+    for pure b: w - w0 b - w x b, or w - w0 b + w x b."""
+    out = alg.plane_cross(w, b)
+    if side < 0:
+        np.negative(out, out=out)
+    out -= w0 * b
+    out += w
+    return out
 
 
 def _line_minimum(c: np.ndarray) -> float | None:
@@ -240,43 +283,46 @@ def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, armijo_c: float, counts
 def _descend(domain: Domain, vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
     report = SolverReport(objective_name=kern.objective_name)
     counts = {"objective_gradient_evals": 1, "line_coefficient_evals": 0, "restarts": 0}
-    at = kern.evaluate(vecs)
-    if not np.isfinite(at.obj):
-        raise SolverAbort(f"objective not finite at start: {at.obj}")
-    gmax = grad_max_norm(at.grad)
-    report.iterations.append((at.obj, gmax, 0.0))
-    p, steepest = -at.grad, True
-    for _ in range(cfg.max_iters):
-        if gmax <= cfg.grad_tol:
-            break
-        step = _line_step(kern, at, p, cfg.armijo_c, counts)
-        if step is None and not steepest:
-            counts["restarts"] += 1
-            p = -at.grad
-            step = _line_step(kern, at, p, cfg.armijo_c, counts)
-        if step is None:
-            report.reason = "line search stalled"
-            break
-        t, new = step
-        beta = max(0.0, float(np.vdot(new.grad, new.grad - at.grad) / np.vdot(at.grad, at.grad)))
-        p, steepest, at = beta * p - new.grad, beta == 0.0, new
+    with phase(log, "solve"):
+        at = kern.evaluate(vecs)
+        if not np.isfinite(at.obj):
+            raise SolverAbort(f"objective not finite at start: {at.obj}")
         gmax = grad_max_norm(at.grad)
-        report.iterations.append((at.obj, gmax, t))
-    if not report.reason:
-        if gmax <= cfg.grad_tol:
-            report.converged = True
-            report.reason = "gradient below tolerance"
-        else:
-            report.reason = "iteration limit reached"
-    report.final = final = vectors_to_connection(domain, at.vecs)
-    F = gauge.curvature(final)
-    report.diagnostics = {
-        "action": norm_sq(F),
-        "ym_residual_norm": gauge.yang_mills_residual_norm(final),
-        "sd_residual": gauge.sd_residual(F),
-        "bianchi_defect": gauge.bianchi_residual(final),
-        **counts,
-    }
+        report.iterations.append((at.obj, gmax, 0.0))
+        p, steepest = -at.grad, True
+        for _ in range(cfg.max_iters):
+            if gmax <= cfg.grad_tol:
+                break
+            step = _line_step(kern, at, p, cfg.armijo_c, counts)
+            if step is None and not steepest:
+                counts["restarts"] += 1
+                p = -at.grad
+                step = _line_step(kern, at, p, cfg.armijo_c, counts)
+            if step is None:
+                report.reason = "line search stalled"
+                break
+            t, new = step
+            beta = float(np.vdot(new.grad, new.grad - at.grad) / np.vdot(at.grad, at.grad))
+            beta = max(0.0, beta)
+            p, steepest, at = beta * p - new.grad, beta == 0.0, new
+            gmax = grad_max_norm(at.grad)
+            report.iterations.append((at.obj, gmax, t))
+        if not report.reason:
+            if gmax <= cfg.grad_tol:
+                report.converged = True
+                report.reason = "gradient below tolerance"
+            else:
+                report.reason = "iteration limit reached"
+    with phase(log, "diagnostics"):
+        report.final = final = vectors_to_connection(domain, at.vecs)
+        F = gauge.curvature(final)
+        report.diagnostics = {
+            "action": norm_sq(F),
+            "ym_residual_norm": gauge.yang_mills_residual_norm(final),
+            "sd_residual": gauge.sd_residual(F),
+            "bianchi_defect": gauge.bianchi_residual(final),
+            **counts,
+        }
     return report
 
 
@@ -298,6 +344,7 @@ def solve_self_dual(A0: Cochain, cfg: SolverConfig, anti: bool = False) -> Solve
     """
     kern = _Kernel(A0.domain, "sd_residual", anti=anti)
     report = _descend(A0.domain, connection_vectors(A0), cfg, kern)
-    defects = gauge.sd_component_defects(gauge.curvature(report.final), anti=anti)
+    with phase(log, "sd component defects"):
+        defects = gauge.sd_component_defects(gauge.curvature(report.final), anti=anti)
     report.diagnostics["sd_component_defects"] = [float(x) for x in defects]
     return report

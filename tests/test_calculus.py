@@ -381,3 +381,31 @@ class TestGreenFormula:
         bt = ca.green_boundary_term(phi, omega)
         assert abs(lhs - rhs - bt) <= 1e-13
         assert abs(bt) > 1e-3
+
+
+class TestGatherTable:
+    @pytest.mark.parametrize("topology", ["sphere", "block"])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 4, 2)], ids=["2222", "2342"])
+    def test_reproduces_the_shifts(self, topology, sizes):
+        domain = Domain(sizes, topology)
+        tau, sigma = ca.gather_table(domain)
+        shape = (domain.ncharts, *domain.extents)
+        ncells = int(np.prod(shape))
+        vals = np.random.default_rng(5).normal(size=shape + (3,))
+        flat = np.concatenate([vals.reshape(ncells, 3), np.zeros((1, 3))])
+        for axis in (1, 2, 3, 4):
+            for table, shift in ((tau, ca.shift_plus), (sigma, ca.shift_minus)):
+                got = flat[table[axis - 1]]
+                assert np.array_equal(got[:-1].reshape(vals.shape), shift(domain, vals, axis))
+                assert np.array_equal(got[-1], np.zeros(3))
+        # sphere shifts are permutations, inverse to each other; none reads the sentinel
+        if domain.is_sphere:
+            for axis in range(4):
+                assert np.array_equal(sigma[axis][tau[axis]], np.arange(ncells + 1))
+                assert (tau[axis][:-1] < ncells).all()
+
+    def test_cached_and_read_only(self):
+        tau, _ = ca.gather_table(SPHERE)
+        assert ca.gather_table(Domain((2, 2, 2, 2), "sphere"))[0] is tau
+        with pytest.raises(ValueError):
+            tau[0, 0] = 0

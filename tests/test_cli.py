@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ymdec import cli
 from ymdec import cochain as co
@@ -260,3 +263,152 @@ class TestBoundary:
         for key in ("objective_gradient_evals", "line_coefficient_evals", "restarts"):
             assert type(scalars[key]) is int
         assert scalars["line_coefficient_evals"] == scalars["iterations"] + scalars["restarts"]
+
+
+class TestVerbose:
+    def test_phase_times_on_stderr_and_identical_reports(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, amplitude=0.05, solver={"max_iters": 30})
+        out = tmp_path / "final.form.json"
+        outputs = []
+        for flags in ([], ["-v"]):
+            assert run(["relax", "--config", cfg, "--output", str(out), *flags]) == 0
+            outputs.append((out.read_bytes(), Path(f"{out}.report.json").read_bytes()))
+            err = capsys.readouterr().err
+            for name in ("load", "solve", "diagnostics", "write"):
+                assert (f" {name} " in err) == bool(flags)
+        assert outputs[0] == outputs[1]
+
+    def test_verify_logs_each_check(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        outputs = []
+        for flags in ([], ["-v"]):
+            assert run(["verify", "--output", str(out), *flags]) == 0
+            outputs.append(out.read_bytes())
+        err = capsys.readouterr().err
+        assert outputs[0] == outputs[1]
+        for c in json.loads(outputs[1])["checks"]:
+            assert f"check {c['name']} " in err
+
+
+# Boundary property: whatever the JSON config or form file, the CLI exits with
+# a documented code (0 pass, 1 check failure, 2 config error, 3 abort) and
+# raises nothing.  Valid sizes stay at 2..3 and max_iters at most 3, so every
+# accepted payload runs in well under a second; "file:" sources are only
+# the generated form file or a missing one, and outputs are never paths.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=6)
+)
+_JUNK = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6,
+)
+_NON_LIST_JUNK = _JUNK.filter(lambda v: not isinstance(v, list))
+_NON_STRING_JUNK = _JUNK.filter(lambda v: not isinstance(v, str))
+_NUMBER = st.one_of(st.floats(), st.integers(-3, 3), _SCALARS)
+_SOLVER = st.fixed_dictionaries(
+    {"max_iters": st.one_of(st.integers(0, 3), _SCALARS.filter(lambda v: not isinstance(v, int)))},
+    optional={
+        "grad_tol": _NUMBER,
+        "armijo_c": _NUMBER,
+        "backtrack_factor": _NUMBER,
+        "initial_step": _NUMBER,
+        "objective": st.one_of(st.sampled_from(["action", "sd_residual", "energy"]), _JUNK),
+        "seed": _NUMBER,
+        "anti": _JUNK,
+    },
+)
+_CONFIG = st.fixed_dictionaries(
+    {"solver": st.one_of(_SOLVER, _NON_LIST_JUNK.filter(lambda v: not isinstance(v, dict)))},
+    optional={
+        "topology": st.one_of(st.sampled_from(["sphere", "block"]), _JUNK),
+        "sizes": st.one_of(
+            st.lists(st.integers(2, 3), min_size=4, max_size=4),
+            st.lists(st.integers(-2, 3), max_size=5),
+            _NON_LIST_JUNK,
+        ),
+        "seed": _NUMBER,
+        "amplitude": _NUMBER,
+        "connection": st.one_of(
+            st.sampled_from(["zero", "random", "file:missing.form.json"]),
+            _JUNK.filter(lambda v: not (isinstance(v, str) and v.startswith("file:"))),
+        ),
+        "gauge": st.one_of(
+            st.sampled_from(["identity", "random", "sum_profile"]),
+            _JUNK.filter(lambda v: not (isinstance(v, str) and v.startswith("file:"))),
+        ),
+        "output": st.one_of(st.none(), _NON_STRING_JUNK),
+        "unknown": _JUNK,
+    },
+)
+
+
+def _form_document(degree):
+    domain = Domain((2, 2, 2, 2), "sphere")
+    form = co.random_connection(domain, 0.3, seed=5) if degree == 1 else co.random_gauge(domain, 6)
+    return json.loads(co.serialize(form))
+
+
+@st.composite
+def _form_payloads(draw):
+    """A valid form file with some of its fields or coefficients spoiled."""
+    doc = _form_document(draw(st.sampled_from([0, 1])))
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        doc[key] = draw(_JUNK)
+    if isinstance(doc["data"], list) and doc["data"] and draw(st.booleans()):
+        n = draw(st.integers(0, len(doc["data"]) - 1))
+        rows = st.lists(st.lists(st.floats(), max_size=3), max_size=5)
+        doc["data"][n] = draw(st.one_of(_JUNK, rows))
+    if draw(st.booleans()):
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    return json.dumps(doc, allow_nan=True)
+
+
+class TestBoundaryRegressions:
+    @pytest.mark.parametrize("command", ["action", "verify", "relax"])
+    def test_overflowing_amplitude_aborts_with_exit_3(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, amplitude=1e300, solver={"max_iters": 3})
+        assert run([command, "--config", path]) == 3
+        assert "abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value", [("copy", []), ("copy", {}), ("degree", 9), ("degree", float("inf"))]
+    )
+    def test_spoiled_form_file_is_config_error(self, tmp_path, field, value):
+        doc = _form_document(1)
+        doc[field] = value
+        form = tmp_path / "input.form.json"
+        form.write_text(json.dumps(doc))
+        assert run(["action", "--config", write_config(tmp_path, connection=f"file:{form}")]) == 2
+
+
+def _assert_documented_exit(args, capsys):
+    assert run(args) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestBoundaryProperties:
+    @_PROPERTY_SETTINGS
+    @given(command=st.sampled_from(["verify", "action", "relax", "selfdual"]), config=_CONFIG)
+    def test_any_config_payload(self, capsys, command, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config, allow_nan=True))
+            _assert_documented_exit([command, "--config", str(path)], capsys)
+
+    @_PROPERTY_SETTINGS
+    @given(command=st.sampled_from(["action", "relax", "verify"]), payload=_form_payloads())
+    def test_any_form_file_payload(self, capsys, command, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            form = Path(tmp) / "input.form.json"
+            form.write_text(payload)
+            field = "gauge" if command == "verify" else "connection"
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({field: f"file:{form}", "solver": {"max_iters": 3}}))
+            _assert_documented_exit([command, "--config", str(path)], capsys)

@@ -54,6 +54,18 @@ class TestCurvature:
         with pytest.raises(ValueError):
             ga.curvature(co.Cochain.zeros(SPHERE, 2))
 
+    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    def test_component_stencil_rejects_non_su2_forms(self, domain):
+        # the quaternion stencil reads only the su(2) part; it must not project
+        with pytest.raises(ValidationError):
+            ga.curvature_components(co.random_form(domain, 1, seed=40))
+        a = co.random_connection(domain, 0.5, seed=41)
+        a.values[..., 0, 0] += 1e-6  # a Hermitian trace part
+        with pytest.raises(ValidationError):
+            ga.curvature_components(a)
+        with pytest.raises(ValueError):
+            ga.curvature_components(co.Cochain.zeros(domain, 2))
+
 
 class TestCovariantDifferential:
     def test_zero_connection_reduces_to_coboundary(self):

@@ -324,3 +324,81 @@ class TestLineSearch:
             assert rep.converged
             counts.append(rep.n_iters)
         assert max(counts) - min(counts) <= 0.01 * min(counts)
+
+
+class TestSolverApiBoundary:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: so.SolverConfig(grad_tol=float("nan")),
+            lambda: so.SolverConfig(grad_tol=float("inf")),
+            lambda: so.SolverConfig(grad_tol=-1e-6),
+            lambda: so.SolverConfig(max_iters=-5),
+            lambda: so.SolverConfig(max_iters=2.5),
+            lambda: so.SolverConfig(max_iters=True),
+            lambda: so.SolverConfig(initial_step=float("nan")),
+            lambda: so._Kernel(SPHERE, "energy"),
+        ],
+        ids=["grad_tol-nan", "grad_tol-inf", "grad_tol-negative", "max_iters-negative",
+             "max_iters-float", "max_iters-bool", "initial_step-nan", "kernel-objective"],
+    )
+    def test_rejected_with_value_error(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
+def _oracle_objective(domain, objective, anti, vecs):
+    """The objective on the Cochain calculus: |F|^2 or |F -+ dual F|^2."""
+    a = so.vectors_to_connection(domain, vecs)
+    if objective == "action":
+        return so.action(a)
+    f = ga.curvature(a)
+    if not anti:
+        return ga.sd_residual(f) ** 2
+    return ca.norm_sq(co.add(f, ca.dual(f)))
+
+
+LARGER = [
+    Domain((2, 3, 4, 2), "sphere"),
+    Domain((2, 3, 4, 2), "block"),
+    Domain((4, 4, 4, 4), "block"),
+]
+
+
+class TestKernelAgainstCochainOracle:
+    """The quaternion-plane kernel beyond the cubic 2^4 domains."""
+
+    @pytest.mark.parametrize("domain", LARGER, ids=["sphere-2342", "block-2342", "block-4444"])
+    @pytest.mark.parametrize(
+        "objective,anti",
+        [("action", False), ("sd_residual", False), ("sd_residual", True)],
+        ids=["action", "sd", "anti-sd"],
+    )
+    def test_objective_gradient_and_quartic(self, domain, objective, anti):
+        kern = so._Kernel(domain, objective, anti=anti)
+        vecs = so.connection_vectors(co.random_connection(domain, 0.5, seed=31))
+        at = kern.evaluate(vecs)
+        want = _oracle_objective(domain, objective, anti, vecs)
+        assert at.obj == pytest.approx(want, rel=1e-12)
+        assert kern.objective(vecs) == pytest.approx(want, rel=1e-12)
+        assert at.grad.flags.c_contiguous and at.grad.shape == vecs.shape
+
+        rng = np.random.default_rng(32)
+        h = 1e-4
+        scale = np.abs(at.grad).max()
+        for _ in range(6):
+            idx = tuple(rng.integers(0, s) for s in vecs.shape)
+            vp, vm = vecs.copy(), vecs.copy()
+            vp[idx] += h
+            vm[idx] -= h
+            fd = (
+                _oracle_objective(domain, objective, anti, vp)
+                - _oracle_objective(domain, objective, anti, vm)
+            ) / (2 * h)
+            assert abs(at.grad[idx] - fd) <= 1e-6 * scale
+
+        p = rng.uniform(-0.3, 0.3, size=vecs.shape)
+        c = kern.line_coefficients(at, p)
+        for t in (-1.1, -0.3, 0.5, 1.0, 1.7):
+            want = _oracle_objective(domain, objective, anti, vecs + t * p)
+            assert np.polyval(c[::-1], t) == pytest.approx(want, rel=1e-12)
