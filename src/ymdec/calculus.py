@@ -62,49 +62,29 @@ def shift_plus(domain: Domain, vals: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def shift_minus(domain: Domain, vals: np.ndarray, axis: int) -> np.ndarray:
-    """Gather values at sigma_axis(k); mirror image of shift_plus."""
-    nd = vals.ndim
-    out = np.empty_like(vals)
-    dst = [slice(None)] * nd
-    src = [slice(None)] * nd
-    dst[axis] = slice(1, None)
-    src[axis] = slice(0, -1)
-    out[tuple(dst)] = vals[tuple(src)]
-    first = [slice(None)] * nd
-    first[axis] = 0
-    if domain.is_sphere:
-        last = [slice(None)] * nd
-        last[axis] = -1
-        last[0] = slice(None, None, -1)
-        out[tuple(first)] = vals[tuple(last)]
-    else:
-        out[tuple(first)] = 0
-    return out
-
-
 @lru_cache(maxsize=None)
 def gather_table(domain: Domain):
     """(tau, sigma): flat cell indices of tau_axis n and sigma_axis n, row
     axis - 1, shape (4, ncells + 1), cells in storage order.
 
-    Built by shifting an array of cell ids, so the gluing keeps its one
-    definition in shift_plus/shift_minus.  Row ncells is a sentinel: a read
-    past the block halo points there, and the sentinel points at itself.
+    tau is built by shifting an array of cell ids, so the gluing keeps its
+    one array definition in shift_plus; sigma is its inverse.  Row ncells
+    is a sentinel: a step past the block halo points there (sigma at
+    k_a = 0, tau at k_a = N_a + 1), and the sentinel points at itself.
     Arrays gathered through the table carry a zero row at that index.
     """
     ncells = domain.ncharts * int(np.prod(domain.extents))
     ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
-
-    def table(shift):
-        # the shifts fill a read past the halo with 0, which marks the sentinel
-        t = np.stack([shift(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)]) - 1
-        t[t < 0] = ncells
-        t = np.concatenate([t, np.full((4, 1), ncells)], axis=1)
+    # shift_plus fills a read past the halo with 0, which marks the sentinel
+    tau = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)]) - 1
+    tau[tau < 0] = ncells
+    tau = np.concatenate([tau, np.full((4, 1), ncells)], axis=1)
+    sigma = np.full_like(tau, ncells)
+    axis, n = np.nonzero(tau < ncells)
+    sigma[axis, tau[axis, n]] = n
+    for t in (tau, sigma):
         t.setflags(write=False)
-        return t
-
-    return table(shift_plus), table(shift_minus)
+    return tau, sigma
 
 
 @lru_cache(maxsize=None)

@@ -355,13 +355,3 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form=No
 
     return list(checks), scalars
 
-
-def connection_scalars(A) -> dict:
-    """The standard diagnostics of a connection."""
-    F = ga.curvature(A)
-    return {
-        "action": float(ca.norm_sq(F)),
-        "ym_residual_norm": float(ga.yang_mills_residual_norm(A)),
-        "sd_residual": float(ga.sd_residual(F)),
-        "bianchi_defect": float(ga.bianchi_residual(A)),
-    }

@@ -10,11 +10,12 @@ Runs are configured by a JSON file (--config), every field optional:
       "connection": "zero" | "random" | "file:<path>",
       "gauge": "identity" | "random" | "sum_profile" | "file:<path>",
       "solver": {"max_iters": ..., "grad_tol": ..., "armijo_c": ...,
-                 "backtrack_factor": ..., "initial_step": ...,
-                 "objective": "action" | "sd_residual", "seed": ...,
-                 "anti": false},
+                 "objective": "action" | "sd_residual", "anti": false},
       "output": null | "<path>"
     }
+
+The solver block is solver.SolverConfig, whose fields and checks are its
+only schema, plus "anti" for selfdual.  Any other key is a config error.
 
 --seed and --output override the config fields.  Reports are JSON with
 sorted keys, byte-identical for identical config and seed.  For verify
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import math
@@ -43,8 +45,9 @@ from pathlib import Path
 from . import __version__
 from . import cochain as co
 from . import solver as so
-from .checks import connection_scalars, run_verify_checks
+from .checks import run_verify_checks
 from .complex4 import Domain
+from .gauge import connection_scalars
 from .timing import phase
 
 log = logging.getLogger(__name__)
@@ -58,16 +61,7 @@ DEFAULT_CONFIG = {
     "amplitude": 0.1,
     "connection": "random",
     "gauge": "sum_profile",
-    "solver": {
-        "max_iters": 5000,
-        "grad_tol": 1e-6,
-        "armijo_c": 1e-4,
-        "backtrack_factor": 0.5,
-        "initial_step": 1.0,
-        "objective": "action",
-        "seed": None,
-        "anti": False,
-    },
+    "solver": {**dataclasses.asdict(so.SolverConfig()), "anti": False},
     "output": None,
 }
 
@@ -102,14 +96,8 @@ def load_config(path=None, seed=None, output=None) -> dict:
         cfg["seed"] = seed
     if output is not None:
         cfg["output"] = output
-    if cfg["solver"]["seed"] is None:
-        cfg["solver"]["seed"] = cfg["seed"]
     _validate(cfg)
     return cfg
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v):
@@ -123,10 +111,10 @@ def _validate(cfg):
     if (
         not isinstance(sizes, (list, tuple))
         or len(sizes) != 4
-        or any(not _is_int(n) or n < 2 for n in sizes)
+        or any(not co.is_json_int(n) or n < 2 for n in sizes)
     ):
         raise ConfigError("sizes must be four integers >= 2")
-    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+    if not co.is_json_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
     if not _is_number(cfg["amplitude"]) or cfg["amplitude"] < 0:
         raise ConfigError("amplitude must be a finite number >= 0")
@@ -136,34 +124,17 @@ def _validate(cfg):
             raise ConfigError(f"{field} must be one of {allowed} or file:<path>")
     if cfg["output"] is not None and not isinstance(cfg["output"], str):
         raise ConfigError("output must be null or a path")
-    s = cfg["solver"]
-    for key in ("max_iters", "seed"):
-        if not _is_int(s[key]) or s[key] < 0:
-            raise ConfigError(f"solver {key} must be a non-negative integer")
-    for key in ("grad_tol", "armijo_c", "backtrack_factor", "initial_step"):
-        if not _is_number(s[key]) or s[key] < 0:
-            raise ConfigError(f"solver {key} must be a finite number >= 0")
-    if not isinstance(s["objective"], str):
-        raise ConfigError("solver objective must be a string")
-    if not isinstance(s["anti"], bool):
+    if not isinstance(cfg["solver"]["anti"], bool):
         raise ConfigError("solver anti must be true or false")
-    try:
-        _solver_config(cfg)
-    except ValueError as e:
-        raise ConfigError(f"bad solver config: {e}") from e
+    _solver_config(cfg)
 
 
 def _solver_config(cfg) -> so.SolverConfig:
-    s = cfg["solver"]
-    return so.SolverConfig(
-        max_iters=int(s["max_iters"]),
-        grad_tol=float(s["grad_tol"]),
-        armijo_c=float(s["armijo_c"]),
-        backtrack_factor=float(s["backtrack_factor"]),
-        initial_step=float(s["initial_step"]),
-        objective=s["objective"],
-        seed=int(s["seed"]),
-    )
+    block = {k: v for k, v in cfg["solver"].items() if k != "anti"}
+    try:
+        return so.SolverConfig(**block)
+    except ValueError as e:
+        raise ConfigError(f"bad solver config: {e}") from e
 
 
 def make_domain(cfg) -> Domain:
@@ -267,7 +238,7 @@ def _solver_command(cfg, name):
     if name == "relax":
         result = so.minimize(a0, solver_cfg)
     else:
-        result = so.solve_self_dual(a0, solver_cfg, anti=bool(cfg["solver"]["anti"]))
+        result = so.solve_self_dual(a0, solver_cfg, anti=cfg["solver"]["anti"])
     d = result.to_dict()
     report["trace"] = d["trace"]
     report["scalars"] = d["diagnostics"]

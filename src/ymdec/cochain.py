@@ -277,6 +277,11 @@ def serialize(f: Cochain) -> bytes:
     return json.dumps(doc).encode()
 
 
+def is_json_int(v) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def deserialize(payload: bytes) -> Cochain:
     try:
         doc = json.loads(payload)
@@ -287,15 +292,18 @@ def deserialize(payload: bytes) -> Cochain:
     for key in ("version", "topology", "sizes", "degree", "copy", "data"):
         if key not in doc:
             raise MalformedFormError(f"missing field {key!r}")
-    if doc["version"] != FILE_VERSION:
+    if not is_json_int(doc["version"]) or doc["version"] != FILE_VERSION:
         raise FormVersionError(f"unsupported version {doc['version']!r}")
     if not isinstance(doc["copy"], str) or doc["copy"] not in COPY_FLAGS:
         raise MalformedFormError(f"unknown copy flag {doc['copy']!r}")
+    sizes, degree = doc["sizes"], doc["degree"]
+    # JSON integers only: no floats, strings or bools coerced by int()
+    if not isinstance(sizes, list) or not all(is_json_int(n) for n in sizes):
+        raise FormShapeError(f"sizes must be a list of integers, got {sizes!r}")
+    if not is_json_int(degree) or not 0 <= degree <= 4:
+        raise FormShapeError(f"degree must be an integer 0..4, got {degree!r}")
     try:
-        domain = Domain(tuple(doc["sizes"]), doc["topology"])
-        degree = int(doc["degree"])
-        if not 0 <= degree <= 4:
-            raise ValueError(f"degree must be 0..4, got {degree}")
+        domain = Domain(tuple(sizes), doc["topology"])
         shape = Cochain.shape(domain, degree)
     except (ValueError, TypeError, OverflowError) as e:
         raise FormShapeError(str(e)) from e

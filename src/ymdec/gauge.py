@@ -37,6 +37,7 @@ from .calculus import (
     dual,
     gather_table,
     norm,
+    norm_sq,
     shift_plus,
     star,
 )
@@ -190,6 +191,20 @@ def yang_mills_residual(A: Cochain) -> Cochain:
 
 def yang_mills_residual_norm(A: Cochain) -> float:
     return norm(yang_mills_residual(A))
+
+
+def connection_scalars(A: Cochain) -> dict:
+    """The standard diagnostics of a connection from one curvature F: the
+    action |F|^2, the Yang-Mills residual, the self-dual residual and the
+    Bianchi defect, bitwise equal to yang_mills_residual_norm,
+    sd_residual and bianchi_residual called on their own."""
+    F = curvature(A)
+    return {
+        "action": float(norm_sq(F)),
+        "ym_residual_norm": float(norm(covariant_d(A, dual(F)))),
+        "sd_residual": float(sd_residual(F)),
+        "bianchi_defect": float(norm(covariant_d(A, F))),
+    }
 
 
 # axis-pair partners: the three paired double shifts whose agreement makes a

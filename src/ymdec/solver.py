@@ -50,30 +50,26 @@ class SolverAbort(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    # backtrack_factor, initial_step, seed: validated, unused, kept for old configs
+    # the one schema of a run config's solver block, which also carries "anti"
     max_iters: int = 5000
     grad_tol: float = 1e-6
     armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     objective: str = "action"
-    seed: int = 0
 
     def __post_init__(self):
-        n, tol = self.max_iters, self.grad_tol
+        n, tol, c = self.max_iters, self.grad_tol, self.armijo_c
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"max_iters must be a non-negative integer, got {n!r}")
-        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (real and math.isfinite(tol) and tol >= 0):
+        if not (_finite_real(tol) and tol >= 0):
             raise ValueError(f"grad_tol must be a finite number >= 0, got {tol!r}")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
+        if not (_finite_real(c) and 0 < c < 1):
+            raise ValueError(f"armijo_c must be a finite number in (0, 1), got {c!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
+
+
+def _finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -314,15 +310,8 @@ def _descend(domain: Domain, vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel)
             else:
                 report.reason = "iteration limit reached"
     with phase(log, "diagnostics"):
-        report.final = final = vectors_to_connection(domain, at.vecs)
-        F = gauge.curvature(final)
-        report.diagnostics = {
-            "action": norm_sq(F),
-            "ym_residual_norm": gauge.yang_mills_residual_norm(final),
-            "sd_residual": gauge.sd_residual(F),
-            "bianchi_defect": gauge.bianchi_residual(final),
-            **counts,
-        }
+        report.final = vectors_to_connection(domain, at.vecs)
+        report.diagnostics = {**gauge.connection_scalars(report.final), **counts}
     return report
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from ymdec import cli
 from ymdec import cochain as co
+from ymdec import gauge as ga
 from ymdec import solver as so
 from ymdec.complex4 import Domain
 
@@ -31,10 +33,15 @@ def write_config(tmp_path, **overrides):
 
 
 class TestConfig:
-    def test_defaults_validate(self):
+    def test_defaults_validate(self, tmp_path, capsys):
         cfg = cli.load_config()
         assert cfg["topology"] == "sphere" and cfg["sizes"] == [2, 2, 2, 2]
-        assert cfg["solver"]["seed"] == cfg["seed"]
+        assert list(cfg["solver"]) == ["max_iters", "grad_tol", "armijo_c", "objective", "anti"]
+        # knobs that nothing read are gone and now unknown
+        for key, value in (("backtrack_factor", 0.5), ("initial_step", 1.0), ("seed", 7)):
+            path = write_config(tmp_path, solver={key: value})
+            assert run(["relax", "--config", path]) == 2
+            assert "unknown solver fields" in capsys.readouterr().err
 
     def test_rejects_degenerate_sizes(self, tmp_path):
         path = write_config(tmp_path, sizes=[1, 2, 2, 2])
@@ -131,6 +138,62 @@ class TestAction:
         conn.write_bytes(co.serialize(a))
         path = write_config(tmp_path, connection=f"file:{conn}")  # sphere by default
         assert run(["action", "--config", path]) == 2
+
+
+class TestSingleCurvature:
+    """The four connection scalars of a report come from one curvature."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The solver phase open at each gauge.curvature call ("-" outside)."""
+        calls, open_phases = [], ["-"]
+        curvature, phase = ga.curvature, so.phase
+
+        def counting(A):
+            calls.append(open_phases[-1])
+            return curvature(A)
+
+        @contextmanager
+        def tracked(log, name):
+            open_phases.append(name)
+            try:
+                with phase(log, name):
+                    yield
+            finally:
+                open_phases.pop()
+
+        monkeypatch.setattr(ga, "curvature", counting)
+        monkeypatch.setattr(so, "phase", tracked)
+        return calls
+
+    def test_action_builds_it_once(self, tmp_path, calls):
+        assert run(["action", "--output", str(tmp_path / "report.json")]) == 0
+        assert len(calls) == 1
+
+    def test_relax_diagnostics_build_it_once(self, tmp_path, calls):
+        out = tmp_path / "final.form.json"
+        path = write_config(tmp_path, amplitude=0.05, solver={"max_iters": 5}, output=str(out))
+        assert run(["relax", "--config", path]) == 0
+        assert calls == ["diagnostics"]
+
+
+class TestVerifyAtFour:
+    def _report(self, tmp_path, **config):
+        out = tmp_path / "report.json"
+        path = write_config(tmp_path, sizes=[4, 4, 4, 4], **config)
+        assert run(["verify", "--config", path, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["checks"] and all(c["pass"] for c in report["checks"])
+        assert "skipped_checks" not in report["scalars"]
+        return report
+
+    def test_sphere_sum_profile_gauge(self, tmp_path):
+        self._report(tmp_path)
+
+    def test_block_random_gauge(self, tmp_path):
+        report = self._report(tmp_path, topology="block", gauge="random")
+        names = {c["name"] for c in report["checks"]}
+        assert "configured_gauge_right_cup_dual_expected_fail" in names
 
 
 class TestSolverCommands:

@@ -1,11 +1,13 @@
 """Tests for form storage, constructors, and the file format."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ymdec import algebra as alg
+from ymdec import cli
 from ymdec import cochain as co
 from ymdec.complex4 import CHART_V, CHART_VHAT, Domain, axes_mask, shift_many
 
@@ -207,3 +209,30 @@ class TestSerialization:
         del doc["topology"]
         with pytest.raises(co.MalformedFormError):
             co.deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [
+            ("sizes", [2.5, 2, 2, 2], co.FormShapeError),
+            ("sizes", ["2", 2, 2, 2], co.FormShapeError),
+            ("degree", 1.9, co.FormShapeError),
+            ("degree", "1", co.FormShapeError),
+            ("degree", True, co.FormShapeError),
+            ("version", True, co.FormVersionError),
+            ("version", 1.0, co.FormVersionError),
+        ],
+        ids=["sizes-float", "sizes-string", "degree-float", "degree-string", "degree-bool",
+             "version-bool", "version-float"],
+    )
+    def test_header_values_are_json_integers(self, tmp_path, field, value, error):
+        # each spoiled value would coerce to the header of this very form
+        doc = json.loads(co.serialize(co.random_connection(SPHERE, 0.2, seed=3)))
+        doc[field] = value
+        payload = json.dumps(doc).encode()
+        with pytest.raises(error):
+            co.deserialize(payload)
+        form = tmp_path / "a.form.json"
+        form.write_bytes(payload)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"connection": f"file:{form}"}))
+        assert cli.main(["action", "--config", str(config)]) == 2

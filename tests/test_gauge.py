@@ -7,6 +7,7 @@ from ymdec import algebra as alg
 from ymdec import calculus as ca
 from ymdec import cochain as co
 from ymdec import gauge as ga
+from ymdec import solver as so
 from ymdec.cochain import ValidationError
 from ymdec.complex4 import Domain, axes_mask
 
@@ -65,6 +66,20 @@ class TestCurvature:
             ga.curvature_components(a)
         with pytest.raises(ValueError):
             ga.curvature_components(co.Cochain.zeros(domain, 2))
+
+
+class TestConnectionScalars:
+    @pytest.mark.parametrize("domain", [SPHERE, BLOCK], ids=["sphere", "block"])
+    def test_bitwise_equal_to_the_separate_functions(self, domain):
+        a = co.random_connection(domain, 0.7, seed=12)
+        got = ga.connection_scalars(a)
+        assert list(got) == ["action", "ym_residual_norm", "sd_residual", "bianchi_defect"]
+        assert got == {
+            "action": so.action(a),
+            "ym_residual_norm": ga.yang_mills_residual_norm(a),
+            "sd_residual": ga.sd_residual(ga.curvature(a)),
+            "bianchi_defect": ga.bianchi_residual(a),
+        }
 
 
 class TestCovariantDifferential:
