@@ -9,13 +9,15 @@ Runs are configured by a JSON file (--config), every field optional:
       "amplitude": 0.1,
       "connection": "zero" | "random" | "file:<path>",
       "gauge": "identity" | "random" | "sum_profile" | "file:<path>",
-      "solver": {"max_iters": ..., "grad_tol": ..., "armijo_c": ...,
-                 "objective": "action" | "sd_residual", "anti": false},
+      "solver": {"max_iters": ..., "grad_tol": ..., "anti": false},
       "output": null | "<path>"
     }
 
 The solver block is solver.SolverConfig, whose fields and checks are its
 only schema, plus "anti" for selfdual.  Any other key is a config error.
+The command picks the equation: relax minimizes the action, selfdual the
+self-dual residual |F - dual F|^2, or |F + dual F|^2 with "anti" set;
+relax with "anti" set is a config error.
 
 --seed and --output override the config fields.  Reports are JSON with
 sorted keys, byte-identical for identical config and seed.  For verify
@@ -230,6 +232,8 @@ def cmd_action(cfg):
 
 
 def _solver_command(cfg, name):
+    if name == "relax" and cfg["solver"]["anti"]:
+        raise ConfigError("relax minimizes the action; anti applies to selfdual only")
     domain = make_domain(cfg)
     report = _report_skeleton(name, cfg)
     with phase(log, "load"):
@@ -239,12 +243,13 @@ def _solver_command(cfg, name):
         result = so.minimize(a0, solver_cfg)
     else:
         result = so.solve_self_dual(a0, solver_cfg, anti=cfg["solver"]["anti"])
-    d = result.to_dict()
-    report["trace"] = d["trace"]
-    report["scalars"] = d["diagnostics"]
-    report["scalars"]["iterations"] = d["iterations"]
-    report["scalars"]["converged"] = d["converged"]
-    report["scalars"]["reason"] = d["reason"]
+    report["trace"] = [[float(o), float(g), float(s)] for o, g, s in result.iterations]
+    report["scalars"] = {
+        **result.diagnostics,
+        "iterations": result.n_iters,
+        "converged": result.converged,
+        "reason": result.reason,
+    }
     return 0, report, result.final
 
 

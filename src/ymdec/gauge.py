@@ -42,7 +42,7 @@ from .calculus import (
     star,
 )
 from .cochain import Cochain, ValidationError, add, interior, scale, sub, validate_connection
-from .complex4 import MASKS_BY_DEGREE, Domain, mask_axes
+from .complex4 import FULL_MASK, MASKS_BY_DEGREE, Domain, mask_axes
 
 # ordered axis pairs matching the degree-2 direction sets (ascending masks)
 DIR_PAIRS = tuple(mask_axes(m) for m in MASKS_BY_DEGREE[2])
@@ -193,12 +193,13 @@ def yang_mills_residual_norm(A: Cochain) -> float:
     return norm(yang_mills_residual(A))
 
 
-def connection_scalars(A: Cochain) -> dict:
-    """The standard diagnostics of a connection from one curvature F: the
-    action |F|^2, the Yang-Mills residual, the self-dual residual and the
-    Bianchi defect, bitwise equal to yang_mills_residual_norm,
-    sd_residual and bianchi_residual called on their own."""
-    F = curvature(A)
+def connection_scalars(A: Cochain, F: Cochain | None = None) -> dict:
+    """The standard diagnostics of a connection from one curvature F (built
+    here unless the caller passes curvature(A)): the action |F|^2, the
+    Yang-Mills residual, the self-dual residual and the Bianchi defect,
+    bitwise equal to yang_mills_residual_norm, sd_residual and
+    bianchi_residual called on their own."""
+    F = curvature(A) if F is None else F
     return {
         "action": float(norm_sq(F)),
         "ym_residual_norm": float(norm(covariant_d(A, dual(F)))),
@@ -207,9 +208,13 @@ def connection_scalars(A: Cochain) -> dict:
     }
 
 
+# the degree-2 direction sets through axis 1, (12), (13), (14): one per
+# complementary pair, so one per componentwise self-duality equation
+_FIRST_AXIS = tuple(n for n, m in enumerate(MASKS_BY_DEGREE[2]) if m & 1)
+
 # axis-pair partners: the three paired double shifts whose agreement makes a
 # gauge commute with the dual under right cup multiplication
-SHIFT_PAIRS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+SHIFT_PAIRS = tuple((mask_axes(m), mask_axes(FULL_MASK ^ m)) for m in MASKS_BY_DEGREE[2] if m & 1)
 
 
 def dual_compat_defects(h: Cochain):
@@ -257,24 +262,22 @@ def anti_self_dual_part(F: Cochain) -> Cochain:
     return scale(sub(F, dual(F)), 0.5)
 
 
-def sd_residual(F: Cochain) -> float:
-    """Norm of F - dual F, zero exactly on self-dual forms."""
+def _sd_field(F: Cochain, anti: bool) -> Cochain:
+    """F - dual F, or F + dual F when anti is set."""
     if F.degree != 2:
         raise ValueError("needs a degree-2 form")
-    return norm(sub(F, dual(F)))
+    return (add if anti else sub)(F, dual(F))
+
+
+def sd_residual(F: Cochain, anti: bool = False) -> float:
+    """Norm of F - dual F, zero exactly on self-dual forms; with anti set,
+    of F + dual F, zero exactly on anti-self-dual forms."""
+    return norm(_sd_field(F, anti))
 
 
 def sd_component_defects(F: Cochain, anti: bool = False):
-    """Norms of the three componentwise self-duality equations
-    F^{12} = F^{34}, F^{13} = -F^{24}, F^{14} = F^{23}
-    (right-hand sides negated when anti is set)."""
-    idx = {pair: n for n, pair in enumerate(DIR_PAIRS)}
-    sl = interior(F.domain)
-    v = F.values[sl]
-    out = []
-    for (a, b, sign) in (((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1)):
-        if anti:
-            sign = -sign
-        diff = v[..., idx[a], :, :] - sign * v[..., idx[b], :, :]
-        out.append(float(np.sqrt(np.sum(np.abs(diff) ** 2))))
-    return tuple(out)
+    """Norms over interior cells of the (12), (13) and (14) components of
+    F -+ dual F: the three componentwise (anti-)self-duality equations,
+    read off the signed permutation of the dual map."""
+    R = _sd_field(F, anti).values[interior(F.domain)]
+    return tuple(float(np.sqrt(np.sum(np.abs(R[..., n, :, :]) ** 2))) for n in _FIRST_AXIS)

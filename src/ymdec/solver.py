@@ -6,9 +6,10 @@ exactly in the algebra.
 Polak-Ribiere+ nonlinear conjugate gradients with an exact line search
 (Nocedal & Wright, Numerical Optimization, sec. 5.2): along A + tP the
 curvature is exactly F0 + t F1 + t^2 F2, so |F|^2 and |F -+ dual F|^2 are
-quartics in t, minimized at a root of a cubic.  An Armijo test guards each
-step; on failure, or when the conjugate direction is not a descent
-direction, the step restarts along the steepest descent.
+quartics in t, minimized at a root of a cubic.  An Armijo test with the
+fixed constant ARMIJO_C guards each step against rounding; on failure, or
+when the conjugate direction is not a descent direction, the step restarts
+along the steepest descent.
 
 The kernel works on real quaternion planes (Creutz, Phys. Rev. D 21, 2308,
 1980: SU(2) as a0 + i a.sigma).  A connection is three pure quaternion
@@ -40,6 +41,7 @@ from .timing import phase
 log = logging.getLogger(__name__)
 
 OBJECTIVES = ("action", "sd_residual")
+ARMIJO_C = 1e-4  # Armijo constant: the line search is exact, so it only guards rounding
 
 _PAIRS = np.arange(len(gauge.DIR_PAIRS))
 
@@ -50,22 +52,16 @@ class SolverAbort(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    # the one schema of a run config's solver block, which also carries "anti"
+    # the solver block's one schema (plus "anti"); the command picks the objective
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    objective: str = "action"
 
     def __post_init__(self):
-        n, tol, c = self.max_iters, self.grad_tol, self.armijo_c
+        n, tol = self.max_iters, self.grad_tol
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"max_iters must be a non-negative integer, got {n!r}")
         if not (_finite_real(tol) and tol >= 0):
             raise ValueError(f"grad_tol must be a finite number >= 0, got {tol!r}")
-        if not (_finite_real(c) and 0 < c < 1):
-            raise ValueError(f"armijo_c must be a finite number in (0, 1), got {c!r}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
 
 
 def _finite_real(v) -> bool:
@@ -84,16 +80,6 @@ class SolverReport:
     @property
     def n_iters(self) -> int:
         return max(len(self.iterations) - 1, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective_name,
-            "converged": self.converged,
-            "reason": self.reason,
-            "iterations": self.n_iters,
-            "trace": [[float(o), float(g), float(s)] for o, g, s in self.iterations],
-            "diagnostics": {k: v for k, v in self.diagnostics.items()},
-        }
 
 
 def connection_vectors(A: Cochain) -> np.ndarray:
@@ -257,7 +243,7 @@ def grad_max_norm(grad: np.ndarray) -> float:
     return float(np.sqrt((grad**2).sum(axis=-1)).max()) if grad.size else 0.0
 
 
-def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, armijo_c: float, counts: dict):
+def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, counts: dict):
     """(t, point) at the exact line minimum along p, or None if p is not a
     descent direction, the line has no minimum or the step fails Armijo."""
     slope = float(np.vdot(at.grad, p))
@@ -271,12 +257,12 @@ def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, armijo_c: float, counts
     new = kern.evaluate(at.vecs + t * p)
     if not np.isfinite(new.obj):
         raise SolverAbort(f"objective not finite at step {t}: {new.obj}")
-    if new.obj > at.obj + armijo_c * t * slope:
+    if new.obj > at.obj + ARMIJO_C * t * slope:
         return None
     return t, new
 
 
-def _descend(domain: Domain, vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
+def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
     report = SolverReport(objective_name=kern.objective_name)
     counts = {"objective_gradient_evals": 1, "line_coefficient_evals": 0, "restarts": 0}
     with phase(log, "solve"):
@@ -289,11 +275,11 @@ def _descend(domain: Domain, vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel)
         for _ in range(cfg.max_iters):
             if gmax <= cfg.grad_tol:
                 break
-            step = _line_step(kern, at, p, cfg.armijo_c, counts)
+            step = _line_step(kern, at, p, counts)
             if step is None and not steepest:
                 counts["restarts"] += 1
                 p = -at.grad
-                step = _line_step(kern, at, p, cfg.armijo_c, counts)
+                step = _line_step(kern, at, p, counts)
             if step is None:
                 report.reason = "line search stalled"
                 break
@@ -310,30 +296,30 @@ def _descend(domain: Domain, vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel)
             else:
                 report.reason = "iteration limit reached"
     with phase(log, "diagnostics"):
-        report.final = vectors_to_connection(domain, at.vecs)
-        report.diagnostics = {**gauge.connection_scalars(report.final), **counts}
+        report.final = vectors_to_connection(kern.domain, at.vecs)
+        F = gauge.curvature(report.final)
+        report.diagnostics = {**gauge.connection_scalars(report.final, F), **counts}
+        if kern.objective_name == "sd_residual":
+            if kern.anti:
+                report.diagnostics["asd_residual"] = gauge.sd_residual(F, anti=True)
+            report.diagnostics["sd_component_defects"] = list(gauge.sd_component_defects(F, kern.anti))
     return report
 
 
 def minimize(A0: Cochain, cfg: SolverConfig) -> SolverReport:
-    """Nonlinear CG with an exact line search on the configured objective.
+    """Nonlinear CG with an exact line search on the action |F|^2.
 
     Iterates are coefficient vectors, hence exactly su(2)-valued; stops at
     cfg.grad_tol on the gradient max-norm, at the iteration cap, or when a
     steepest descent step fails the Armijo test.
     """
-    kern = _Kernel(A0.domain, cfg.objective)
-    return _descend(A0.domain, connection_vectors(A0), cfg, kern)
+    return _descend(connection_vectors(A0), cfg, _Kernel(A0.domain, "action"))
 
 
 def solve_self_dual(A0: Cochain, cfg: SolverConfig, anti: bool = False) -> SolverReport:
     """Minimize |F -+ dual F|^2; reports the three componentwise defects.
 
-    anti=True flips the sign, targeting the anti-self-dual equations.
+    anti=True flips the sign, targeting the anti-self-dual equations, and
+    adds asd_residual = |F + dual F| to the diagnostics.
     """
-    kern = _Kernel(A0.domain, "sd_residual", anti=anti)
-    report = _descend(A0.domain, connection_vectors(A0), cfg, kern)
-    with phase(log, "sd component defects"):
-        defects = gauge.sd_component_defects(gauge.curvature(report.final), anti=anti)
-    report.diagnostics["sd_component_defects"] = [float(x) for x in defects]
-    return report
+    return _descend(connection_vectors(A0), cfg, _Kernel(A0.domain, "sd_residual", anti))

@@ -36,7 +36,7 @@ class TestConfig:
     def test_defaults_validate(self, tmp_path, capsys):
         cfg = cli.load_config()
         assert cfg["topology"] == "sphere" and cfg["sizes"] == [2, 2, 2, 2]
-        assert list(cfg["solver"]) == ["max_iters", "grad_tol", "armijo_c", "objective", "anti"]
+        assert list(cfg["solver"]) == ["max_iters", "grad_tol", "anti"]
         # knobs that nothing read are gone and now unknown
         for key, value in (("backtrack_factor", 0.5), ("initial_step", 1.0), ("seed", 7)):
             path = write_config(tmp_path, solver={key: value})
@@ -176,6 +176,12 @@ class TestSingleCurvature:
         assert run(["relax", "--config", path]) == 0
         assert calls == ["diagnostics"]
 
+    def test_selfdual_builds_it_once(self, tmp_path, calls):
+        out = tmp_path / "final.form.json"
+        path = write_config(tmp_path, amplitude=0.05, solver={"max_iters": 5}, output=str(out))
+        assert run(["selfdual", "--config", path]) == 0
+        assert calls == ["diagnostics"]
+
 
 class TestVerifyAtFour:
     def _report(self, tmp_path, **config):
@@ -226,6 +232,20 @@ class TestSolverCommands:
         defects = report["scalars"]["sd_component_defects"]
         assert len(defects) == 3 and all(d >= 0 for d in defects)
 
+    @pytest.mark.parametrize(
+        "topology,sizes", [("sphere", [2, 2, 2, 2]), ("block", [2, 3, 4, 2])], ids=["sphere", "block"]
+    )
+    def test_anti_selfdual_reports_the_minimized_residual(self, tmp_path, topology, sizes):
+        out = tmp_path / "asd.form.json"
+        path = write_config(
+            tmp_path, topology=topology, sizes=sizes, amplitude=0.3,
+            solver={"max_iters": 100, "anti": True}, output=str(out),
+        )
+        assert run(["selfdual", "--config", path]) == 0
+        report = json.loads((tmp_path / "asd.form.json.report.json").read_text())
+        objective = report["trace"][-1][0]
+        assert report["scalars"]["asd_residual"] ** 2 == pytest.approx(objective, rel=1e-10)
+
     def test_solver_abort_exit_code(self, tmp_path):
         domain = Domain((2, 2, 2, 2), "sphere")
         huge = so.vectors_to_connection(
@@ -264,6 +284,9 @@ class TestBoundary:
             {"solver": {"seed": True}},
             {"solver": {"anti": "yes"}},
             {"solver": {"objective": ["action"]}},
+            {"solver": {"objective": "action"}},
+            {"solver": {"armijo_c": 1e-4}},
+            {"solver": {"anti": True}},
         ],
     )
     def test_bad_field_types_are_config_errors(self, tmp_path, capsys, payload):

@@ -301,3 +301,28 @@ class TestSelfDuality:
         f.values[..., idx[(1, 3)], :, :] = m
         defects = ga.sd_component_defects(f)
         assert defects[1] > 0.1 and defects[0] <= 1e-15 and defects[2] <= 1e-15
+
+    @pytest.mark.parametrize(
+        "domain",
+        [SPHERE, Domain((2, 3, 4, 2), "sphere"), Domain((2, 3, 4, 2), "block"), Domain((3, 3, 3, 3), "block")],
+        ids=["sphere-2", "sphere-2342", "block-2342", "block-3"],
+    )
+    @pytest.mark.parametrize("anti", [False, True], ids=["sd", "anti"])
+    def test_component_equations_written_out(self, domain, anti):
+        # F^12 = F^34, F^13 = -F^24, F^14 = F^23; right-hand sides negated for anti
+        equations = (((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1))
+        idx = {pair: n for n, pair in enumerate(ga.DIR_PAIRS)}
+        f = ga.curvature(co.random_connection(domain, 1.0, seed=50))
+        v = f.values
+        r = np.empty_like(v)
+        for a, b, sign in equations:
+            sign = -sign if anti else sign
+            r[..., idx[a], :, :] = v[..., idx[a], :, :] - sign * v[..., idx[b], :, :]
+            r[..., idx[b], :, :] = v[..., idx[b], :, :] - sign * v[..., idx[a], :, :]
+        want = tuple(
+            float(np.sqrt(np.sum(np.abs(r[co.interior(domain)][..., idx[a], :, :]) ** 2)))
+            for a, _, _ in equations
+        )
+        assert ga.sd_component_defects(f, anti=anti) == want
+        assert ga.sd_residual(f, anti=anti) == ca.norm(f.like(r))
+        assert ga.SHIFT_PAIRS == tuple((a, b) for a, b, _ in equations)

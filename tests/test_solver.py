@@ -93,12 +93,11 @@ class TestGradient:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            so.SolverConfig(armijo_c=1.5)
-        with pytest.raises(ValueError):
-            so.SolverConfig(armijo_c="x")
-        with pytest.raises(ValueError):
-            so.SolverConfig(objective="energy")
+        # the Armijo constant is fixed and the command picks the objective
+        with pytest.raises(TypeError):
+            so.SolverConfig(armijo_c=1e-4)
+        with pytest.raises(TypeError):
+            so.SolverConfig(objective="action")
 
 
 class TestMinimize:
@@ -125,7 +124,7 @@ class TestMinimize:
         rep = so.minimize(a0, cfg)
         obj0, _, _ = rep.iterations[0]
         obj1, _, step1 = rep.iterations[1]
-        assert obj1 <= obj0 - cfg.armijo_c * step1 * float((g0**2).sum()) + 1e-15
+        assert obj1 <= obj0 - so.ARMIJO_C * step1 * float((g0**2).sum()) + 1e-15
 
     def test_trace_satisfies_weak_armijo(self):
         a0 = co.random_connection(SPHERE, 0.1, seed=10)
@@ -134,7 +133,7 @@ class TestMinimize:
         rows = rep.iterations
         for (o0, g0, _), (o1, _, s1) in zip(rows, rows[1:]):
             # gmax^2 lower-bounds the squared Euclidean norm in the full test
-            assert o1 <= o0 - cfg.armijo_c * s1 * g0**2 + 1e-15
+            assert o1 <= o0 - so.ARMIJO_C * s1 * g0**2 + 1e-15
 
     def test_iterates_stay_su2(self):
         a0 = co.random_connection(SPHERE, 0.1, seed=11)
@@ -175,10 +174,9 @@ class TestMinimize:
 
     def test_objective_choice_respected(self):
         a0 = co.random_connection(SPHERE, 0.1, seed=13)
-        rep = so.minimize(a0, so.SolverConfig(max_iters=100, objective="sd_residual"))
-        assert rep.objective_name == "sd_residual"
-        f0 = ga.curvature(a0)
-        assert rep.diagnostics["sd_residual"] < ga.sd_residual(f0)
+        cfg = so.SolverConfig(max_iters=5)
+        assert so.minimize(a0, cfg).objective_name == "action"
+        assert so.solve_self_dual(a0, cfg).objective_name == "sd_residual"
 
 
 class TestSelfDual:
@@ -280,15 +278,15 @@ class TestLineSearch:
         kern = so._Kernel(SPHERE, "action")
         at = kern.evaluate(so.connection_vectors(co.random_connection(SPHERE, 0.3, seed=24)))
         counts = {"line_coefficient_evals": 0, "objective_gradient_evals": 0}
-        assert so._line_step(kern, at, at.grad, 1e-4, counts) is None
+        assert so._line_step(kern, at, at.grad, counts) is None
         assert counts == {"line_coefficient_evals": 0, "objective_gradient_evals": 0}
 
         calls = []
         line_step = so._line_step
 
-        def reverse_first_conjugate_direction(kern, at, p, armijo_c, counts):
+        def reverse_first_conjugate_direction(kern, at, p, counts):
             calls.append((p, at.grad))
-            return line_step(kern, at, -p if len(calls) == 2 else p, armijo_c, counts)
+            return line_step(kern, at, -p if len(calls) == 2 else p, counts)
 
         monkeypatch.setattr(so, "_line_step", reverse_first_conjugate_direction)
         a0 = co.random_connection(SPHERE, 0.1, seed=24)
@@ -334,11 +332,10 @@ class TestSolverApiBoundary:
             lambda: so.SolverConfig(max_iters=-5),
             lambda: so.SolverConfig(max_iters=2.5),
             lambda: so.SolverConfig(max_iters=True),
-            lambda: so.SolverConfig(armijo_c=float("nan")),
             lambda: so._Kernel(SPHERE, "energy"),
         ],
         ids=["grad_tol-nan", "grad_tol-inf", "grad_tol-negative", "max_iters-negative",
-             "max_iters-float", "max_iters-bool", "armijo_c-nan", "kernel-objective"],
+             "max_iters-float", "max_iters-bool", "kernel-objective"],
     )
     def test_rejected_with_value_error(self, make):
         with pytest.raises(ValueError):
