@@ -28,11 +28,6 @@ LAMBDA = SIGMA / 2j
 IDENTITY2 = np.eye(2, dtype=np.complex128)
 
 
-def mat_mul(a, b):
-    """Matrix product on the trailing 2x2 axes."""
-    return np.asarray(a) @ np.asarray(b)
-
-
 def commutator(a, b):
     """ab - ba."""
     a = np.asarray(a)

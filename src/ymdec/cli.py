@@ -1,23 +1,21 @@
 """Batch front end: verify | action | relax | selfdual.
 
-Runs are configured by a JSON file (--config), every field optional:
+Runs are configured by a JSON file (--config), every field optional.
+Every command reads "topology" ("sphere" | "block"), "sizes" ([N1, N2,
+N3, N4]), "seed", "amplitude" and "output" (null | "<path>"); COMMANDS
+names the fields each one reads beyond them:
 
-    {
-      "topology": "sphere" | "block",
-      "sizes": [N1, N2, N3, N4],
-      "seed": 7,
-      "amplitude": 0.1,
-      "connection": "zero" | "random" | "file:<path>",
-      "gauge": "identity" | "random" | "sum_profile" | "file:<path>",
-      "solver": {"max_iters": ..., "grad_tol": ..., "anti": false},
-      "output": null | "<path>"
-    }
+    verify     "gauge": "identity" | "random" | "sum_profile" | "file:<path>"
+    action     "connection": "zero" | "random" | "file:<path>"
+    relax      "connection", "solver": {"max_iters": ..., "grad_tol": ...}
+    selfdual   "connection", "solver": {"max_iters", "grad_tol", "anti"}
 
-The solver block is solver.SolverConfig, whose fields and checks are its
-only schema, plus "anti" for selfdual.  Any other key is a config error.
-The command picks the equation: relax minimizes the action, selfdual the
-self-dual residual |F - dual F|^2, or |F + dual F|^2 with "anti" set;
-relax with "anti" set is a config error.
+Any other field or solver key is a config error, and the report's
+"config" echoes the command's fields only.  The solver block is
+solver.SolverConfig, whose fields and checks are its only schema, plus
+"anti" for selfdual.  The command picks the equation: relax minimizes
+the action, selfdual the self-dual residual |F - dual F|^2, or
+|F + dual F|^2 with "anti" set.
 
 --seed and --output override the config fields.  Reports are JSON with
 sorted keys, byte-identical for identical config and seed.  For verify
@@ -27,10 +25,11 @@ next to it with ".report.json" appended.  A fixed-format summary table is
 always printed to stdout; without an output path the JSON report follows
 it.
 
-Exit codes: 0 pass, 1 check failure, 2 config error, 3 solver abort or
-non-finite arithmetic (an overflowing action or check).  With -v the wall
-time of each phase (load, solve, diagnostics, write; each check of verify)
-is logged to stderr; it never enters the report.
+Exit codes: 0 pass, 1 check failure, 2 config error (also sizes whose
+2-form outgrows numpy's largest array), 3 solver abort, non-finite
+arithmetic (an overflowing action or check) or out of memory.  With -v
+the wall time of each phase (load, solve, diagnostics, write; each check
+of verify) is logged to stderr; it never enters the report.
 """
 
 from __future__ import annotations
@@ -43,6 +42,9 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from . import cochain as co
@@ -67,13 +69,21 @@ DEFAULT_CONFIG = {
     "output": None,
 }
 
+# fields every command reads; COMMANDS names the rest
+COMMON_FIELDS = ("topology", "sizes", "seed", "amplitude", "output")
+SOLVER_FIELDS = tuple(f.name for f in dataclasses.fields(so.SolverConfig))
+
 
 class ConfigError(Exception):
     pass
 
 
-def load_config(path=None, seed=None, output=None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+def load_config(command, path=None, seed=None, output=None) -> dict:
+    """The command's fields, defaults filled in from DEFAULT_CONFIG, validated."""
+    spec = COMMANDS[command]
+    cfg = {k: copy.deepcopy(DEFAULT_CONFIG[k]) for k in COMMON_FIELDS + spec.fields}
+    if spec.solver:
+        cfg["solver"] = {k: DEFAULT_CONFIG["solver"][k] for k in spec.solver}
     if path is not None:
         try:
             user = json.loads(Path(path).read_text())
@@ -83,17 +93,20 @@ def load_config(path=None, seed=None, output=None) -> dict:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(user) - set(DEFAULT_CONFIG)
+        unknown = set(user) - set(cfg)
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        solver = user.pop("solver", {})
+            raise ConfigError(f"unknown config fields for {command}: {sorted(unknown)}")
+        if "solver" in user:
+            solver = user.pop("solver")
+            if not isinstance(solver, dict):
+                raise ConfigError("solver block must be an object")
+            unknown = set(solver) - set(spec.solver)
+            if unknown:
+                raise ConfigError(
+                    f"unknown config fields for {command}: unknown solver fields {sorted(unknown)}"
+                )
+            cfg["solver"].update(solver)
         cfg.update(user)
-        if not isinstance(solver, dict):
-            raise ConfigError("solver block must be an object")
-        unknown = set(solver) - set(DEFAULT_CONFIG["solver"])
-        if unknown:
-            raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
-        cfg["solver"].update(solver)
     if seed is not None:
         cfg["seed"] = seed
     if output is not None:
@@ -102,11 +115,8 @@ def load_config(path=None, seed=None, output=None) -> dict:
     return cfg
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _validate(cfg):
+    """Checks the fields cfg holds, which are the ones its command reads."""
     if cfg["topology"] not in ("sphere", "block"):
         raise ConfigError(f"topology must be sphere or block, got {cfg['topology']!r}")
     sizes = cfg["sizes"]
@@ -116,19 +126,23 @@ def _validate(cfg):
         or any(not co.is_json_int(n) or n < 2 for n in sizes)
     ):
         raise ConfigError("sizes must be four integers >= 2")
+    entries = math.prod(co.Cochain.shape(make_domain(cfg), 2))
+    if entries * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(f"sizes {sizes} are too large: a 2-form exceeds numpy's largest array")
     if not co.is_json_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
-    if not _is_number(cfg["amplitude"]) or cfg["amplitude"] < 0:
+    if not co.is_finite_real(cfg["amplitude"]) or cfg["amplitude"] < 0:
         raise ConfigError("amplitude must be a finite number >= 0")
     for field, allowed in (("connection", ("zero", "random")), ("gauge", ("identity", "random", "sum_profile"))):
-        v = cfg[field]
-        if not isinstance(v, str) or not (v in allowed or v.startswith("file:")):
+        v = cfg.get(field)
+        if field in cfg and not (isinstance(v, str) and (v in allowed or v.startswith("file:"))):
             raise ConfigError(f"{field} must be one of {allowed} or file:<path>")
     if cfg["output"] is not None and not isinstance(cfg["output"], str):
         raise ConfigError("output must be null or a path")
-    if not isinstance(cfg["solver"]["anti"], bool):
-        raise ConfigError("solver anti must be true or false")
-    _solver_config(cfg)
+    if "solver" in cfg:
+        if not isinstance(cfg["solver"].get("anti", False), bool):
+            raise ConfigError("solver anti must be true or false")
+        _solver_config(cfg)
 
 
 def _solver_config(cfg) -> so.SolverConfig:
@@ -143,7 +157,7 @@ def make_domain(cfg) -> Domain:
     return Domain(tuple(cfg["sizes"]), cfg["topology"])
 
 
-def _load_form(path, domain, degree, what):
+def _load_form(path, domain, degree, what, validate):
     try:
         form = co.deserialize(Path(path).read_bytes())
     except OSError as e:
@@ -157,7 +171,10 @@ def _load_form(path, domain, degree, what):
         )
     if form.degree != degree:
         raise ConfigError(f"{what} file has degree {form.degree}, expected {degree}")
-    return form
+    try:
+        return validate(form)
+    except co.ValidationError as e:
+        raise ConfigError(f"{what} file: {e}") from e
 
 
 def build_connection(cfg, domain) -> co.Cochain:
@@ -166,11 +183,7 @@ def build_connection(cfg, domain) -> co.Cochain:
         return co.Cochain.zeros(domain, 1)
     if src == "random":
         return co.random_connection(domain, cfg["amplitude"], cfg["seed"])
-    form = _load_form(src[len("file:"):], domain, 1, "connection")
-    try:
-        return co.validate_connection(form)
-    except co.ValidationError as e:
-        raise ConfigError(f"connection file: {e}") from e
+    return _load_form(src[len("file:"):], domain, 1, "connection", co.validate_connection)
 
 
 def build_gauge(cfg, domain) -> co.Cochain:
@@ -187,29 +200,16 @@ def build_gauge(cfg, domain) -> co.Cochain:
             return co.sum_profile_gauge(domain, amplitude=1.0, seed=cfg["seed"] + 1)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-    form = _load_form(src[len("file:"):], domain, 0, "gauge")
-    try:
-        return co.validate_gauge(form)
-    except co.ValidationError as e:
-        raise ConfigError(f"gauge file: {e}") from e
+    return _load_form(src[len("file:"):], domain, 0, "gauge", co.validate_gauge)
 
 
-def _report_skeleton(command, cfg) -> dict:
-    return {
-        "tool": "ymdec",
-        "version": __version__,
-        "cell_ordering": CELL_ORDERING,
-        "command": command,
-        "config": cfg,
-        "checks": [],
-        "scalars": {},
-        "trace": [],
-    }
+def _load_connection(cfg) -> co.Cochain:
+    with phase(log, "load"):
+        return build_connection(cfg, make_domain(cfg))
 
 
-def cmd_verify(cfg):
+def cmd_verify(cfg, report):
     domain = make_domain(cfg)
-    report = _report_skeleton("verify", cfg)
     with phase(log, "load"):
         gauge_form = build_gauge(cfg, domain)
     checks, scalars = run_verify_checks(
@@ -217,32 +217,28 @@ def cmd_verify(cfg):
     )
     report["checks"] = checks
     report["scalars"] = scalars
-    code = 0 if all(c["pass"] for c in checks) else 1
-    return code, report
+    return (0 if all(c["pass"] for c in checks) else 1), None
 
 
-def cmd_action(cfg):
-    domain = make_domain(cfg)
-    report = _report_skeleton("action", cfg)
-    with phase(log, "load"):
-        A = build_connection(cfg, domain)
+def cmd_action(cfg, report):
+    A = _load_connection(cfg)
     with phase(log, "diagnostics"):
         report["scalars"] = connection_scalars(A)
-    return 0, report
+    return 0, None
 
 
-def _solver_command(cfg, name):
-    if name == "relax" and cfg["solver"]["anti"]:
-        raise ConfigError("relax minimizes the action; anti applies to selfdual only")
-    domain = make_domain(cfg)
-    report = _report_skeleton(name, cfg)
-    with phase(log, "load"):
-        a0 = build_connection(cfg, domain)
-    solver_cfg = _solver_config(cfg)
-    if name == "relax":
-        result = so.minimize(a0, solver_cfg)
-    else:
-        result = so.solve_self_dual(a0, solver_cfg, anti=cfg["solver"]["anti"])
+def cmd_relax(cfg, report):
+    return _solver_report(report, so.minimize(_load_connection(cfg), _solver_config(cfg)))
+
+
+def cmd_selfdual(cfg, report):
+    result = so.solve_self_dual(
+        _load_connection(cfg), _solver_config(cfg), anti=cfg["solver"]["anti"]
+    )
+    return _solver_report(report, result)
+
+
+def _solver_report(report, result):
     report["trace"] = [[float(o), float(g), float(s)] for o, g, s in result.iterations]
     report["scalars"] = {
         **result.diagnostics,
@@ -250,36 +246,49 @@ def _solver_command(cfg, name):
         "converged": result.converged,
         "reason": result.reason,
     }
-    return 0, report, result.final
+    return 0, result.final
 
 
-def _print_table(report, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    print(f"ymdec {report['command']}  (tool {report['version']})", file=stream)
+class Command(NamedTuple):
+    help: str
+    run: Callable  # (cfg, report) -> (exit code, final connection or None); fills report
+    fields: tuple  # config fields read beyond COMMON_FIELDS
+    solver: tuple = ()  # solver block keys read; () means no solver block
+
+
+# the one statement of which command reads which config field
+COMMANDS = {
+    "verify": Command("run the invariant suite", cmd_verify, ("gauge",)),
+    "action": Command("evaluate the action and residuals of a connection", cmd_action, ("connection",)),
+    "relax": Command(
+        "minimize the action by nonlinear conjugate gradients", cmd_relax, ("connection",), SOLVER_FIELDS
+    ),
+    "selfdual": Command(
+        "minimize the self-dual residual", cmd_selfdual, ("connection",), SOLVER_FIELDS + ("anti",)
+    ),
+}
+
+
+def _print_table(report):
+    print(f"ymdec {report['command']}  (tool {report['version']})")
     if report["checks"]:
-        print(f"{'check':<40} {'defect':>12} {'tol':>10} {'status':>8}", file=stream)
-        for c in report["checks"]:
-            status = "pass" if c["pass"] else "FAIL"
-            print(
-                f"{c['name']:<40} {c['defect']:>12.3e} {c['tol']:>10.1e} {status:>8}",
-                file=stream,
-            )
-    if report["scalars"]:
-        for k in report["scalars"]:
-            v = report["scalars"][k]
-            v = f"{v:.6e}" if isinstance(v, float) else v
-            print(f"{k:<40} {v}", file=stream)
+        print(f"{'check':<40} {'defect':>12} {'tol':>10} {'status':>8}")
+    for c in report["checks"]:
+        status = "pass" if c["pass"] else "FAIL"
+        print(f"{c['name']:<40} {c['defect']:>12.3e} {c['tol']:>10.1e} {status:>8}")
+    for k, v in report["scalars"].items():
+        print(f"{k:<40} {f'{v:.6e}' if isinstance(v, float) else v}")
     if report["trace"]:
         o, g, _ = report["trace"][-1]
-        print(f"{'final objective':<40} {o:.6e}", file=stream)
-        print(f"{'final gradient max-norm':<40} {g:.6e}", file=stream)
+        print(f"{'final objective':<40} {o:.6e}")
+        print(f"{'final gradient max-norm':<40} {g:.6e}")
 
 
 def render_report(report) -> bytes:
     return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _emit(report, cfg, final_form=None):
+def _emit(report, cfg, final_form):
     with phase(log, "write"):
         payload = render_report(report)
         out = cfg["output"]
@@ -300,13 +309,8 @@ def main(argv=None) -> int:
         description="discrete Yang-Mills calculus on the 4-dimensional double complex",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("verify", "run the invariant suite"),
-        ("action", "evaluate the action and residuals of a connection"),
-        ("relax", "minimize the action by nonlinear conjugate gradients"),
-        ("selfdual", "minimize the self-dual residual"),
-    ):
-        p = sub.add_parser(name, help=blurb)
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", help="path to a RunConfig JSON file")
         p.add_argument("--output", help="output path (overrides config)")
         p.add_argument("--seed", type=int, help="seed (overrides config)")
@@ -332,23 +336,19 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        cfg = load_config(args.config, seed=args.seed, output=args.output)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "verify":
-            code, report = cmd_verify(cfg)
-            _emit(report, cfg)
-        elif args.command == "action":
-            code, report = cmd_action(cfg)
-            _emit(report, cfg)
-        else:
-            code, report, final = _solver_command(
-                cfg, "relax" if args.command == "relax" else "selfdual"
-            )
-            _emit(report, cfg, final_form=final)
+        cfg = load_config(args.command, args.config, seed=args.seed, output=args.output)
+        report = {
+            "tool": "ymdec",
+            "version": __version__,
+            "cell_ordering": CELL_ORDERING,
+            "command": args.command,
+            "config": cfg,
+            "checks": [],
+            "scalars": {},
+            "trace": [],
+        }
+        code, final = COMMANDS[args.command].run(cfg, report)
+        _emit(report, cfg, final)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -358,6 +358,9 @@ def _run(args) -> int:
     except ArithmeticError as e:
         # a valid but enormous connection overflows the action or a check
         print(f"numerical abort: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 3
     return code
 

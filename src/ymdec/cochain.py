@@ -14,6 +14,8 @@ the field exactly.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 
 import numpy as np
 
@@ -133,11 +135,6 @@ def sub(f: Cochain, g: Cochain) -> Cochain:
 
 def scale(f: Cochain, s) -> Cochain:
     return f.like(f.values * s)
-
-
-def map_coeffs(f: Cochain, fn) -> Cochain:
-    """Apply fn to the stacked coefficient array (broadcast over cells)."""
-    return f.like(np.asarray(fn(f.values), dtype=np.complex128))
 
 
 def conj_transpose_form(f: Cochain) -> Cochain:
@@ -280,6 +277,11 @@ def serialize(f: Cochain) -> bytes:
 def is_json_int(v) -> bool:
     """True for a JSON integer: an int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_finite_real(v) -> bool:
+    """True for a real number, not a bool, in the finite float range."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def deserialize(payload: bytes) -> Cochain:

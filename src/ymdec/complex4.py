@@ -27,8 +27,6 @@ TILDE = 1
 CHART_V = 0
 CHART_VHAT = 1
 
-CHART_NAMES = {CHART_V: "V", CHART_VHAT: "Vhat"}
-
 
 class OutOfDomain(Exception):
     """Address cannot be resolved to a stored cell."""

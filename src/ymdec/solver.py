@@ -24,7 +24,6 @@ action) stays the oracle the kernel is tested against.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ import numpy as np
 from . import algebra as alg
 from . import gauge
 from .calculus import _star_plan, gather_table, norm_sq
-from .cochain import Cochain, interior
+from .cochain import Cochain, interior, is_finite_real
 from .complex4 import Domain
 from .timing import phase
 
@@ -60,12 +59,8 @@ class SolverConfig:
         n, tol = self.max_iters, self.grad_tol
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"max_iters must be a non-negative integer, got {n!r}")
-        if not (_finite_real(tol) and tol >= 0):
+        if not (is_finite_real(tol) and tol >= 0):
             raise ValueError(f"grad_tol must be a finite number >= 0, got {tol!r}")
-
-
-def _finite_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass

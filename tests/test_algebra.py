@@ -27,10 +27,6 @@ class TestBasis:
         for lam in alg.LAMBDA:
             np.testing.assert_allclose(alg.conj_transpose(lam), -lam, atol=1e-15)
 
-    def test_identity_is_neutral(self):
-        m = np.arange(4).reshape(2, 2) + 1j
-        np.testing.assert_allclose(alg.mat_mul(alg.IDENTITY2, m), m)
-
     def test_sigma1_is_not_algebra(self):
         assert not alg.is_su2_algebra(alg.SIGMA[0])
         assert alg.is_su2_algebra(alg.LAMBDA[0])

@@ -34,9 +34,10 @@ def write_config(tmp_path, **overrides):
 
 class TestConfig:
     def test_defaults_validate(self, tmp_path, capsys):
-        cfg = cli.load_config()
+        cfg = cli.load_config("relax")
         assert cfg["topology"] == "sphere" and cfg["sizes"] == [2, 2, 2, 2]
-        assert list(cfg["solver"]) == ["max_iters", "grad_tol", "anti"]
+        assert list(cfg["solver"]) == ["max_iters", "grad_tol"]
+        assert list(cli.load_config("selfdual")["solver"]) == ["max_iters", "grad_tol", "anti"]
         # knobs that nothing read are gone and now unknown
         for key, value in (("backtrack_factor", 0.5), ("initial_step", 1.0), ("seed", 7)):
             path = write_config(tmp_path, solver={key: value})
@@ -108,6 +109,18 @@ class TestVerify:
         assert run(["verify", "--config", path, "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert "ym_gauge_invariance_boundary_defect" in report["scalars"]
+
+    @pytest.mark.parametrize("gauge", ["sum_profile", "random"])
+    def test_non_cubic_block_topology_passes(self, tmp_path, gauge):
+        path = write_config(tmp_path, topology="block", sizes=[2, 3, 4, 2], gauge=gauge)
+        out = tmp_path / "report.json"
+        assert run(["verify", "--config", path, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert all(c["pass"] for c in report["checks"])
+        assert "ym_gauge_invariance_boundary_defect" in report["scalars"]
+        names = {c["name"] for c in report["checks"]}
+        expected_fail = "configured_gauge_right_cup_dual_expected_fail"
+        assert (expected_fail in names) == (gauge == "random")
 
 
 class TestAction:
@@ -406,8 +419,9 @@ _SOLVER = st.fixed_dictionaries(
     },
 )
 _CONFIG = st.fixed_dictionaries(
-    {"solver": st.one_of(_SOLVER, _NON_LIST_JUNK.filter(lambda v: not isinstance(v, dict)))},
+    {},
     optional={
+        "solver": st.one_of(_SOLVER, _NON_LIST_JUNK.filter(lambda v: not isinstance(v, dict))),
         "topology": st.one_of(st.sampled_from(["sphere", "block"]), _JUNK),
         "sizes": st.one_of(
             st.lists(st.integers(2, 3), min_size=4, max_size=4),
@@ -454,7 +468,8 @@ def _form_payloads(draw):
 class TestBoundaryRegressions:
     @pytest.mark.parametrize("command", ["action", "verify", "relax"])
     def test_overflowing_amplitude_aborts_with_exit_3(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, amplitude=1e300, solver={"max_iters": 3})
+        solver = {"solver": {"max_iters": 3}} if command == "relax" else {}
+        path = write_config(tmp_path, amplitude=1e300, **solver)
         assert run([command, "--config", path]) == 3
         assert "abort" in capsys.readouterr().err
 
@@ -496,5 +511,97 @@ class TestBoundaryProperties:
             form.write_text(payload)
             field = "gauge" if command == "verify" else "connection"
             path = Path(tmp) / "config.json"
-            path.write_text(json.dumps({field: f"file:{form}", "solver": {"max_iters": 3}}))
+            config = {field: f"file:{form}"}
+            if command == "relax":
+                config["solver"] = {"max_iters": 3}
+            path.write_text(json.dumps(config))
             _assert_documented_exit([command, "--config", str(path)], capsys)
+
+
+_COMMON_FIELDS = ["amplitude", "output", "seed", "sizes", "topology"]
+
+
+class TestCommandTable:
+    """Each command accepts, validates and echoes only the fields it reads."""
+
+    @pytest.mark.parametrize(
+        "command,fields,solver",
+        [
+            ("verify", ["gauge"], None),
+            ("action", ["connection"], None),
+            ("relax", ["connection", "solver"], ["grad_tol", "max_iters"]),
+            ("selfdual", ["connection", "solver"], ["anti", "grad_tol", "max_iters"]),
+        ],
+        ids=["verify", "action", "relax", "selfdual"],
+    )
+    def test_report_echoes_the_fields_the_command_reads(self, tmp_path, command, fields, solver):
+        out = tmp_path / "out.json"
+        config = {"solver": {"max_iters": 3}} if solver else {}
+        path = write_config(tmp_path, output=str(out), **config)
+        assert run([command, "--config", path]) == 0
+        report_path = out if solver is None else tmp_path / "out.json.report.json"
+        echoed = json.loads(report_path.read_text())["config"]
+        assert sorted(echoed) == sorted(_COMMON_FIELDS + fields)
+        if solver is not None:
+            assert sorted(echoed["solver"]) == solver
+
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("verify", {"connection": "zero"}),
+            ("verify", {"solver": {"max_iters": 3}}),
+            ("action", {"gauge": "identity"}),
+            ("action", {"solver": {"max_iters": 3}}),
+            ("relax", {"gauge": "identity"}),
+            ("relax", {"solver": {"anti": False}}),
+            ("selfdual", {"gauge": "identity"}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(v),
+    )
+    def test_fields_the_command_does_not_read_are_config_errors(
+        self, tmp_path, capsys, command, payload
+    ):
+        assert run([command, "--config", write_config(tmp_path, **payload)]) == 2
+        assert f"unknown config fields for {command}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,field", [("verify", "gauge"), ("action", "connection")])
+    def test_source_fields_are_type_checked(self, tmp_path, capsys, command, field):
+        # relax's {"gauge": 5} in test_bad_field_types_are_config_errors now stops at the
+        # unknown-field check; these reach the source check itself
+        assert run([command, "--config", write_config(tmp_path, **{field: 5})]) == 2
+        assert f"{field} must be one of" in capsys.readouterr().err
+
+    def test_selfdual_checks_the_anti_type(self, tmp_path, capsys):
+        path = write_config(tmp_path, solver={"anti": "yes"})
+        assert run(["selfdual", "--config", path]) == 2
+        assert "anti must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,payload",
+        [("action", {"amplitude": 10**400}), ("relax", {"solver": {"grad_tol": 10**400}})],
+        ids=["amplitude", "grad_tol"],
+    )
+    def test_integers_beyond_the_float_range_are_config_errors(
+        self, tmp_path, capsys, command, payload
+    ):
+        assert run([command, "--config", write_config(tmp_path, **payload)]) == 2
+        assert "finite number" in capsys.readouterr().err
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize("command", ["verify", "action", "relax", "selfdual"])
+    @pytest.mark.parametrize("topology", ["sphere", "block"])
+    def test_sizes_beyond_numpy_arrays_are_config_errors(self, tmp_path, capsys, command, topology):
+        # rejected while validating the config, before anything is allocated
+        path = write_config(tmp_path, topology=topology, sizes=[1_000_000] * 4)
+        assert run([command, "--config", path]) == 2
+        assert "too large" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(co, "random_connection", exhausted)
+        assert run(["action"]) == 3
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "Traceback" not in err

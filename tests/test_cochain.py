@@ -50,11 +50,6 @@ class TestElementwise:
             co.conj_transpose_form(a).values, -a.values, atol=1e-15
         )
 
-    def test_map_coeffs(self):
-        f = co.random_form(SPHERE, 1, seed=30)
-        doubled = co.map_coeffs(f, lambda v: 2.0 * v)
-        np.testing.assert_array_equal(doubled.values, co.scale(f, 2.0).values)
-
     def test_degree_mismatch_raises(self):
         with pytest.raises(ValueError):
             co.add(co.Cochain.zeros(SPHERE, 1), co.Cochain.zeros(SPHERE, 2))
