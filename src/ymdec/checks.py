@@ -125,10 +125,10 @@ def _chain_duality_defect(domain, seed):
     return worst
 
 
-def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form=None):
+def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: co.Cochain):
     """Run the invariant suite; returns (checks, scalars).
 
-    gauge_form, when given, is additionally exercised against the cup-dual
+    gauge_form, the configured gauge, is exercised against the cup-dual
     lemma: a compatible gauge gates the identity, a violating one is
     recorded as an expected failure with its counterexample norm.
 
@@ -296,23 +296,18 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form=No
             # exact only on the closed sphere; the block keeps a boundary defect
             scalars["ym_gauge_invariance_boundary_defect"] = float(_rel(abs(n0 - n1), n0))
 
-    if gauge_form is not None:
-        defect = ga.right_cup_dual_defect(gauge_form, f2)
-        if ga.is_dual_compatible(gauge_form):
-            checks.append(_check("configured_gauge_right_cup_dual", defect, 1e-12))
-            if domain.is_sphere:
-                if n0 is None:
-                    n0 = ga.yang_mills_residual_norm(a)
-                m1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, gauge_form))
-                checks.append(
-                    _check("configured_gauge_ym_invariance", _rel(abs(n0 - m1), n0), 1e-9)
-                )
-        else:
-            entry = _counterexample(
-                "configured_gauge_right_cup_dual_expected_fail", defect, 1e-6
-            )
-            entry["expected_fail"] = True
-            checks.append(entry)
+    defect = ga.right_cup_dual_defect(gauge_form, f2)
+    if ga.is_dual_compatible(gauge_form):
+        checks.append(_check("configured_gauge_right_cup_dual", defect, 1e-12))
+        if domain.is_sphere:
+            if n0 is None:
+                n0 = ga.yang_mills_residual_norm(a)
+            m1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, gauge_form))
+            checks.append(_check("configured_gauge_ym_invariance", _rel(abs(n0 - m1), n0), 1e-9))
+    else:
+        entry = _counterexample("configured_gauge_right_cup_dual_expected_fail", defect, 1e-6)
+        entry["expected_fail"] = True
+        checks.append(entry)
 
     fp = ga.self_dual_part(f_assembled)
     fm = ga.anti_self_dual_part(f_assembled)

@@ -26,7 +26,9 @@ always printed to stdout; without an output path the JSON report follows
 it.
 
 Exit codes: 0 pass, 1 check failure, 2 config error (also sizes whose
-2-form outgrows numpy's largest array), 3 solver abort, non-finite
+2-form outgrows numpy's largest array, a connection or gauge file on the
+tilde copy, and an output path that cannot be written, such as a
+directory or a path in a missing directory), 3 solver abort, non-finite
 arithmetic (an overflowing action or check) or out of memory.  With -v
 the wall time of each phase (load, solve, diagnostics, write; each check
 of verify) is logged to stderr; it never enters the report.
@@ -171,6 +173,8 @@ def _load_form(path, domain, degree, what, validate):
         )
     if form.degree != degree:
         raise ConfigError(f"{what} file has degree {form.degree}, expected {degree}")
+    if form.copy != co.BASE:
+        raise ConfigError(f"{what} file is on the {co.COPY_NAMES[form.copy]} copy, expected base")
     try:
         return validate(form)
     except co.ValidationError as e:
@@ -212,9 +216,7 @@ def cmd_verify(cfg, report):
     domain = make_domain(cfg)
     with phase(log, "load"):
         gauge_form = build_gauge(cfg, domain)
-    checks, scalars = run_verify_checks(
-        domain, cfg["seed"], cfg["amplitude"], gauge_form=gauge_form
-    )
+    checks, scalars = run_verify_checks(domain, cfg["seed"], cfg["amplitude"], gauge_form)
     report["checks"] = checks
     report["scalars"] = scalars
     return (0 if all(c["pass"] for c in checks) else 1), None
@@ -296,11 +298,14 @@ def _emit(report, cfg, final_form):
         if out is None:
             sys.stdout.write(payload.decode())
             return
-        if final_form is not None:
-            Path(out).write_bytes(co.serialize(final_form))
-            Path(out + ".report.json").write_bytes(payload)
-        else:
-            Path(out).write_bytes(payload)
+        try:
+            if final_form is not None:
+                Path(out).write_bytes(co.serialize(final_form))
+                Path(out + ".report.json").write_bytes(payload)
+            else:
+                Path(out).write_bytes(payload)
+        except OSError as e:
+            raise ConfigError(f"cannot write output: {e}") from e
 
 
 def main(argv=None) -> int:

@@ -32,6 +32,9 @@ FILE_VERSION = 1
 COPY_NAMES = {BASE: "base", TILDE: "tilde"}
 COPY_FLAGS = {v: k for k, v in COPY_NAMES.items()}
 
+# largest su(2) / SU(2) deviation a validated connection or gauge may carry
+MEMBERSHIP_TOL = 1e-10
+
 
 class MalformedFormError(ValueError):
     """Payload is not a well-formed form file."""
@@ -96,16 +99,8 @@ class Cochain:
         idx = self.domain.storage_index(chart, k)
         self.values[idx + (self.dir_index(mask),)] = matrix
 
-    def copy_form(self) -> "Cochain":
-        return Cochain(self.domain, self.degree, self.values.copy(), self.copy)
-
-    def like(self, values, degree=None, copy=None) -> "Cochain":
-        return Cochain(
-            self.domain,
-            self.degree if degree is None else degree,
-            values,
-            self.copy if copy is None else copy,
-        )
+    def like(self, values) -> "Cochain":
+        return Cochain(self.domain, self.degree, values, self.copy)
 
     def __repr__(self):
         return (
@@ -114,10 +109,10 @@ class Cochain:
         )
 
 
-def _check_compatible(f: Cochain, g: Cochain, same_degree=True):
+def _check_compatible(f: Cochain, g: Cochain):
     if f.domain != g.domain:
         raise ValueError("forms live on different domains")
-    if same_degree and f.degree != g.degree:
+    if f.degree != g.degree:
         raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
     if f.copy != g.copy:
         raise ValueError("forms live on different copies of the complex")
@@ -158,27 +153,25 @@ def _fill_halo_clamped(domain: Domain, values):
     return np.pad(inner, pad, mode="edge")
 
 
-def zero_pad(f: Cochain, width: int = 1) -> Cochain:
-    """Zero every coefficient within `width` cells of the block boundary.
+def zero_pad(f: Cochain) -> Cochain:
+    """Zero every coefficient within one cell of the block boundary.
 
-    Keeps cells with 1 <= k_i <= N_i - width only, which makes all composite
+    Keeps cells with 1 <= k_i <= N_i - 1 only, which makes all composite
     stencil identities exact on the stored range.  No-op on the sphere.
     """
     if f.domain.is_sphere:
-        return f.copy_form()
+        return f.like(f.values.copy())
     out = np.zeros_like(f.values)
-    sl = (slice(None),) + tuple(slice(1, n + 1 - width) for n in f.domain.sizes)
+    sl = (slice(None),) + tuple(slice(1, n) for n in f.domain.sizes)
     out[sl] = f.values[sl]
     return f.like(out)
 
 
-def random_form(domain: Domain, degree: int, seed, amplitude=1.0, copy=BASE) -> Cochain:
-    """Random gl(2, C)-valued form; entries uniform complex in a box."""
+def random_form(domain: Domain, degree: int, seed, copy=BASE) -> Cochain:
+    """Random gl(2, C)-valued form; real and imaginary parts uniform in [-1, 1]."""
     rng = np.random.default_rng(seed)
     shape = Cochain.shape(domain, degree)
-    vals = rng.uniform(-amplitude, amplitude, size=shape) + 1j * rng.uniform(
-        -amplitude, amplitude, size=shape
-    )
+    vals = rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)
     vals = _fill_halo_clamped(domain, vals)
     return Cochain(domain, degree, vals, copy)
 
@@ -194,11 +187,12 @@ def random_connection(domain: Domain, amplitude: float, seed) -> Cochain:
     return Cochain(domain, 1, alg.embed_su2(vecs), BASE)
 
 
-def random_gauge(domain: Domain, seed, amplitude=np.pi) -> Cochain:
-    """SU(2)-valued degree-0 form from exponentials of random algebra vectors."""
+def random_gauge(domain: Domain, seed) -> Cochain:
+    """SU(2)-valued degree-0 form from exponentials of algebra vectors
+    uniform in [-pi, pi]^3."""
     rng = np.random.default_rng(seed)
     shape = (domain.ncharts, *domain.extents, 1, 3)
-    vecs = rng.uniform(-amplitude, amplitude, size=shape)
+    vecs = rng.uniform(-np.pi, np.pi, size=shape)
     vecs = _fill_halo_clamped(domain, vecs)
     return Cochain(domain, 0, alg.exp_su2(vecs), BASE)
 
@@ -213,21 +207,19 @@ def sum_profile_gauge(domain: Domain, amplitude=1.0, seed=0) -> Cochain:
     which requires all sizes equal.
     """
     rng = np.random.default_rng(seed)
-    vals = np.zeros(Cochain.shape(domain, 0), dtype=np.complex128)
+    idx = np.indices(Cochain.shape(domain, 0)[:5])
+    s = idx[1:].sum(axis=0)
     if domain.is_sphere:
         n = domain.sizes[0]
-        if any(s != n for s in domain.sizes):
+        if any(m != n for m in domain.sizes):
             raise ValueError("sum-profile gauge on the sphere needs equal sizes")
-        table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(2 * n, 3)))
-        for chart, k in domain.interior_cells():
-            s = (sum(k) + chart * n) % (2 * n)
-            vals[domain.storage_index(chart, k) + (0,)] = table[s]
+        # sphere storage holds k - 1, so k1+k2+k3+k4 = s + 4
+        s = (s + 4 + idx[0] * n) % (2 * n)
+        nprofile = 2 * n
     else:
-        smax = sum(n + 1 for n in domain.sizes)
-        table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(smax + 1, 3)))
-        for _, k in domain.stored_cells():
-            vals[domain.storage_index(0, k) + (0,)] = table[sum(k)]
-    return Cochain(domain, 0, vals, BASE)
+        nprofile = sum(n + 1 for n in domain.sizes) + 1
+    table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(nprofile, 3)))
+    return Cochain(domain, 0, table[s][..., None, :, :], BASE)
 
 
 def _require_finite(f: Cochain):
@@ -237,24 +229,24 @@ def _require_finite(f: Cochain):
         raise ValidationError("coefficients are not finite", float("inf"))
 
 
-def validate_connection(f: Cochain, tol=1e-10) -> Cochain:
+def validate_connection(f: Cochain) -> Cochain:
     """Check a degree-1 form is finite and su(2)-valued; returns it unchanged."""
     if f.degree != 1:
         raise ValidationError("connection must have degree 1", 0.0)
     _require_finite(f)
     dev = alg.su2_algebra_deviation(f.values)
-    if dev > tol * max(1.0, np.abs(f.values).max()):
+    if dev > MEMBERSHIP_TOL * max(1.0, np.abs(f.values).max()):
         raise ValidationError("coefficients are not su(2)", dev)
     return f
 
 
-def validate_gauge(f: Cochain, tol=1e-10) -> Cochain:
+def validate_gauge(f: Cochain) -> Cochain:
     """Check a degree-0 form is finite and SU(2)-valued; returns it unchanged."""
     if f.degree != 0:
         raise ValidationError("gauge field must have degree 0", 0.0)
     _require_finite(f)
     dev = alg.su2_group_deviation(f.values)
-    if dev > tol:
+    if dev > MEMBERSHIP_TOL:
         raise ValidationError("coefficients are not SU(2)", dev)
     return f
 

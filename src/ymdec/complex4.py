@@ -89,13 +89,6 @@ def shift(k: tuple, axis: int, direction: int = 1) -> tuple:
     return tuple(out)
 
 
-def shift_many(k: tuple, mask: int, direction: int = 1) -> tuple:
-    out = list(k)
-    for i in mask_axes(mask):
-        out[i - 1] += direction
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Domain:
     """Lattice sizes plus topology ("block" or "sphere").
@@ -266,5 +259,6 @@ def build_Vp(domain: Domain, p: int):
     for chart, k in domain.interior_cells():
         for mask in MASKS_BY_DEGREE[p]:
             cell = Cell(chart, k, mask, BASE)
-            out.append((cell, Cell(chart, k, FULL_MASK ^ mask, TILDE), PERM_SIGN[mask]))
+            sign, mirrored = star_cell(cell)
+            out.append((cell, mirrored, sign))
     return out

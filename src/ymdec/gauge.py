@@ -30,18 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra as alg
-from .calculus import (
-    coboundary,
-    copy_swap,
-    cup,
-    dual,
-    gather_table,
-    norm,
-    norm_sq,
-    shift_plus,
-    star,
-)
-from .cochain import Cochain, ValidationError, add, interior, scale, sub, validate_connection
+from .calculus import coboundary, cup, dual, gather_table, norm, norm_sq, shift_plus
+from .cochain import Cochain, add, interior, scale, sub, validate_connection
 from .complex4 import FULL_MASK, MASKS_BY_DEGREE, Domain, mask_axes
 
 # ordered axis pairs matching the degree-2 direction sets (ascending masks)
@@ -159,20 +149,14 @@ def gauge_inverse(h: Cochain) -> Cochain:
     return h.like(alg.inv2(h.values))
 
 
-def gauge_transform(A: Cochain, h: Cochain, su2_tol=None) -> Cochain:
+def gauge_transform(A: Cochain, h: Cochain) -> Cochain:
     """A' = h u d(h^-1) + h u A u h^-1.
 
-    With su2_tol set, raises ValidationError when the result strays from
-    su(2) by more than the tolerance; by default the deviation is left to
-    the caller (see algebra.su2_algebra_deviation).
+    The result is not projected: its deviation from su(2) is left to the
+    caller (see algebra.su2_algebra_deviation).
     """
     hinv = gauge_inverse(h)
-    out = add(cup(h, coboundary(hinv)), cup(h, cup(A, hinv)))
-    if su2_tol is not None:
-        dev = alg.su2_algebra_deviation(out.values[interior(out.domain)])
-        if dev > su2_tol:
-            raise ValidationError("transformed connection left su(2)", dev)
-    return out
+    return add(cup(h, coboundary(hinv)), cup(h, cup(A, hinv)))
 
 
 def bianchi_residual(A: Cochain) -> float:
@@ -231,35 +215,36 @@ def dual_compat_defects(h: Cochain):
     return tuple(out)
 
 
-def is_dual_compatible(h: Cochain, tol: float = 1e-12) -> bool:
-    """True iff all three paired-shift identities hold at every interior cell."""
-    return max(dual_compat_defects(h)) <= tol
+def is_dual_compatible(h: Cochain) -> bool:
+    """True iff all three paired-shift identities hold to 1e-12 at every
+    interior cell."""
+    return max(dual_compat_defects(h)) <= 1e-12
 
 
 def left_cup_dual_defect(h: Cochain, f: Cochain) -> float:
-    """Defect of mirror-star(h u f) = h u mirror-star(f); zero for every h."""
-    return norm(sub(copy_swap(star(cup(h, f))), cup(h, copy_swap(star(f)))))
+    """Defect of dual(h u f) = h u dual(f); zero for every h."""
+    return norm(sub(dual(cup(h, f)), cup(h, dual(f))))
 
 
 def right_cup_dual_defect(h: Cochain, f: Cochain) -> float:
-    """Defect of mirror-star(f u h) = mirror-star(f) u h for a 2-form f.
+    """Defect of dual(f u h) = dual(f) u h for a 2-form f.
 
     Vanishes iff h satisfies the paired-shift conditions (an iff: a gauge
     violating them produces a positive defect on generic f).
     """
     if f.degree != 2:
         raise ValueError("needs a degree-2 form")
-    return norm(sub(copy_swap(star(cup(f, h))), cup(copy_swap(star(f)), h)))
+    return norm(sub(dual(cup(f, h)), cup(dual(f), h)))
 
 
 def self_dual_part(F: Cochain) -> Cochain:
     """(F + dual F) / 2; fixed by the dual map."""
-    return scale(add(F, dual(F)), 0.5)
+    return scale(_sd_field(F, anti=True), 0.5)
 
 
 def anti_self_dual_part(F: Cochain) -> Cochain:
     """(F - dual F) / 2; negated by the dual map."""
-    return scale(sub(F, dual(F)), 0.5)
+    return scale(_sd_field(F, anti=False), 0.5)
 
 
 def _sd_field(F: Cochain, anti: bool) -> Cochain:

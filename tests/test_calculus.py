@@ -22,6 +22,11 @@ from ymdec.complex4 import (
 
 SPHERE = Domain((2, 2, 2, 2), "sphere")
 BLOCK = Domain((3, 3, 3, 3), "block")
+# non-cubic boxes: every axis has its own size, so a swapped axis shows
+SPHERE_2342 = Domain((2, 3, 4, 2), "sphere")
+BLOCK_2342 = Domain((2, 3, 4, 2), "block")
+# (domains, ids) of the invariant tests that also run on the non-cubic boxes
+ALL_DOMAINS = ([BLOCK, SPHERE, SPHERE_2342, BLOCK_2342], ["block", "sphere", "sphere-2342", "block-2342"])
 
 
 def rand(domain, p, seed, copy=BASE):
@@ -74,7 +79,7 @@ class TestStar:
                     sf.get(chart, k, comp), sgn * f.get(chart, k, axes_mask(axes))
                 )
 
-    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    @pytest.mark.parametrize("domain", ALL_DOMAINS[0], ids=ALL_DOMAINS[1])
     @pytest.mark.parametrize("p", range(5))
     def test_star_squared(self, domain, p):
         f = rand(domain, p, seed=p)
@@ -152,9 +157,13 @@ class TestCoboundary:
         f = rand(SPHERE, 4, seed=8)
         assert np.abs(ca.coboundary(f).values).max() == 0.0
 
-    @pytest.mark.parametrize("p", range(4))
-    def test_coboundary_squared_sphere(self, p):
-        f = rand(SPHERE, p, seed=30 + p)
+    @pytest.mark.parametrize(
+        "domain,p",
+        [(SPHERE, p) for p in range(4)] + [(SPHERE_2342, p) for p in range(4)],
+        ids=[str(p) for p in range(4)] + [f"2342-{p}" for p in range(4)],
+    )
+    def test_coboundary_squared_sphere(self, domain, p):
+        f = rand(domain, p, seed=30 + p)
         dd = ca.coboundary(ca.coboundary(f))
         assert np.abs(dd.values).max() <= 1e-13
 
@@ -230,9 +239,13 @@ class TestCup:
 class TestLeibniz:
     PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1), (0, 3), (3, 0)]
 
-    @pytest.mark.parametrize("p,q", PAIRS)
-    def test_sphere_exact(self, p, q):
-        f, g = rand(SPHERE, p, seed=40 + p), rand(SPHERE, q, seed=50 + q)
+    @pytest.mark.parametrize(
+        "domain,p,q",
+        [(SPHERE, p, q) for p, q in PAIRS] + [(SPHERE_2342, p, q) for p, q in PAIRS],
+        ids=[f"{p}-{q}" for p, q in PAIRS] + [f"2342-{p}-{q}" for p, q in PAIRS],
+    )
+    def test_sphere_exact(self, domain, p, q):
+        f, g = rand(domain, p, seed=40 + p), rand(domain, q, seed=50 + q)
         lhs = ca.coboundary(ca.cup(f, g))
         rhs = co.add(
             ca.cup(ca.coboundary(f), g),
@@ -242,8 +255,8 @@ class TestLeibniz:
 
     @pytest.mark.parametrize("p,q", PAIRS)
     def test_block_padded_exact(self, p, q):
-        f = co.zero_pad(rand(BLOCK, p, seed=60 + p), 1)
-        g = co.zero_pad(rand(BLOCK, q, seed=70 + q), 1)
+        f = co.zero_pad(rand(BLOCK, p, seed=60 + p))
+        g = co.zero_pad(rand(BLOCK, q, seed=70 + q))
         lhs = ca.coboundary(ca.cup(f, g))
         rhs = co.add(
             ca.cup(ca.coboundary(f), g),
@@ -351,7 +364,7 @@ class TestInnerProduct:
 
 
 class TestGreenFormula:
-    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    @pytest.mark.parametrize("domain", ALL_DOMAINS[0], ids=ALL_DOMAINS[1])
     @pytest.mark.parametrize("p", range(1, 5))
     def test_identity(self, domain, p):
         phi = rand(domain, p - 1, seed=100 + p)
@@ -384,16 +397,16 @@ class TestGreenFormula:
         assert abs(bt) > 1e-3
 
 
-def _sigma_by_resolve(domain, axis):
-    """Flat index of Domain.resolve(chart, k - e_axis) per stored cell, the
-    sentinel ncells where that address is outside the domain, then the
+def _gather_by_resolve(domain, axis, step):
+    """Flat index of Domain.resolve(chart, k + step e_axis) per stored cell,
+    the sentinel ncells where that address is outside the domain, then the
     sentinel row itself."""
     shape = (domain.ncharts, *domain.extents)
     offset = 1 if domain.is_sphere else 0   # storage index to k
     out = []
     for chart, *idx in np.ndindex(*shape):
         k = [i + offset for i in idx]
-        k[axis - 1] -= 1
+        k[axis - 1] += step
         try:
             chart2, k2 = domain.resolve(chart, tuple(k))
         except OutOfDomain:
@@ -407,6 +420,8 @@ class TestGatherTable:
     @pytest.mark.parametrize("topology", ["sphere", "block"])
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 4, 2)], ids=["2222", "2342"])
     def test_reproduces_the_shifts(self, topology, sizes):
+        # the scalar gluing of Domain.resolve is the oracle of both array
+        # statements of it: shift_plus and the table built from it
         domain = Domain(sizes, topology)
         tau, sigma = ca.gather_table(domain)
         shape = (domain.ncharts, *domain.extents)
@@ -414,10 +429,11 @@ class TestGatherTable:
         vals = np.random.default_rng(5).normal(size=shape + (3,))
         flat = np.concatenate([vals.reshape(ncells, 3), np.zeros((1, 3))])
         for axis in (1, 2, 3, 4):
-            got = flat[tau[axis - 1]]
-            assert np.array_equal(got[:-1].reshape(vals.shape), ca.shift_plus(domain, vals, axis))
-            assert np.array_equal(got[-1], np.zeros(3))
-            assert np.array_equal(sigma[axis - 1], _sigma_by_resolve(domain, axis))
+            want = _gather_by_resolve(domain, axis, +1)
+            assert np.array_equal(tau[axis - 1], want)
+            # a read past the block halo gives zero, as the sentinel row does
+            assert np.array_equal(ca.shift_plus(domain, vals, axis), flat[want][:-1].reshape(vals.shape))
+            assert np.array_equal(sigma[axis - 1], _gather_by_resolve(domain, axis, -1))
         # sphere shifts are permutations, inverse to each other; none reads the sentinel
         if domain.is_sphere:
             for axis in range(4):

@@ -393,7 +393,8 @@ class TestVerbose:
 # a documented code (0 pass, 1 check failure, 2 config error, 3 abort) and
 # raises nothing.  Valid sizes stay at 2..3 and max_iters at most 3, so every
 # accepted payload runs in well under a second; "file:" sources are only
-# the generated form file or a missing one, and outputs are never paths.
+# the generated form file or a missing one, and the only output path is one
+# in a missing directory, which cannot be written.
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=6)
 )
@@ -406,6 +407,8 @@ _JUNK = st.recursive(
 _NON_LIST_JUNK = _JUNK.filter(lambda v: not isinstance(v, list))
 _NON_STRING_JUNK = _JUNK.filter(lambda v: not isinstance(v, str))
 _NUMBER = st.one_of(st.floats(), st.integers(-3, 3), _SCALARS)
+# stands for <test temp dir>/missing/out.json, filled in by the test
+_MISSING_DIR_OUTPUT = "<missing-dir>/out.json"
 _SOLVER = st.fixed_dictionaries(
     {"max_iters": st.one_of(st.integers(0, 3), _SCALARS.filter(lambda v: not isinstance(v, int)))},
     optional={
@@ -438,7 +441,7 @@ _CONFIG = st.fixed_dictionaries(
             st.sampled_from(["identity", "random", "sum_profile"]),
             _JUNK.filter(lambda v: not (isinstance(v, str) and v.startswith("file:"))),
         ),
-        "output": st.one_of(st.none(), _NON_STRING_JUNK),
+        "output": st.one_of(st.none(), st.just(_MISSING_DIR_OUTPUT), _NON_STRING_JUNK),
         "unknown": _JUNK,
     },
 )
@@ -454,6 +457,8 @@ def _form_document(degree):
 def _form_payloads(draw):
     """A valid form file with some of its fields or coefficients spoiled."""
     doc = _form_document(draw(st.sampled_from([0, 1])))
+    if draw(st.booleans()):
+        doc["copy"] = "tilde"
     for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
         doc[key] = draw(_JUNK)
     if isinstance(doc["data"], list) and doc["data"] and draw(st.booleans()):
@@ -483,6 +488,29 @@ class TestBoundaryRegressions:
         form.write_text(json.dumps(doc))
         assert run(["action", "--config", write_config(tmp_path, connection=f"file:{form}")]) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "action", "relax"])
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+        solver = {"solver": {"max_iters": 3}} if command == "relax" else {}
+        path = write_config(tmp_path, **solver)
+        assert run([command, "--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "action", "relax"])
+    def test_form_file_on_the_tilde_copy_is_config_error(self, tmp_path, capsys, command):
+        # connections and gauges live on the base copy
+        doc = _form_document(0 if command == "verify" else 1)
+        doc["copy"] = "tilde"
+        form = tmp_path / "input.form.json"
+        form.write_text(json.dumps(doc))
+        config = {"gauge" if command == "verify" else "connection": f"file:{form}"}
+        if command == "relax":
+            config["solver"] = {"max_iters": 3}
+        assert run([command, "--config", write_config(tmp_path, **config)]) == 2
+        assert "on the tilde copy" in capsys.readouterr().err
+
 
 def _assert_documented_exit(args, capsys):
     assert run(args) in (0, 1, 2, 3)
@@ -499,6 +527,8 @@ class TestBoundaryProperties:
     @given(command=st.sampled_from(["verify", "action", "relax", "selfdual"]), config=_CONFIG)
     def test_any_config_payload(self, capsys, command, config):
         with tempfile.TemporaryDirectory() as tmp:
+            if config.get("output") == _MISSING_DIR_OUTPUT:
+                config["output"] = str(Path(tmp) / "missing" / "out.json")
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config, allow_nan=True))
             _assert_documented_exit([command, "--config", str(path)], capsys)

@@ -9,7 +9,7 @@ import pytest
 from ymdec import algebra as alg
 from ymdec import cli
 from ymdec import cochain as co
-from ymdec.complex4 import CHART_V, CHART_VHAT, Domain, axes_mask, shift_many
+from ymdec.complex4 import CHART_V, CHART_VHAT, Domain, axes_mask, shift
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,9 +115,18 @@ class TestConstructors:
         pairs = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
         for chart, k in domain.interior_cells():
             for left, right in pairs:
-                a = h.get(chart, shift_many(k, axes_mask(left)), 0)
-                b = h.get(chart, shift_many(k, axes_mask(right)), 0)
+                a = h.get(chart, shift(shift(k, left[0]), left[1]), 0)
+                b = h.get(chart, shift(shift(k, right[0]), right[1]), 0)
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [SPHERE, Domain((3, 3, 3, 3), "sphere"), Domain((2, 3, 4, 2), "block")],
+        ids=["sphere-2222", "sphere-3333", "block-2342"],
+    )
+    def test_sum_profile_gauge_matches_the_cell_formula(self, domain):
+        want = _sum_profile_by_cell(domain, amplitude=0.8, seed=3)
+        assert np.array_equal(co.sum_profile_gauge(domain, amplitude=0.8, seed=3).values, want)
 
     def test_sum_profile_gauge_rejects_uneven_sphere(self):
         with pytest.raises(ValueError):
@@ -125,10 +134,27 @@ class TestConstructors:
 
     def test_zero_pad_support(self):
         f = co.random_form(Domain((3, 3, 3, 3), "block"), 1, seed=10)
-        g = co.zero_pad(f, 1)
+        g = co.zero_pad(f)
         assert np.abs(g.values[:, 3:]).max() == 0
         assert np.abs(g.values[:, 0]).max() == 0
         np.testing.assert_array_equal(g.values[:, 1:3, 1:3, 1:3, 1:3], f.values[:, 1:3, 1:3, 1:3, 1:3])
+
+
+def _sum_profile_by_cell(domain, amplitude, seed):
+    """The sum-profile coefficients set cell by cell from k1+k2+k3+k4, with
+    the table drawn as sum_profile_gauge draws it."""
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(co.Cochain.shape(domain, 0), dtype=np.complex128)
+    if domain.is_sphere:
+        n = domain.sizes[0]
+        table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(2 * n, 3)))
+        for chart, k in domain.interior_cells():
+            vals[domain.storage_index(chart, k) + (0,)] = table[(sum(k) + chart * n) % (2 * n)]
+    else:
+        table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(sum(n + 1 for n in domain.sizes) + 1, 3)))
+        for _, k in domain.stored_cells():
+            vals[domain.storage_index(0, k) + (0,)] = table[sum(k)]
+    return vals
 
 
 def _golden_form():

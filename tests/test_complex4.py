@@ -71,10 +71,6 @@ class TestShifts:
         assert cx.shift((1, 1, 1, 1), 1, +1) == (2, 1, 1, 1)
         assert cx.shift((1, 1, 1, 2), 4, -1) == (1, 1, 1, 1)
 
-    def test_double_shift_composes(self):
-        k = (3, 5, 7, 9)
-        assert cx.shift(cx.shift(k, 1), 2) == cx.shift_many(k, cx.axes_mask([1, 2]))
-
 
 class TestResolve:
     def test_sphere_low_edge(self):
