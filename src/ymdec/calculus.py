@@ -73,7 +73,7 @@ def gather_table(domain: Domain):
     k_a = 0, tau at k_a = N_a + 1), and the sentinel points at itself.
     Arrays gathered through the table carry a zero row at that index.
     """
-    ncells = domain.ncharts * int(np.prod(domain.extents))
+    ncells = domain.ncells
     ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
     # shift_plus fills a read past the halo with 0, which marks the sentinel
     tau = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)]) - 1

@@ -25,13 +25,13 @@ next to it with ".report.json" appended.  A fixed-format summary table is
 always printed to stdout; without an output path the JSON report follows
 it.
 
-Exit codes: 0 pass, 1 check failure, 2 config error (also sizes whose
-2-form outgrows numpy's largest array, a connection or gauge file on the
-tilde copy, and an output path that cannot be written, such as a
-directory or a path in a missing directory), 3 solver abort, non-finite
-arithmetic (an overflowing action or check) or out of memory.  With -v
-the wall time of each phase (load, solve, diagnostics, write; each check
-of verify) is logged to stderr; it never enters the report.
+Exit codes: 0 pass, 1 check failure, 2 config error (also sizes that
+complex4.Domain rejects, too large ones included, a form file on the
+tilde copy, and an unwritable output path: a directory or a path in a
+missing directory before the run, other write failures after it), 3
+solver abort, non-finite arithmetic or out of memory.  With -v the wall
+time of each phase (load, solve, diagnostics, write; each check of
+verify) is logged to stderr; it never enters the report.
 """
 
 from __future__ import annotations
@@ -41,12 +41,10 @@ import copy
 import dataclasses
 import json
 import logging
-import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import __version__
 from . import cochain as co
@@ -119,18 +117,10 @@ def load_config(command, path=None, seed=None, output=None) -> dict:
 
 def _validate(cfg):
     """Checks the fields cfg holds, which are the ones its command reads."""
-    if cfg["topology"] not in ("sphere", "block"):
-        raise ConfigError(f"topology must be sphere or block, got {cfg['topology']!r}")
-    sizes = cfg["sizes"]
-    if (
-        not isinstance(sizes, (list, tuple))
-        or len(sizes) != 4
-        or any(not co.is_json_int(n) or n < 2 for n in sizes)
-    ):
-        raise ConfigError("sizes must be four integers >= 2")
-    entries = math.prod(co.Cochain.shape(make_domain(cfg), 2))
-    if entries * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
-        raise ConfigError(f"sizes {sizes} are too large: a 2-form exceeds numpy's largest array")
+    try:
+        make_domain(cfg)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
     if not co.is_json_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
     if not co.is_finite_real(cfg["amplitude"]) or cfg["amplitude"] < 0:
@@ -139,8 +129,11 @@ def _validate(cfg):
         v = cfg.get(field)
         if field in cfg and not (isinstance(v, str) and (v in allowed or v.startswith("file:"))):
             raise ConfigError(f"{field} must be one of {allowed} or file:<path>")
-    if cfg["output"] is not None and not isinstance(cfg["output"], str):
+    out = cfg["output"]
+    if out is not None and not isinstance(out, str):
         raise ConfigError("output must be null or a path")
+    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigError(f"cannot write output: {out!r} is a directory or in a missing one")
     if "solver" in cfg:
         if not isinstance(cfg["solver"].get("anti", False), bool):
             raise ConfigError("solver anti must be true or false")
@@ -156,7 +149,7 @@ def _solver_config(cfg) -> so.SolverConfig:
 
 
 def make_domain(cfg) -> Domain:
-    return Domain(tuple(cfg["sizes"]), cfg["topology"])
+    return Domain(cfg["sizes"], cfg["topology"])
 
 
 def _load_form(path, domain, degree, what, validate):
@@ -304,7 +297,7 @@ def _emit(report, cfg, final_form):
                 Path(out + ".report.json").write_bytes(payload)
             else:
                 Path(out).write_bytes(payload)
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
             raise ConfigError(f"cannot write output: {e}") from e
 
 

@@ -15,6 +15,9 @@ All topology arithmetic is exact (no floats).
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,19 +99,26 @@ class Domain:
     Block: a single chart V; storage carries a width-1 halo, indices
     0 .. N_i + 1 per axis.  Sphere: two charts V, Vhat glued along their
     boundaries; storage covers 1 .. N_i and every out-by-one address
-    resolves into the other chart.
+    resolves into the other chart.  Construction is the one check of a
+    valid lattice (four integer sizes >= 2, never coerced, a known
+    topology, the storage limit); it raises TypeError or ValueError.
     """
 
     sizes: tuple
     topology: str = "block"
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
-        if len(sizes) != 4 or any(n < 2 for n in sizes):
-            raise ValueError(f"sizes must be four integers >= 2, got {sizes}")
+        given = self.sizes
+        try:
+            object.__setattr__(self, "sizes", tuple(operator.index(n) for n in given))
+        except TypeError as e:
+            raise TypeError(f"sizes must be four integers >= 2, got {given!r}") from e
+        if len(self.sizes) != 4 or any(n < 2 for n in self.sizes):
+            raise ValueError(f"sizes must be four integers >= 2, got {given!r}")
         if self.topology not in ("block", "sphere"):
             raise ValueError(f"unknown topology {self.topology!r}")
+        if self.ncells * 6 * 4 * 16 > sys.maxsize:  # 2-form: 6 x 2x2 complex128 per cell
+            raise ValueError(f"sizes {given!r} are too large: a 2-form exceeds the largest array")
 
     @property
     def is_sphere(self) -> bool:
@@ -124,6 +134,11 @@ class Domain:
         if self.is_sphere:
             return self.sizes
         return tuple(n + 2 for n in self.sizes)
+
+    @property
+    def ncells(self) -> int:
+        """Stored cells over all charts."""
+        return self.ncharts * math.prod(self.extents)
 
     def resolve(self, chart: int, k: tuple):
         """Resolve an address to its stored representative.

@@ -69,9 +69,9 @@ def connection_planes(vecs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pair_gather(domain: Domain):
-    """Flat cell indices of tau_i n and tau_j n per pair, (ncells + 1, 6) each."""
-    tau, _ = gather_table(domain)
-    out = tau[PAIR_I].T.copy(), tau[PAIR_J].T.copy()
+    """Flat cell indices of tau_i n, tau_j n, sigma_i n, sigma_j n per pair, (ncells + 1, 6) each."""
+    tau, sigma = gather_table(domain)
+    out = tuple(t[axes].T.copy() for t in (tau, sigma) for axes in (PAIR_I, PAIR_J))
     for t in out:
         t.setflags(write=False)
     return out
@@ -79,7 +79,7 @@ def _pair_gather(domain: Domain):
 
 def gather_pairs(domain: Domain, a: np.ndarray) -> PairPlanes:
     """The stencil operands of axis planes a (see connection_planes)."""
-    ti, tj = _pair_gather(domain)
+    ti, tj, _, _ = _pair_gather(domain)
     return PairPlanes(a[:, :, PAIR_I], a[:, :, PAIR_J], a[:, ti, PAIR_J], a[:, tj, PAIR_I])
 
 

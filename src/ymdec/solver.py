@@ -32,7 +32,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import gauge
-from .calculus import _star_plan, gather_table, norm_sq
+from .calculus import _star_plan, norm_sq
 from .cochain import Cochain, interior, is_finite_real
 from .complex4 import Domain
 from .timing import phase
@@ -113,10 +113,9 @@ class _Kernel:
         self.anti = anti
         self.shape = (domain.ncharts, *domain.extents, 4, 3)
         mask = np.zeros((domain.ncharts, *domain.extents))
-        mask[interior(domain)[:5]] = 1.0
+        mask[interior(domain)] = 1.0
         self.mask = np.append(mask.ravel(), 0.0)[:, None]   # (cells + sentinel, pair)
-        _, sigma = gather_table(domain)
-        self.sigma_i, self.sigma_j = sigma[gauge.PAIR_I].T.copy(), sigma[gauge.PAIR_J].T.copy()
+        _, _, self.sigma_i, self.sigma_j = gauge._pair_gather(domain)
         # the dual map on pair planes: a signed permutation
         plan = sorted(_star_plan(2))
         self.dual_perm = [i for _, _, i in plan]

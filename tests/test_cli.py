@@ -498,6 +498,21 @@ class TestBoundaryRegressions:
         err = capsys.readouterr().err
         assert "cannot write output" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify", "action", "relax", "selfdual"])
+    def test_unwritable_output_is_found_before_the_run(self, tmp_path, capsys, command):
+        # default solver: the run would take seconds, and its table would reach stdout
+        assert run([command, "--output", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cannot write output" in err
+
+    @pytest.mark.parametrize("output", ["a\x00b", "a" * 5000], ids=["nul-byte", "name-too-long"])
+    def test_output_path_that_cannot_be_stat_is_config_error(self, tmp_path, capsys, output):
+        # stat raises here (ValueError for a NUL byte, OSError for a long name), and so
+        # does writing; both must end in exit 2, never a traceback
+        assert run(["action", "--config", write_config(tmp_path, output=output)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["verify", "action", "relax"])
     def test_form_file_on_the_tilde_copy_is_config_error(self, tmp_path, capsys, command):
         # connections and gauges live on the base copy

@@ -223,6 +223,14 @@ class TestSerialization:
         with pytest.raises(co.FormShapeError):
             co.deserialize(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("n", [10**6, 10**18])
+    def test_over_large_sizes_are_rejected_before_the_payload(self, n):
+        # the expected payload count once wrapped in int64 (e.g. -2416630432054378496)
+        doc = json.loads(co.serialize(_golden_form()))
+        doc["sizes"] = [n] * 4
+        with pytest.raises(co.FormShapeError, match="too large"):
+            co.deserialize(json.dumps(doc).encode())
+
     def test_missing_field(self):
         import json
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from oracles import cup_basis, factors, parity_sign
@@ -141,6 +142,30 @@ class TestResolve:
             Domain((1, 2, 2, 2), "block")
         with pytest.raises(ValueError):
             Domain((2, 2, 2, 2), "torus")
+
+    @pytest.mark.parametrize(
+        "sizes", [(2, 2, 2, 2.0), ("2", 2, 2, 2), (2, 2, 2, True), 2222],
+        ids=["float", "string", "bool", "not-a-sequence"],
+    )
+    def test_sizes_are_integers_not_coerced(self, sizes):
+        with pytest.raises((TypeError, ValueError), match="four integers"):
+            Domain(sizes, "block")
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        d = Domain(tuple(np.arange(2, 6)), "sphere")
+        assert d.sizes == (2, 3, 4, 5) and all(type(n) is int for n in d.sizes)
+        assert d == Domain([2, 3, 4, 5], "sphere")
+
+    @pytest.mark.parametrize("topology", ["block", "sphere"])
+    def test_storage_limit(self, topology):
+        # a 2-form of 10^6 per axis outgrows any array; the count must not wrap
+        with pytest.raises(ValueError, match="too large"):
+            Domain((10**6,) * 4, topology)
+
+    @pytest.mark.parametrize("topology", ["block", "sphere"])
+    def test_ncells_counts_stored_cells(self, topology):
+        d = Domain((2, 3, 4, 2), topology)
+        assert d.ncells == len(d.stored_cells())
 
 
 class TestBoundary:

@@ -13,6 +13,12 @@ from ymdec.complex4 import Domain, axes_mask
 
 SPHERE = Domain((2, 2, 2, 2), "sphere")
 BLOCK = Domain((3, 3, 3, 3), "block")
+SPHERE_2342 = Domain((2, 3, 4, 2), "sphere")
+BLOCK_2342 = Domain((2, 3, 4, 2), "block")
+# both topologies, cubic and non-cubic; the cubic ids are the original ones
+ALL_DOMAINS = pytest.mark.parametrize(
+    "domain", [BLOCK, SPHERE, BLOCK_2342, SPHERE_2342], ids=["block", "sphere", "block-2342", "sphere-2342"]
+)
 
 
 def constant_connection(domain, vectors):
@@ -43,7 +49,7 @@ class TestCurvature:
         f = ga.curvature(constant_connection(SPHERE, vs))
         assert np.abs(f.values).max() <= 1e-16
 
-    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    @ALL_DOMAINS
     def test_assembled_matches_component_stencil(self, domain):
         for seed in range(5):
             a = co.random_connection(domain, 0.8, seed=seed)
@@ -55,7 +61,7 @@ class TestCurvature:
         with pytest.raises(ValueError):
             ga.curvature(co.Cochain.zeros(SPHERE, 2))
 
-    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    @ALL_DOMAINS
     def test_component_stencil_rejects_non_su2_forms(self, domain):
         # the quaternion stencil reads only the su(2) part; it must not project
         with pytest.raises(ValidationError):
@@ -69,7 +75,7 @@ class TestCurvature:
 
 
 class TestConnectionScalars:
-    @pytest.mark.parametrize("domain", [SPHERE, BLOCK], ids=["sphere", "block"])
+    @ALL_DOMAINS
     def test_bitwise_equal_to_the_separate_functions(self, domain):
         a = co.random_connection(domain, 0.7, seed=12)
         got = ga.connection_scalars(a)
@@ -113,7 +119,7 @@ class TestBianchi:
         vs = [(0.3, 0, 0.1), (0, -0.2, 0.4), (0.5, 0.5, 0), (-0.1, 0.2, 0.3)]
         assert ga.bianchi_residual(constant_connection(SPHERE, vs)) <= 1e-12
 
-    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    @ALL_DOMAINS
     def test_random_connections(self, domain):
         for seed in range(10):
             a = co.random_connection(domain, 1.0, seed=100 + seed)
