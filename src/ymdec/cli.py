@@ -27,8 +27,9 @@ it.
 
 Exit codes: 0 pass, 1 check failure, 2 config error (also sizes that
 complex4.Domain rejects, too large ones included, a form file on the
-tilde copy, and an unwritable output path: a directory or a path in a
-missing directory before the run, other write failures after it), 3
+tilde copy, and an output path that cannot be written: before the run
+when it is empty, a directory or in a missing directory, and so is the
+report path of relax and selfdual; other write failures after it), 3
 solver abort, non-finite arithmetic or out of memory.  With -v the wall
 time of each phase (load, solve, diagnostics, write; each check of
 verify) is logged to stderr; it never enters the report.
@@ -78,8 +79,16 @@ class ConfigError(Exception):
     pass
 
 
-def load_config(command, path=None, seed=None, output=None) -> dict:
-    """The command's fields, defaults filled in from DEFAULT_CONFIG, validated."""
+class Job(NamedTuple):
+    """A run as load_config checked it; the command and _emit read it, nothing rebuilds it."""
+    config: dict  # the command's fields, echoed as the report's "config"
+    domain: Domain
+    solver: so.SolverConfig | None  # None for verify and action
+    outputs: tuple  # files written, in order: the report, or the final form then its report
+
+
+def load_config(command, path=None, seed=None, output=None) -> Job:
+    """The command's fields, defaults filled in from DEFAULT_CONFIG, checked and built."""
     spec = COMMANDS[command]
     cfg = {k: copy.deepcopy(DEFAULT_CONFIG[k]) for k in COMMON_FIELDS + spec.fields}
     if spec.solver:
@@ -111,45 +120,33 @@ def load_config(command, path=None, seed=None, output=None) -> dict:
         cfg["seed"] = seed
     if output is not None:
         cfg["output"] = output
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg):
-    """Checks the fields cfg holds, which are the ones its command reads."""
     try:
-        make_domain(cfg)
+        domain = Domain(cfg["sizes"], cfg["topology"])
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
     if not co.is_json_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
     if not co.is_finite_real(cfg["amplitude"]) or cfg["amplitude"] < 0:
         raise ConfigError("amplitude must be a finite number >= 0")
-    for field, allowed in (("connection", ("zero", "random")), ("gauge", ("identity", "random", "sum_profile"))):
-        v = cfg.get(field)
-        if field in cfg and not (isinstance(v, str) and (v in allowed or v.startswith("file:"))):
-            raise ConfigError(f"{field} must be one of {allowed} or file:<path>")
+    for field in SOURCES.keys() & cfg.keys():
+        v, named = cfg[field], SOURCES[field].named
+        if not (isinstance(v, str) and (v in named or v.startswith("file:"))):
+            raise ConfigError(f"{field} must be one of {tuple(named)} or file:<path>")
     out = cfg["output"]
     if out is not None and not isinstance(out, str):
         raise ConfigError("output must be null or a path")
-    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
-        raise ConfigError(f"cannot write output: {out!r} is a directory or in a missing one")
-    if "solver" in cfg:
-        if not isinstance(cfg["solver"].get("anti", False), bool):
-            raise ConfigError("solver anti must be true or false")
-        _solver_config(cfg)
-
-
-def _solver_config(cfg) -> so.SolverConfig:
-    block = {k: v for k, v in cfg["solver"].items() if k != "anti"}
+    # a solve writes its final form, and its report next to it
+    outputs = () if out is None else (out, out + ".report.json") if spec.solver else (out,)
+    for target in outputs:
+        if not target or os.path.isdir(target) or not os.path.isdir(os.path.dirname(target) or "."):
+            raise ConfigError(f"cannot write output: {target!r} is not a file path in an existing directory")
+    if not isinstance(cfg.get("solver", {}).get("anti", False), bool):
+        raise ConfigError("solver anti must be true or false")
     try:
-        return so.SolverConfig(**block)
+        solver = so.SolverConfig(**{k: cfg["solver"][k] for k in SOLVER_FIELDS}) if spec.solver else None
     except ValueError as e:
         raise ConfigError(f"bad solver config: {e}") from e
-
-
-def make_domain(cfg) -> Domain:
-    return Domain(cfg["sizes"], cfg["topology"])
+    return Job(cfg, domain, solver, outputs)
 
 
 def _load_form(path, domain, degree, what, validate):
@@ -174,61 +171,66 @@ def _load_form(path, domain, degree, what, validate):
         raise ConfigError(f"{what} file: {e}") from e
 
 
-def build_connection(cfg, domain) -> co.Cochain:
-    src = cfg["connection"]
-    if src == "zero":
-        return co.Cochain.zeros(domain, 1)
-    if src == "random":
-        return co.random_connection(domain, cfg["amplitude"], cfg["seed"])
-    return _load_form(src[len("file:"):], domain, 1, "connection", co.validate_connection)
+def _identity_gauge(domain, cfg):
+    h = co.Cochain.zeros(domain, 0)
+    h.values[..., [0, 1], [0, 1]] = 1.0
+    return h
 
 
-def build_gauge(cfg, domain) -> co.Cochain:
-    src = cfg["gauge"]
-    if src == "identity":
-        h = co.Cochain.zeros(domain, 0)
-        h.values[..., 0, 0] = 1.0
-        h.values[..., 1, 1] = 1.0
-        return h
-    if src == "random":
-        return co.random_gauge(domain, cfg["seed"] + 1)
-    if src == "sum_profile":
+class Source(NamedTuple):
+    degree: int
+    validate: Callable  # checks a form read from a file:<path> source
+    named: dict  # source name -> (domain, cfg) -> form
+
+
+# the one statement of each input's sources; any other value must be file:<path>
+SOURCES = {
+    "connection": Source(1, co.validate_connection, {
+        "zero": lambda domain, cfg: co.Cochain.zeros(domain, 1),
+        "random": lambda domain, cfg: co.random_connection(domain, cfg["amplitude"], cfg["seed"]),
+    }),
+    "gauge": Source(0, co.validate_gauge, {
+        "identity": _identity_gauge,
+        "random": lambda domain, cfg: co.random_gauge(domain, cfg["seed"] + 1),
+        "sum_profile": lambda domain, cfg: co.sum_profile_gauge(domain, amplitude=1.0, seed=cfg["seed"] + 1),
+    }),
+}
+
+
+def build_input(job, field) -> co.Cochain:
+    """The connection or gauge form the config's `field` names."""
+    src, source = job.config[field], SOURCES[field]
+    with phase(log, "load"):
+        if src.startswith("file:"):
+            return _load_form(src[len("file:"):], job.domain, source.degree, field, source.validate)
         try:
-            return co.sum_profile_gauge(domain, amplitude=1.0, seed=cfg["seed"] + 1)
-        except ValueError as e:
+            return source.named[src](job.domain, job.config)
+        except ValueError as e:  # no sum-profile gauge on a non-cubic sphere
             raise ConfigError(str(e)) from e
-    return _load_form(src[len("file:"):], domain, 0, "gauge", co.validate_gauge)
 
 
-def _load_connection(cfg) -> co.Cochain:
-    with phase(log, "load"):
-        return build_connection(cfg, make_domain(cfg))
-
-
-def cmd_verify(cfg, report):
-    domain = make_domain(cfg)
-    with phase(log, "load"):
-        gauge_form = build_gauge(cfg, domain)
-    checks, scalars = run_verify_checks(domain, cfg["seed"], cfg["amplitude"], gauge_form)
+def cmd_verify(job, report):
+    gauge_form = build_input(job, "gauge")
+    checks, scalars = run_verify_checks(job.domain, job.config["seed"], job.config["amplitude"], gauge_form)
     report["checks"] = checks
     report["scalars"] = scalars
     return (0 if all(c["pass"] for c in checks) else 1), None
 
 
-def cmd_action(cfg, report):
-    A = _load_connection(cfg)
+def cmd_action(job, report):
+    A = build_input(job, "connection")
     with phase(log, "diagnostics"):
         report["scalars"] = connection_scalars(A)
     return 0, None
 
 
-def cmd_relax(cfg, report):
-    return _solver_report(report, so.minimize(_load_connection(cfg), _solver_config(cfg)))
+def cmd_relax(job, report):
+    return _solver_report(report, so.minimize(build_input(job, "connection"), job.solver))
 
 
-def cmd_selfdual(cfg, report):
+def cmd_selfdual(job, report):
     result = so.solve_self_dual(
-        _load_connection(cfg), _solver_config(cfg), anti=cfg["solver"]["anti"]
+        build_input(job, "connection"), job.solver, anti=job.config["solver"]["anti"]
     )
     return _solver_report(report, result)
 
@@ -246,7 +248,7 @@ def _solver_report(report, result):
 
 class Command(NamedTuple):
     help: str
-    run: Callable  # (cfg, report) -> (exit code, final connection or None); fills report
+    run: Callable  # (job, report) -> (exit code, final connection or None); fills report
     fields: tuple  # config fields read beyond COMMON_FIELDS
     solver: tuple = ()  # solver block keys read; () means no solver block
 
@@ -283,22 +285,19 @@ def render_report(report) -> bytes:
     return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _emit(report, cfg, final_form):
+def _emit(report, job, final_form):
     with phase(log, "write"):
         payload = render_report(report)
-        out = cfg["output"]
         _print_table(report)
-        if out is None:
+        if not job.outputs:
             sys.stdout.write(payload.decode())
             return
-        try:
-            if final_form is not None:
-                Path(out).write_bytes(co.serialize(final_form))
-                Path(out + ".report.json").write_bytes(payload)
-            else:
-                Path(out).write_bytes(payload)
-        except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
-            raise ConfigError(f"cannot write output: {e}") from e
+        payloads = (payload,) if final_form is None else (co.serialize(final_form), payload)
+        for target, data in zip(job.outputs, payloads, strict=True):
+            try:
+                Path(target).write_bytes(data)
+            except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
+                raise ConfigError(f"cannot write output: {e}") from e
 
 
 def main(argv=None) -> int:
@@ -334,19 +333,19 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        cfg = load_config(args.command, args.config, seed=args.seed, output=args.output)
+        job = load_config(args.command, args.config, seed=args.seed, output=args.output)
         report = {
             "tool": "ymdec",
             "version": __version__,
             "cell_ordering": CELL_ORDERING,
             "command": args.command,
-            "config": cfg,
+            "config": job.config,
             "checks": [],
             "scalars": {},
             "trace": [],
         }
-        code, final = COMMANDS[args.command].run(cfg, report)
-        _emit(report, cfg, final)
+        code, final = COMMANDS[args.command].run(job, report)
+        _emit(report, job, final)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

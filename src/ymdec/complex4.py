@@ -85,10 +85,10 @@ class Cell(NamedTuple):
     copy: int = BASE
 
 
-def shift(k: tuple, axis: int, direction: int = 1) -> tuple:
-    """Move the multi-index one step along an axis (tau for +1, sigma for -1)."""
+def shift(k: tuple, axis: int) -> tuple:
+    """Move the multi-index one step up an axis (tau)."""
     out = list(k)
-    out[axis - 1] += direction
+    out[axis - 1] += 1
     return tuple(out)
 
 
@@ -239,7 +239,7 @@ def boundary_cell(domain: Domain, cell: Cell) -> Chain:
     for pos, i in enumerate(axes):
         sign = -1 if pos & 1 else 1
         sub = cell.mask & ~(1 << (i - 1))
-        up_chart, up_k = domain.resolve(cell.chart, shift(cell.k, i, +1))
+        up_chart, up_k = domain.resolve(cell.chart, shift(cell.k, i))
         out.add(Cell(up_chart, up_k, sub, cell.copy), sign)
         lo_chart, lo_k = domain.resolve(cell.chart, cell.k)
         out.add(Cell(lo_chart, lo_k, sub, cell.copy), -sign)

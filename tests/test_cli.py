@@ -34,15 +34,26 @@ def write_config(tmp_path, **overrides):
 
 class TestConfig:
     def test_defaults_validate(self, tmp_path, capsys):
-        cfg = cli.load_config("relax")
+        cfg = cli.load_config("relax").config
         assert cfg["topology"] == "sphere" and cfg["sizes"] == [2, 2, 2, 2]
         assert list(cfg["solver"]) == ["max_iters", "grad_tol"]
-        assert list(cli.load_config("selfdual")["solver"]) == ["max_iters", "grad_tol", "anti"]
+        assert list(cli.load_config("selfdual").config["solver"]) == ["max_iters", "grad_tol", "anti"]
         # knobs that nothing read are gone and now unknown
         for key, value in (("backtrack_factor", 0.5), ("initial_step", 1.0), ("seed", 7)):
             path = write_config(tmp_path, solver={key: value})
             assert run(["relax", "--config", path]) == 2
             assert "unknown solver fields" in capsys.readouterr().err
+
+    def test_the_job_holds_what_the_run_uses(self, tmp_path):
+        for command in ("verify", "action"):
+            job = cli.load_config(command, output=str(tmp_path / "r.json"))
+            assert job.domain == Domain((2, 2, 2, 2), "sphere") and job.solver is None
+            assert job.outputs == (str(tmp_path / "r.json"),)
+        for command in ("relax", "selfdual"):
+            job = cli.load_config(command, output=str(tmp_path / "f.json"))
+            assert job.solver == so.SolverConfig()
+            assert job.outputs == (str(tmp_path / "f.json"), str(tmp_path / "f.json.report.json"))
+        assert cli.load_config("action").outputs == ()
 
     def test_rejects_degenerate_sizes(self, tmp_path):
         path = write_config(tmp_path, sizes=[1, 2, 2, 2])
@@ -393,8 +404,8 @@ class TestVerbose:
 # a documented code (0 pass, 1 check failure, 2 config error, 3 abort) and
 # raises nothing.  Valid sizes stay at 2..3 and max_iters at most 3, so every
 # accepted payload runs in well under a second; "file:" sources are only
-# the generated form file or a missing one, and the only output path is one
-# in a missing directory, which cannot be written.
+# the generated form file or a missing one, and the only output paths are one
+# in a missing directory and the empty one, neither of which can be written.
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=6)
 )
@@ -441,7 +452,7 @@ _CONFIG = st.fixed_dictionaries(
             st.sampled_from(["identity", "random", "sum_profile"]),
             _JUNK.filter(lambda v: not (isinstance(v, str) and v.startswith("file:"))),
         ),
-        "output": st.one_of(st.none(), st.just(_MISSING_DIR_OUTPUT), _NON_STRING_JUNK),
+        "output": st.one_of(st.none(), st.just(_MISSING_DIR_OUTPUT), st.just(""), _NON_STRING_JUNK),
         "unknown": _JUNK,
     },
 )
@@ -504,6 +515,32 @@ class TestBoundaryRegressions:
         assert run([command, "--output", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "cannot write output" in err
+
+    @pytest.mark.parametrize("command", ["relax", "selfdual"])
+    def test_unwritable_report_path_is_found_before_the_run(self, tmp_path, capsys, command):
+        # a solve writes <out> and then <out>.report.json; both are checked before it starts
+        out = tmp_path / "out.json"
+        (tmp_path / "out.json.report.json").mkdir()
+        assert run([command, "--output", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "cannot write output" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "action", "relax", "selfdual"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_output_path_is_found_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        monkeypatch.chdir(tmp_path)
+        if where == "flag":
+            args = [command, "--output", ""]
+        else:
+            args = [command, "--config", write_config(tmp_path, output="")]
+        before = sorted(tmp_path.iterdir())
+        assert run(args) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "cannot write output" in err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("output", ["a\x00b", "a" * 5000], ids=["nul-byte", "name-too-long"])
     def test_output_path_that_cannot_be_stat_is_config_error(self, tmp_path, capsys, output):

@@ -12,6 +12,8 @@ from ymdec.complex4 import MASKS_BY_DEGREE, Domain
 
 SPHERE = Domain((2, 2, 2, 2), "sphere")
 BLOCK = Domain((2, 2, 2, 2), "block")
+NON_CUBIC = [Domain((2, 3, 4, 2), "sphere"), Domain((2, 3, 4, 2), "block")]
+NON_CUBIC_IDS = ["sphere-2342", "block-2342"]
 
 
 class TestAction:
@@ -107,14 +109,19 @@ class TestMinimize:
         assert rep.converged and rep.n_iters == 0
         assert rep.diagnostics["action"] == 0.0
 
-    def test_reaches_gradient_tolerance(self):
-        a0 = co.random_connection(SPHERE, 0.1, seed=7)
+    def test_reaches_gradient_tolerance(self, domain=SPHERE):
+        a0 = co.random_connection(domain, 0.1, seed=7)
         rep = so.minimize(a0, so.SolverConfig(max_iters=5000, grad_tol=1e-6))
         assert rep.converged and rep.n_iters <= 5000
         objs = [r[0] for r in rep.iterations]
         assert all(b < a for a, b in zip(objs, objs[1:]))
         assert rep.iterations[-1][1] <= 1e-6
         assert alg.is_su2_algebra(rep.final.values, tol=1e-12)
+
+    # the same on non-cubic sizes; a parametrized copy, so the 2^4 test keeps its id
+    @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
+    def test_reaches_gradient_tolerance_non_cubic(self, domain):
+        self.test_reaches_gradient_tolerance(domain)
 
     def test_first_step_satisfies_armijo(self):
         a0 = co.random_connection(SPHERE, 0.1, seed=9)
@@ -196,14 +203,18 @@ class TestSelfDual:
         assert rep.converged and rep.n_iters == 0
         assert rep.iterations[0][0] <= 1e-28
 
-    def test_residual_driven_to_component_equations(self):
-        a0 = co.random_connection(SPHERE, 0.05, seed=8)
+    def test_residual_driven_to_component_equations(self, domain=SPHERE):
+        a0 = co.random_connection(domain, 0.05, seed=8)
         cfg = so.SolverConfig(max_iters=3000, grad_tol=1e-6)
         rep = so.solve_self_dual(a0, cfg)
         objs = [r[0] for r in rep.iterations]
         assert all(b < a for a, b in zip(objs, objs[1:]))
         # component defects settle at the sqrt(grad_tol) scale
         assert max(rep.diagnostics["sd_component_defects"]) <= 1e-3
+
+    @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
+    def test_residual_driven_to_component_equations_non_cubic(self, domain):
+        self.test_residual_driven_to_component_equations(domain)
 
     def test_anti_variant_flips_the_sign(self):
         a0 = co.random_connection(SPHERE, 0.05, seed=14)
@@ -354,11 +365,7 @@ def _oracle_objective(domain, objective, anti, vecs):
     return ca.norm_sq(co.add(f, ca.dual(f)))
 
 
-LARGER = [
-    Domain((2, 3, 4, 2), "sphere"),
-    Domain((2, 3, 4, 2), "block"),
-    Domain((4, 4, 4, 4), "block"),
-]
+LARGER = [*NON_CUBIC, Domain((4, 4, 4, 4), "block")]
 
 
 class TestKernelAgainstCochainOracle:
