@@ -29,8 +29,7 @@ from .complex4 import (
     PERM_SIGN,
     Chain,
     Domain,
-    boundary_cell,
-    build_Vp,
+    boundary_arrays,
     cup_sign,
     degree,
     mask_axes,
@@ -233,9 +232,19 @@ def pair_chain(chain: Chain, f: Cochain):
     return out
 
 
-@lru_cache(maxsize=None)
-def _diagonal_chain(domain: Domain, p: int):
-    return tuple(build_Vp(domain, p))
+def pair_boundaries(f: Cochain) -> Cochain:
+    """pair_chain(boundary_cell(cell), f) for every stored degree-(p+1) cell.
+
+    Scattered from boundary_arrays, so it never reads the shifts; zero on
+    the block cells whose boundary leaves the halo.
+    """
+    row, col, coeff = boundary_arrays(f.domain, f.degree + 1)
+    out = Cochain.zeros(f.domain, f.degree + 1, f.copy)
+    np.add.at(
+        out.values.reshape(-1, 2, 2), row,
+        coeff[:, None, None] * f.values.reshape(-1, 2, 2)[col],
+    )
+    return out
 
 
 def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:
@@ -246,8 +255,9 @@ def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:
     boundary flux: the codifferential reads forward neighbors like the
     coboundary, so the adjointness defect it measures is spread over the
     support and stays O(1) for generic forms even on the closed sphere.
-    Assembled directly from chain boundaries of the degree-p and
-    degree-(p-1) diagonal chains, independent of the vectorized operators.
+    Assembled from the chain boundaries (pair_boundaries) of phi and of
+    star(omega^H), each traced against its star partner over the interior,
+    independent of the coboundary and codifferential it checks.
     """
     p = omega.degree
     if phi.degree != p - 1:
@@ -257,18 +267,16 @@ def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:
     if phi.copy != BASE or omega.copy != BASE:
         raise ValueError("the pairing is assembled over base-copy diagonal chains")
     star_omega_conj = star(conj_transpose_form(omega))
-    total = 0.0 + 0.0j
-    for cell, tcell, sign in _diagonal_chain(phi.domain, p):
-        m1 = pair_chain(boundary_cell(phi.domain, cell), phi)
-        if not m1.any():
-            continue
-        m2 = sign * star_omega_conj.get(tcell.chart, tcell.k, tcell.mask)
-        total += np.trace(m1 @ m2)
+    sl = interior(phi.domain)
+
+    def traced(lower, upper, q):
+        # sum over the interior of sign * tr(lower^P upper^{P^c}), P of degree q
+        return sum(
+            sign * np.sum(lower[..., i_idx, :, :] * upper[..., o_idx, :, :].swapaxes(-1, -2))
+            for o_idx, sign, i_idx in _star_plan(q)
+        )
+
+    total = traced(pair_boundaries(phi).values[sl], star_omega_conj.values[sl], p)
     sgn = -1 if (p - 1) % 2 else 1
-    for cell, tcell, sign in _diagonal_chain(phi.domain, p - 1):
-        m2 = sign * pair_chain(boundary_cell(phi.domain, tcell), star_omega_conj)
-        if not m2.any():
-            continue
-        m1 = phi.get(cell.chart, cell.k, cell.mask)
-        total += sgn * np.trace(m1 @ m2)
+    total += sgn * traced(phi.values[sl], pair_boundaries(star_omega_conj).values[sl], p - 1)
     return complex(total)

@@ -8,7 +8,8 @@ tensor factors are 1-dimensional.  Direction sets are stored as bitmasks
 complex vs its mirror copy), which the star operator toggles.
 
 Chains are sparse integer/real combinations of cells; the boundary
-operator and the diagonal chains used by the inner product live here.
+operator, its cached integer arrays and the diagonal chains used by the
+inner product live here.
 All topology arithmetic is exact (no floats).
 """
 
@@ -19,7 +20,10 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 AXES = (1, 2, 3, 4)
 FULL_MASK = 0b1111
@@ -251,6 +255,41 @@ def boundary(domain: Domain, chain: Chain) -> Chain:
     for cell, coeff in chain:
         for bcell, bcoeff in boundary_cell(domain, cell):
             out.add(bcell, coeff * bcoeff)
+    return out
+
+
+@lru_cache(maxsize=None)
+def boundary_arrays(domain: Domain, p: int):
+    """(row, col, coeff): the boundary of the degree-p cells as integer COO.
+
+    Rows index flat (stored cell, degree-p direction set), columns flat
+    (stored cell, degree-(p-1) direction set), stored cells in storage
+    order, so rows ascend.  Built by one boundary_cell call per stored cell
+    and direction set, so the vectorized shifts these arrays check never
+    enter them.  On the block a cell whose boundary leaves the halo raises
+    OutOfDomain and gets no row.  Cached per domain and degree; read-only.
+    """
+    if not 1 <= p <= 4:
+        raise ValueError("degree out of range")
+    masks = MASKS_BY_DEGREE[p]
+    sub_index = {m: i for i, m in enumerate(MASKS_BY_DEGREE[p - 1])}
+    cells = domain.stored_cells()
+    position = {ck: n for n, ck in enumerate(cells)}
+    rows, cols, coeffs = [], [], []
+    for n, (chart, k) in enumerate(cells):
+        for d, mask in enumerate(masks):
+            try:
+                chain = boundary_cell(domain, Cell(chart, k, mask))
+            except OutOfDomain:
+                continue
+            for cell, coeff in chain:
+                rows.append(n * len(masks) + d)
+                cols.append(position[cell.chart, cell.k] * len(sub_index) + sub_index[cell.mask])
+                coeffs.append(coeff)
+    out = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+           np.array(coeffs, dtype=np.int64))
+    for a in out:
+        a.setflags(write=False)
     return out
 
 

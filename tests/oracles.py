@@ -2,10 +2,16 @@
 
 Everything here is built straight from the one-dimensional definitions
 (boundary of an interval, the three nonzero 1-D products, the recursive
-sign rule) and never calls the vectorized implementations it checks.
+sign rule) or from the per-cell chain layer (boundary_cell, pair_chain,
+the diagonal chains), and never calls the vectorized implementations it
+checks.
 """
 
 import numpy as np
+
+from ymdec.calculus import pair_chain, star
+from ymdec.cochain import conj_transpose_form
+from ymdec.complex4 import boundary_cell, build_Vp
 
 
 def parity_sign(seq):
@@ -85,3 +91,23 @@ def cup_form_oracle(f_terms, g_terms):
             key = (k, axes)
             out[key] = out.get(key, 0) + sign * (mf @ mg)
     return {k: v for k, v in out.items() if np.abs(v).max() > 0}
+
+
+def green_boundary_term_oracle(phi, omega):
+    """The Green pairing term cell by cell over the diagonal chains: each
+    degree-p cell's boundary paired with phi against its starred partner in
+    star(omega^H), then each degree-(p-1) cell of phi against the boundary
+    of its starred partner."""
+    domain, p = phi.domain, omega.degree
+    star_omega_conj = star(conj_transpose_form(omega))
+    total = 0.0 + 0.0j
+    for cell, tcell, sign in build_Vp(domain, p):
+        m1 = pair_chain(boundary_cell(domain, cell), phi)
+        m2 = sign * star_omega_conj.get(tcell.chart, tcell.k, tcell.mask)
+        total += np.trace(m1 @ m2)
+    sgn = -1 if (p - 1) % 2 else 1
+    for cell, tcell, sign in build_Vp(domain, p - 1):
+        m2 = sign * pair_chain(boundary_cell(domain, tcell), star_omega_conj)
+        m1 = phi.get(cell.chart, cell.k, cell.mask)
+        total += sgn * np.trace(m1 @ m2)
+    return complex(total)

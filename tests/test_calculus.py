@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import cup_form_oracle
+from oracles import cup_form_oracle, green_boundary_term_oracle
 from ymdec import calculus as ca
 from ymdec import cochain as co
 from ymdec.complex4 import (
@@ -144,6 +144,22 @@ class TestCoboundary:
                         np.testing.assert_allclose(
                             df.get(chart, k, rmask), want, atol=1e-13
                         )
+
+    @pytest.mark.parametrize("domain", [SPHERE_2342, BLOCK_2342], ids=["sphere-2342", "block-2342"])
+    def test_pair_boundaries_matches_pair_chain(self, domain):
+        # every stored cell, halo included: the pairing of its boundary chain,
+        # or zero where that boundary leaves the block
+        for p in range(4):
+            f = rand(domain, p, seed=30 + p)
+            got = ca.pair_boundaries(f)
+            assert (got.degree, got.copy) == (p + 1, f.copy)
+            for chart, k in domain.stored_cells():
+                for rmask in MASKS_BY_DEGREE[p + 1]:
+                    try:
+                        want = ca.pair_chain(boundary_cell(domain, Cell(chart, k, rmask)), f)
+                    except OutOfDomain:
+                        want = 0
+                    np.testing.assert_allclose(got.get(chart, k, rmask), want, rtol=0, atol=1e-13)
 
     def test_worked_two_cell_pairing(self):
         f = rand(SPHERE, 1, seed=7)
@@ -373,6 +389,18 @@ class TestGreenFormula:
         rhs = ca.inner_product(phi, ca.codifferential(omega))
         bt = ca.green_boundary_term(phi, omega)
         assert abs(lhs - rhs - bt) <= 1e-10 * (1 + abs(lhs) + abs(bt))
+
+    @pytest.mark.parametrize(
+        "domain",
+        [SPHERE, Domain((2, 2, 2, 2), "block"), SPHERE_2342, BLOCK_2342],
+        ids=["sphere", "block-2", "sphere-2342", "block-2342"],
+    )
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_matches_chain_oracle(self, domain, p):
+        phi = rand(domain, p - 1, seed=120 + p)
+        omega = rand(domain, p, seed=130 + p)
+        want = green_boundary_term_oracle(phi, omega)
+        assert abs(ca.green_boundary_term(phi, omega) - want) <= 1e-12 * abs(want)
 
     def test_zero_forms_give_zero_term(self):
         phi = co.Cochain.zeros(BLOCK, 1)

@@ -1,0 +1,81 @@
+"""Planted faults: each must make its verify check fail, so that a broken
+boundary, coboundary or codifferential never passes quietly."""
+
+import numpy as np
+import pytest
+
+from ymdec import calculus as ca
+from ymdec import checks
+from ymdec import cochain as co
+from ymdec.complex4 import MASKS_BY_DEGREE, Domain
+
+DOMAINS = pytest.mark.parametrize(
+    "domain",
+    [Domain((2, 2, 2, 2), "sphere"), Domain((2, 2, 2, 2), "block")],
+    ids=["sphere", "block"],
+)
+CHECKED = ("boundary_of_boundary", "coboundary_chain_duality", "green_identity")
+
+
+def run_checks(domain):
+    gauge = co.random_gauge(domain, seed=3)
+    entries, _ = checks.run_verify_checks(domain, 5, 0.1, gauge)
+    return {e["name"]: e for e in entries}
+
+
+def first_interior_cell(domain):
+    """Flat storage index of (chart 0, k = (1, 1, 1, 1))."""
+    return int(np.ravel_multi_index(
+        domain.storage_index(0, (1, 1, 1, 1)), (domain.ncharts, *domain.extents)
+    ))
+
+
+@DOMAINS
+def test_checks_pass_without_a_fault(domain):
+    entries = run_checks(domain)
+    assert all(entries[name]["pass"] for name in CHECKED)
+
+
+@DOMAINS
+def test_negated_boundary_coefficient_fails_boundary_of_boundary(domain, monkeypatch):
+    real = checks.boundary_arrays
+
+    def faulty(d, p):
+        row, col, coeff = real(d, p)
+        if p == 2:
+            coeff = coeff.copy()
+            coeff[np.searchsorted(row, first_interior_cell(d) * len(MASKS_BY_DEGREE[p]))] *= -1
+        return row, col, coeff
+
+    monkeypatch.setattr(checks, "boundary_arrays", faulty)
+    entry = run_checks(domain)["boundary_of_boundary"]
+    assert entry["defect"] > 0
+    assert not entry["pass"]
+
+
+def _perturbed(monkeypatch, name, eps):
+    """Replace calculus.<name> by itself plus eps on one interior component."""
+    real = getattr(ca, name)
+
+    def faulty(f):
+        out = real(f)
+        out.values[co.interior(out.domain)][0, 0, 0, 0, 0, 0, 0, 0] += eps
+        return out
+
+    monkeypatch.setattr(ca, name, faulty)
+
+
+@DOMAINS
+def test_perturbed_coboundary_fails_chain_duality(domain, monkeypatch):
+    _perturbed(monkeypatch, "coboundary", 1e-9)
+    entry = run_checks(domain)["coboundary_chain_duality"]
+    assert entry["defect"] > 1e-12
+    assert not entry["pass"]
+
+
+@DOMAINS
+def test_perturbed_codifferential_fails_green_identity(domain, monkeypatch):
+    _perturbed(monkeypatch, "codifferential", 1e-6)
+    entry = run_checks(domain)["green_identity"]
+    assert entry["defect"] > 1e-10
+    assert not entry["pass"]

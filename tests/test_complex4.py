@@ -1,5 +1,6 @@
 """Tests for the combinatorial layer: signs, addressing, boundary, diagonal chains."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -21,6 +22,12 @@ from ymdec.complex4 import (
 
 BLOCK = Domain((2, 2, 2, 2), "block")
 SPHERE = Domain((2, 2, 2, 2), "sphere")
+# 2^4 and a non-cubic box, both topologies
+BOXES = pytest.mark.parametrize(
+    "domain",
+    [BLOCK, SPHERE, Domain((2, 3, 4, 2), "block"), Domain((2, 3, 4, 2), "sphere")],
+    ids=["block", "sphere", "block-2342", "sphere-2342"],
+)
 
 
 class TestSigns:
@@ -204,6 +211,71 @@ class TestBoundary:
         cell = Cell(CHART_V, (1, 1, 1, 1), cx.axes_mask([1]), TILDE)
         for bcell, _ in cx.boundary_cell(SPHERE, cell):
             assert bcell.copy == TILDE
+
+
+def _boundary_by_cell(domain, p):
+    """(row, col, coeff) multiset and the raising rows, one boundary_cell
+    call per stored cell and direction set, flat indices by ravel_multi_index."""
+    shape = (domain.ncharts, *domain.extents)
+    masks, sub = cx.MASKS_BY_DEGREE[p], cx.MASKS_BY_DEGREE[p - 1]
+    terms, raising = collections.Counter(), set()
+    for chart, k in domain.stored_cells():
+        n = np.ravel_multi_index(domain.storage_index(chart, k), shape)
+        for d, mask in enumerate(masks):
+            row = n * len(masks) + d
+            try:
+                chain = cx.boundary_cell(domain, Cell(chart, k, mask))
+            except OutOfDomain:
+                raising.add(row)
+                continue
+            for cell, coeff in chain:
+                m = np.ravel_multi_index(domain.storage_index(cell.chart, cell.k), shape)
+                terms[(row, m * len(sub) + sub.index(cell.mask), coeff)] += 1
+    return terms, raising
+
+
+class TestBoundaryArrays:
+    @BOXES
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_match_boundary_cell(self, domain, p):
+        row, col, coeff = cx.boundary_arrays(domain, p)
+        terms, raising = _boundary_by_cell(domain, p)
+        assert collections.Counter(zip(row.tolist(), col.tolist(), coeff.tolist())) == terms
+        assert not raising & set(row.tolist())
+        assert bool(raising) == (not domain.is_sphere)
+        assert np.all(np.diff(row) >= 0)
+
+    def test_read_only_and_cached(self):
+        arrays = cx.boundary_arrays(BLOCK, 2)
+        assert cx.boundary_arrays(BLOCK, 2) is arrays
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_degree_out_of_range(self, p):
+        with pytest.raises(ValueError):
+            cx.boundary_arrays(BLOCK, p)
+
+    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    def test_built_from_boundary_cell_alone(self, domain, monkeypatch):
+        # one boundary_cell call per stored cell and direction set, and no
+        # path into the vectorized shifts the arrays are used to check
+        from ymdec import calculus as ca
+
+        def forbidden(*args):
+            raise AssertionError("boundary_arrays reached the vectorized shifts")
+
+        monkeypatch.setattr(ca, "shift_plus", forbidden)
+        monkeypatch.setattr(ca, "gather_table", forbidden)
+        calls = []
+        real = cx.boundary_cell
+        monkeypatch.setattr(cx, "boundary_cell", lambda d, c: calls.append(c) or real(d, c))
+        for p in range(1, 5):
+            calls.clear()
+            cx.boundary_arrays.__wrapped__(domain, p)  # bypass the cache
+            assert len(calls) == domain.ncells * len(cx.MASKS_BY_DEGREE[p])
+            assert len(set(calls)) == len(calls)
 
 
 class TestStarChain:
