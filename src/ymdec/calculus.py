@@ -154,8 +154,9 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
 
 
 @lru_cache(maxsize=None)
-def _star_plan(p: int):
-    """(out_index, sign, in_index) for degree p -> 4 - p."""
+def star_plan(p: int):
+    """(out_index, sign, in_index) for degree p -> 4 - p: the signed
+    permutation of star, and at p = 2 of the dual on the solver's pair planes."""
     plan = []
     for d_idx, pmask in enumerate(MASKS_BY_DEGREE[p]):
         comp = FULL_MASK ^ pmask
@@ -167,7 +168,7 @@ def star(f: Cochain) -> Cochain:
     """Component transfer to the complementary direction set with the
     interleave-permutation sign; lands on the other copy."""
     out = Cochain.zeros(f.domain, 4 - f.degree, f.copy ^ 1)
-    for o_idx, sign, i_idx in _star_plan(f.degree):
+    for o_idx, sign, i_idx in star_plan(f.degree):
         out.values[..., o_idx, :, :] = sign * f.values[..., i_idx, :, :]
     return out
 
@@ -273,7 +274,7 @@ def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:
         # sum over the interior of sign * tr(lower^P upper^{P^c}), P of degree q
         return sum(
             sign * np.sum(lower[..., i_idx, :, :] * upper[..., o_idx, :, :].swapaxes(-1, -2))
-            for o_idx, sign, i_idx in _star_plan(q)
+            for o_idx, sign, i_idx in star_plan(q)
         )
 
     total = traced(pair_boundaries(phi).values[sl], star_omega_conj.values[sl], p)

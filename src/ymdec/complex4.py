@@ -8,8 +8,8 @@ tensor factors are 1-dimensional.  Direction sets are stored as bitmasks
 complex vs its mirror copy), which the star operator toggles.
 
 Chains are sparse integer/real combinations of cells; the boundary
-operator, its cached integer arrays and the diagonal chains used by the
-inner product live here.
+operator, its cached integer arrays and the diagonal chains of the
+per-cell Green oracle in the tests live here.
 All topology arithmetic is exact (no floats).
 """
 
@@ -236,16 +236,16 @@ def boundary_cell(domain: Domain, cell: Cell) -> Chain:
     For a cell with direction axes i1 < i2 < ... the i-th axis contributes
     (-1)^(number of direction axes before i) * (cell at tau_i k minus cell
     at k), each with the axis dropped from the direction set.  Output cells
-    are address-resolved; 0-cells have empty boundary.
+    are address-resolved, k once and each tau_i k once; 0-cells have empty
+    boundary.
     """
     out = Chain()
-    axes = mask_axes(cell.mask)
-    for pos, i in enumerate(axes):
+    lo_chart, lo_k = domain.resolve(cell.chart, cell.k)
+    for pos, i in enumerate(mask_axes(cell.mask)):
         sign = -1 if pos & 1 else 1
         sub = cell.mask & ~(1 << (i - 1))
         up_chart, up_k = domain.resolve(cell.chart, shift(cell.k, i))
         out.add(Cell(up_chart, up_k, sub, cell.copy), sign)
-        lo_chart, lo_k = domain.resolve(cell.chart, cell.k)
         out.add(Cell(lo_chart, lo_k, sub, cell.copy), -sign)
     return out
 
@@ -304,8 +304,8 @@ def build_Vp(domain: Domain, p: int):
     """Diagonal chain of degree p: triples (cell, mirrored complement, sign).
 
     One entry per interior (chart, k) and per direction set of degree p;
-    the pairing of these triples against a form and a starred form realizes
-    the inner product and the discrete Green formula.
+    paired against a form and a starred form they give the discrete Green
+    formula cell by cell, the oracle of calculus.green_boundary_term.
     """
     if not 0 <= p <= 4:
         raise ValueError("degree out of range")

@@ -13,13 +13,13 @@ deviation instead of assuming membership.
 
 The curvature stencil has one implementation, on real quaternion planes
 (see algebra): F is the product of su(2) elements, so it lies in
-H = span_R{I, lam_a}.  connection_planes stores A as pure quaternion
-planes over the flat cells plus a zero sentinel row, gather_pairs reads
-the four operands of every axis pair through the cached gather table of
-calculus, and curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for
-pure x, y.  curvature_components and the solver kernel both build on it;
-curvature() on the gl(2, C) Cochain calculus is the oracle it is checked
-against.
+H = span_R{I, lam_a}.  This module owns the plane layout: pair_operands
+gathers A's pure quaternion planes per axis pair through the gather table
+of calculus, curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for
+pure x, y, curvature_tangent is F's derivative along a direction and
+curvature_adjoint its adjoint.  curvature_components and the solver kernel
+build on them; curvature() on the gl(2, C) Cochain calculus is the oracle
+they are checked against.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ DIR_PAIRS = tuple(mask_axes(m) for m in MASKS_BY_DEGREE[2])
 # 0-based first and second axis of each pair
 PAIR_I = np.array([i - 1 for i, _ in DIR_PAIRS])
 PAIR_J = np.array([j - 1 for _, j in DIR_PAIRS])
+_PAIRS = np.arange(len(DIR_PAIRS))
+_HALF_TO_AXIS_I, _HALF_TO_AXIS_J = 0.5 * np.eye(4)[PAIR_I], 0.5 * np.eye(4)[PAIR_J]  # (6, 4)
 
 
 def curvature(A: Cochain) -> Cochain:
@@ -58,15 +60,6 @@ class PairPlanes(NamedTuple):
     i_tj: np.ndarray
 
 
-def connection_planes(vecs: np.ndarray) -> np.ndarray:
-    """Pure quaternion planes of su(2) coefficient vectors (charts, k..., 4, 3):
-    shape (3, ncells + 1, 4), cells in storage order, zero sentinel row last."""
-    v = vecs.reshape(-1, 4, 3)
-    out = np.zeros((3, v.shape[0] + 1, 4))
-    out[:, :-1] = 0.5 * np.moveaxis(v, -1, 0)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pair_gather(domain: Domain):
     """Flat cell indices of tau_i n, tau_j n, sigma_i n, sigma_j n per pair, (ncells + 1, 6) each."""
@@ -78,9 +71,18 @@ def _pair_gather(domain: Domain):
 
 
 def gather_pairs(domain: Domain, a: np.ndarray) -> PairPlanes:
-    """The stencil operands of axis planes a (see connection_planes)."""
+    """The stencil operands of axis planes a, shape (3, ncells + 1, 4)."""
     ti, tj, _, _ = _pair_gather(domain)
     return PairPlanes(a[:, :, PAIR_I], a[:, :, PAIR_J], a[:, ti, PAIR_J], a[:, tj, PAIR_I])
+
+
+def pair_operands(domain: Domain, vecs: np.ndarray) -> PairPlanes:
+    """The stencil operands of su(2) coefficient vectors (charts, k..., 4, 3): their
+    pure quaternion planes (3, ncells + 1, 4), zero sentinel row last, per pair."""
+    v = vecs.reshape(-1, 4, 3)
+    a = np.zeros((3, v.shape[0] + 1, 4))
+    a[:, :-1] = 0.5 * np.moveaxis(v, -1, 0)
+    return gather_pairs(domain, a)
 
 
 def curvature_stencil(x: PairPlanes, y: PairPlanes) -> np.ndarray:
@@ -115,6 +117,45 @@ def curvature_planes(x: PairPlanes) -> np.ndarray:
     return F
 
 
+def curvature_tangent(x: PairPlanes, y: PairPlanes) -> np.ndarray:
+    """F1 = dP + stencil(A, P) + stencil(P, A): the derivative of the
+    curvature at A along P, for their operands x and y, as planes."""
+    F1 = curvature_stencil(x, y)
+    F1 += curvature_stencil(y, x)
+    add_pair_difference(F1[1:], y)
+    return F1
+
+
+def curvature_adjoint(domain: Domain, x: PairPlanes, W: np.ndarray) -> np.ndarray:
+    """G with <curvature_tangent(x, pair_operands(domain, P)), W> = <P, G> for
+    every P, for planes W = (w0, w) with a zero sentinel row.  Per pair (i, j)
+    one sweep collects the vector parts of W + W conj(A^j(tau_i n)) on axis i
+    at n, W + conj(A^j) W on axis i at tau_j n (subtracted), W + W conj(A^i(tau_j n))
+    on axis j at n (subtracted) and W + conj(A^i) W on axis j at tau_i n, halved
+    by the pair-to-axis incidence since the planes of P are P / 2."""
+    _, _, sigma_i, sigma_j = _pair_gather(domain)
+    w0, w = W[0], W[1:]
+    on_i = _weighted(w0, w, x.j_ti, -1)
+    on_i -= _weighted(w0, w, x.j, 1)[:, sigma_j, _PAIRS]
+    on_j = _weighted(w0, w, x.i, 1)[:, sigma_i, _PAIRS]
+    on_j -= _weighted(w0, w, x.i_tj, -1)
+    G = on_i @ _HALF_TO_AXIS_I
+    G += on_j @ _HALF_TO_AXIS_J
+    return np.ascontiguousarray(G[:, :-1].transpose(1, 2, 0)).reshape(
+        domain.ncharts, *domain.extents, 4, 3)
+
+
+def _weighted(w0: np.ndarray, w: np.ndarray, b: np.ndarray, side: int) -> np.ndarray:
+    """Vector part of W + W conj(b) (side -1) or of W + conj(b) W (side 1)
+    for pure b: w - w0 b - w x b, or w - w0 b + w x b."""
+    out = alg.plane_cross(w, b)
+    if side < 0:
+        np.negative(out, out=out)
+    out -= w0 * b
+    out += w
+    return out
+
+
 def curvature_components(A: Cochain) -> Cochain:
     """Curvature assembled from the component stencil on quaternion planes,
 
@@ -128,8 +169,7 @@ def curvature_components(A: Cochain) -> Cochain:
     of being projected silently.
     """
     validate_connection(A)
-    a = connection_planes(alg.project_su2(A.values))
-    F = curvature_planes(gather_pairs(A.domain, a))[:, :-1]
+    F = curvature_planes(pair_operands(A.domain, alg.project_su2(A.values)))[:, :-1]
     values = alg.quaternion_matrices(F[0], F[1:])
     return Cochain(A.domain, 2, values.reshape(A.values.shape[:-3] + (6, 2, 2)), A.copy)
 

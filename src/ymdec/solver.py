@@ -11,14 +11,14 @@ fixed constant ARMIJO_C guards each step against rounding; on failure, or
 when the conjugate direction is not a descent direction, the step restarts
 along the steepest descent.
 
-The kernel works on real quaternion planes (Creutz, Phys. Rev. D 21, 2308,
-1980: SU(2) as a0 + i a.sigma).  A connection is three pure quaternion
-planes over the flat cells, gathered per axis pair through the cached
-gather table of calculus; the curvature is gauge.curvature_stencil, the
-one stencil also behind gauge.curvature_components; the dual map is a
-signed permutation of the six pair planes; and the adjoint gradient needs
-only vector parts.  The gl(2, C) Cochain calculus (gauge.curvature,
-action) stays the oracle the kernel is tested against.
+The kernel is the residual map r = mask L F on real quaternion planes
+(Creutz, Phys. Rev. D 21, 2308, 1980: SU(2) as a0 + i a.sigma); L is I for
+the action and I -+ dual, a signed permutation of the six pair planes, for
+the self-dual residual.  The layout, F, its tangent F1 and F1's adjoint are
+gauge's; the kernel's jvp is mask L F1 and its vjp, on the range of r,
+c F1^T, so the gradient is 4 vjp(r) and the line's quartic reads jvp.  The
+gl(2, C) Cochain calculus (gauge.curvature, action) stays the oracle the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import gauge
-from .calculus import _star_plan, norm_sq
+from .calculus import norm_sq, star_plan
 from .cochain import Cochain, interior, is_finite_real
 from .complex4 import Domain
 from .timing import phase
@@ -41,8 +41,6 @@ log = logging.getLogger(__name__)
 
 OBJECTIVES = ("action", "sd_residual")
 ARMIJO_C = 1e-4  # Armijo constant: the line search is exact, so it only guards rounding
-
-_PAIRS = np.arange(len(gauge.DIR_PAIRS))
 
 
 class SolverAbort(RuntimeError):
@@ -99,10 +97,10 @@ _Point = namedtuple("_Point", "vecs obj grad field planes")
 
 
 class _Kernel:
-    """Array-level objective, gradient and line coefficients for one domain,
-    on quaternion planes: fields are (scalar, vector) planes over the flat
-    cells and the six axis pairs (see gauge.curvature_stencil).  With a
-    field R = s I + sum_a u_a e_a the objective is 2 sum mask (s^2 + |u|^2).
+    """The residual map r = mask L F of one objective on one domain, its
+    Jacobian products and the objective 2 |r|^2, on quaternion planes (see
+    gauge).  With a field R = s I + sum_a u_a e_a the objective is
+    2 sum mask (s^2 + |u|^2).
     """
 
     def __init__(self, domain: Domain, objective: str, anti: bool = False):
@@ -111,17 +109,13 @@ class _Kernel:
         self.domain = domain
         self.objective_name = objective
         self.anti = anti
-        self.shape = (domain.ncharts, *domain.extents, 4, 3)
         mask = np.zeros((domain.ncharts, *domain.extents))
         mask[interior(domain)] = 1.0
         self.mask = np.append(mask.ravel(), 0.0)[:, None]   # (cells + sentinel, pair)
-        _, _, self.sigma_i, self.sigma_j = gauge._pair_gather(domain)
         # the dual map on pair planes: a signed permutation
-        plan = sorted(_star_plan(2))
+        plan = sorted(star_plan(2))
         self.dual_perm = [i for _, _, i in plan]
         self.dual_sign = (1.0 if anti else -1.0) * np.array([sign for _, sign, _ in plan])
-        # pair-to-axis incidence, (6, 4)
-        self.to_axis_i, self.to_axis_j = np.eye(4)[gauge.PAIR_I], np.eye(4)[gauge.PAIR_J]
 
     def _field(self, F: np.ndarray) -> np.ndarray:
         """The masked field whose squared norm is the objective; overwrites F."""
@@ -133,73 +127,52 @@ class _Kernel:
         F *= self.mask
         return F
 
-    def _planes(self, vecs: np.ndarray) -> gauge.PairPlanes:
-        return gauge.gather_pairs(self.domain, gauge.connection_planes(vecs))
-
     def objective(self, vecs: np.ndarray) -> float:
         # overflow on wild iterates is legitimate; the descent checks finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._field(gauge.curvature_planes(self._planes(vecs)))
+            r = self._field(gauge.curvature_planes(gauge.pair_operands(self.domain, vecs)))
             return 2.0 * float(np.vdot(r, r))
 
     def gradient(self, vecs: np.ndarray) -> np.ndarray:
         return self.evaluate(vecs).grad
 
     def evaluate(self, vecs: np.ndarray) -> _Point:
-        """Objective and gradient from one curvature evaluation.  The gradient
-        is one adjoint sweep: for a weight W = (w0, w) the pairing
-        sum <dF, W> collects per pair (i, j) the vector parts of
-          W + W conj(A^j(tau_i n))   on axis i at n,
-          W + conj(A^j) W            on axis i at tau_j n, subtracted,
-          W + W conj(A^i(tau_j n))   on axis j at n, subtracted,
-          W + conj(A^i) W            on axis j at tau_i n,
-        and the gradient is twice that sum.  W is the masked field R for the
-        action and 2 R for the (anti-)self-dual residual; the sweep is linear
-        in W, so it runs on R and the factor is applied at the end.
-        """
-        x = self._planes(vecs)
+        """Objective and gradient from one curvature evaluation: the
+        gradient of 2 |r|^2 is 4 vjp(r)."""
+        x = gauge.pair_operands(self.domain, vecs)
         with np.errstate(over="ignore", invalid="ignore"):
             r = self._field(gauge.curvature_planes(x))
-            w0, w = r[0], r[1:]
-            on_i = _weighted(w0, w, x.j_ti, -1)
-            on_i -= _weighted(w0, w, x.j, 1)[:, self.sigma_j, _PAIRS]
-            on_j = _weighted(w0, w, x.i, 1)[:, self.sigma_i, _PAIRS]
-            on_j -= _weighted(w0, w, x.i_tj, -1)
-            G = on_i @ self.to_axis_i
-            G += on_j @ self.to_axis_j
-            G *= 4.0 if self.objective_name == "sd_residual" else 2.0
-            grad = np.ascontiguousarray(G[:, :-1].transpose(1, 2, 0)).reshape(self.shape)
-            return _Point(vecs, 2.0 * float(np.vdot(r, r)), grad, r, x)
+            at = _Point(vecs, 2.0 * float(np.vdot(r, r)), None, r, x)
+            grad = self.vjp(at, r)
+            grad *= 4.0
+            return at._replace(grad=grad)
+
+    def jvp(self, at: _Point, p: gauge.PairPlanes) -> np.ndarray:
+        """J P = mask L F1 at the point, for the operands p = gauge.pair_operands of P."""
+        return self._field(gauge.curvature_tangent(at.planes, p))
+
+    def vjp(self, at: _Point, w: np.ndarray) -> np.ndarray:
+        """J^T w for w in the range of the residual map (r and every J P), where
+        L^T mask w = c w exactly: c = 1 for the action, and 2 for the (anti-)
+        self-dual residual, whose L is symmetric with L^2 = 2 L.  No transpose pass."""
+        g = gauge.curvature_adjoint(self.domain, at.planes, w)
+        g *= 2.0 if self.objective_name == "sd_residual" else 1.0
+        return g
 
     def line_coefficients(self, at: _Point, p: np.ndarray) -> np.ndarray:
         """c with objective(at.vecs + t p) = c[0] + c[1] t + ... + c[4] t^4:
         F(A + tP) = F0 + t F1 + t^2 F2 on the curvature stencil, with
-          F1 = dP + stencil(A, P) + stencil(P, A),  F2 = stencil(P, P);
-        the residual map is linear.  Only P is gathered: the operands of A
-        are kept in the point.
+        F2 = stencil(P, P); the residual map is linear.  Only P is gathered:
+        the operands of A are kept in the point.
         """
-        x, y = at.planes, self._planes(p)
+        y = gauge.pair_operands(self.domain, p)
         with np.errstate(over="ignore", invalid="ignore"):
-            F1 = gauge.curvature_stencil(x, y)
-            F1 += gauge.curvature_stencil(y, x)
-            gauge.add_pair_difference(F1[1:], y)
-            r0, r1, r2 = at.field, self._field(F1), self._field(gauge.curvature_stencil(y, y))
+            r0, r1, r2 = at.field, self.jvp(at, y), self._field(gauge.curvature_stencil(y, y))
             g00, g01, g02, g11, g12, g22 = (
                 float(np.vdot(u, v))
                 for u, v in ((r0, r0), (r0, r1), (r0, r2), (r1, r1), (r1, r2), (r2, r2))
             )
             return 2.0 * np.array([g00, 2 * g01, g11 + 2 * g02, 2 * g12, g22])
-
-
-def _weighted(w0: np.ndarray, w: np.ndarray, b: np.ndarray, side: int) -> np.ndarray:
-    """Vector part of W + W conj(b) (side -1) or of W + conj(b) W (side 1)
-    for pure b: w - w0 b - w x b, or w - w0 b + w x b."""
-    out = alg.plane_cross(w, b)
-    if side < 0:
-        np.negative(out, out=out)
-    out -= w0 * b
-    out += w
-    return out
 
 
 def _line_minimum(c: np.ndarray) -> float | None:

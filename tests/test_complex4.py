@@ -212,6 +212,19 @@ class TestBoundary:
         for bcell, _ in cx.boundary_cell(SPHERE, cell):
             assert bcell.copy == TILDE
 
+    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    def test_resolves_each_address_once(self, domain, monkeypatch):
+        # a degree-p cell resolves k once and each tau_i k once: p + 1 calls
+        calls = []
+        real = Domain.resolve
+        monkeypatch.setattr(Domain, "resolve", lambda d, chart, k: calls.append(k) or real(d, chart, k))
+        for p in range(5):
+            for mask in cx.MASKS_BY_DEGREE[p]:
+                calls.clear()
+                cx.boundary_cell(domain, Cell(CHART_V, (1, 2, 1, 2), mask))
+                assert len(calls) == p + 1
+                assert len(set(calls)) == p + 1
+
 
 def _boundary_by_cell(domain, p):
     """(row, col, coeff) multiset and the raising rows, one boundary_cell

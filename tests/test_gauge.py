@@ -74,6 +74,31 @@ class TestCurvature:
             ga.curvature_components(co.Cochain.zeros(domain, 2))
 
 
+class TestCurvatureTangentAndAdjoint:
+    @ALL_DOMAINS
+    def test_tangent_is_the_central_difference(self, domain):
+        # F is quadratic along A + hP, so the central difference is F1 up to rounding
+        rng = np.random.default_rng(43)
+        a, p = rng.uniform(-0.5, 0.5, size=(2, domain.ncharts, *domain.extents, 4, 3))
+        f1 = ga.curvature_tangent(ga.pair_operands(domain, a), ga.pair_operands(domain, p))
+        for h in (1.0, 0.125):
+            fp, fm = (ga.curvature_planes(ga.pair_operands(domain, a + s * h * p)) for s in (1, -1))
+            scale = max(np.abs(fp).max(), np.abs(fm).max()) / h
+            assert np.abs(f1 - (fp - fm) / (2 * h)).max() <= 1e-14 * scale
+
+    @ALL_DOMAINS
+    def test_adjoint_identity(self, domain):
+        # <F1(P), W> = <P, adjoint(W)> for every W with a zero sentinel row
+        rng = np.random.default_rng(44)
+        a, p = rng.uniform(-0.5, 0.5, size=(2, domain.ncharts, *domain.extents, 4, 3))
+        x = ga.pair_operands(domain, a)
+        W = rng.uniform(-1.0, 1.0, size=(4, domain.ncells + 1, 6))
+        W[:, -1] = 0.0
+        want = float(np.vdot(ga.curvature_tangent(x, ga.pair_operands(domain, p)), W))
+        got = float(np.vdot(p, ga.curvature_adjoint(domain, x, W)))
+        assert got == pytest.approx(want, rel=1e-13)
+
+
 class TestConnectionScalars:
     @ALL_DOMAINS
     def test_bitwise_equal_to_the_separate_functions(self, domain):

@@ -123,10 +123,10 @@ class TestMinimize:
     def test_reaches_gradient_tolerance_non_cubic(self, domain):
         self.test_reaches_gradient_tolerance(domain)
 
-    def test_first_step_satisfies_armijo(self):
-        a0 = co.random_connection(SPHERE, 0.1, seed=9)
+    def test_first_step_satisfies_armijo(self, domain=SPHERE):
+        a0 = co.random_connection(domain, 0.1, seed=9)
         cfg = so.SolverConfig(max_iters=1)
-        kern = so._Kernel(SPHERE, "action")
+        kern = so._Kernel(domain, "action")
         vecs = so.connection_vectors(a0)
         g0 = kern.gradient(vecs)
         rep = so.minimize(a0, cfg)
@@ -134,8 +134,12 @@ class TestMinimize:
         obj1, _, step1 = rep.iterations[1]
         assert obj1 <= obj0 - so.ARMIJO_C * step1 * float((g0**2).sum()) + 1e-15
 
-    def test_trace_satisfies_weak_armijo(self):
-        a0 = co.random_connection(SPHERE, 0.1, seed=10)
+    @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
+    def test_first_step_satisfies_armijo_non_cubic(self, domain):
+        self.test_first_step_satisfies_armijo(domain)
+
+    def test_trace_satisfies_weak_armijo(self, domain=SPHERE):
+        a0 = co.random_connection(domain, 0.1, seed=10)
         cfg = so.SolverConfig(max_iters=200, grad_tol=0.0)
         rep = so.minimize(a0, cfg)
         rows = rep.iterations
@@ -143,10 +147,18 @@ class TestMinimize:
             # gmax^2 lower-bounds the squared Euclidean norm in the full test
             assert o1 <= o0 - so.ARMIJO_C * s1 * g0**2 + 1e-15
 
-    def test_iterates_stay_su2(self):
-        a0 = co.random_connection(SPHERE, 0.1, seed=11)
+    @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
+    def test_trace_satisfies_weak_armijo_non_cubic(self, domain):
+        self.test_trace_satisfies_weak_armijo(domain)
+
+    def test_iterates_stay_su2(self, domain=SPHERE):
+        a0 = co.random_connection(domain, 0.1, seed=11)
         rep = so.minimize(a0, so.SolverConfig(max_iters=3, grad_tol=0.0))
         assert alg.is_su2_algebra(rep.final.values, tol=1e-12)
+
+    @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
+    def test_iterates_stay_su2_non_cubic(self, domain):
+        self.test_iterates_stay_su2(domain)
 
     def test_gradient_fd_at_start_and_final_iterate(self):
         a0 = co.random_connection(SPHERE, 0.1, seed=15)
@@ -405,3 +417,50 @@ class TestKernelAgainstCochainOracle:
         for t in (-1.1, -0.3, 0.5, 1.0, 1.7):
             want = _oracle_objective(domain, objective, anti, vecs + t * p)
             assert np.polyval(c[::-1], t) == pytest.approx(want, rel=1e-12)
+
+
+OBJECTIVES = pytest.mark.parametrize(
+    "objective,anti",
+    [("action", False), ("sd_residual", False), ("sd_residual", True)],
+    ids=["action", "sd", "anti-sd"],
+)
+JACOBIAN_DOMAINS = pytest.mark.parametrize(
+    "domain", [SPHERE, BLOCK, *LARGER], ids=["sphere", "block", "sphere-2342", "block-2342", "block-4444"]
+)
+
+
+def _jacobian_setup(domain, objective, anti):
+    """A kernel, a point on it and two tangent directions."""
+    kern = so._Kernel(domain, objective, anti=anti)
+    vecs = so.connection_vectors(co.random_connection(domain, 0.5, seed=41))
+    rng = np.random.default_rng(42)
+    v, u = rng.uniform(-0.5, 0.5, size=(2, *vecs.shape))
+    return kern, kern.evaluate(vecs), v, u
+
+
+class TestJacobianProducts:
+    """jvp and vjp of the residual map r = mask L F on its range."""
+
+    @JACOBIAN_DOMAINS
+    @OBJECTIVES
+    def test_adjoint_identity(self, domain, objective, anti):
+        # <J v, w> = <v, J^T w> for w = r and for w = J u
+        kern, at, v, u = _jacobian_setup(domain, objective, anti)
+        jv = kern.jvp(at, ga.pair_operands(domain, v))
+        for w in (at.field, kern.jvp(at, ga.pair_operands(domain, u))):
+            want = float(np.vdot(jv, w))
+            assert float(np.vdot(v, kern.vjp(at, w))) == pytest.approx(want, rel=1e-13)
+
+    @JACOBIAN_DOMAINS
+    @OBJECTIVES
+    def test_range_identity(self, domain, objective, anti):
+        # L^T mask w = c w bitwise on the range, c = 1 (action) or 2 (I -+ dual)
+        kern, at, _, u = _jacobian_setup(domain, objective, anti)
+        L = np.eye(6)
+        if objective == "sd_residual":
+            L[np.arange(6), kern.dual_perm] += kern.dual_sign
+        c = 2.0 if objective == "sd_residual" else 1.0
+        for w in (at.field, kern.jvp(at, ga.pair_operands(domain, u))):
+            assert np.array_equal((kern.mask * w) @ L, c * w)
+        # the gradient of 2 |r|^2 is 4 J^T r
+        assert np.array_equal(at.grad, 4.0 * kern.vjp(at, at.field))
