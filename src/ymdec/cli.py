@@ -257,9 +257,7 @@ class Command(NamedTuple):
 COMMANDS = {
     "verify": Command("run the invariant suite", cmd_verify, ("gauge",)),
     "action": Command("evaluate the action and residuals of a connection", cmd_action, ("connection",)),
-    "relax": Command(
-        "minimize the action by nonlinear conjugate gradients", cmd_relax, ("connection",), SOLVER_FIELDS
-    ),
+    "relax": Command("minimize the action by damped Gauss-Newton", cmd_relax, ("connection",), SOLVER_FIELDS),
     "selfdual": Command(
         "minimize the self-dual residual", cmd_selfdual, ("connection",), SOLVER_FIELDS + ("anti",)
     ),

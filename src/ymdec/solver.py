@@ -3,13 +3,14 @@ over su(2)-valued connections, stored as real coefficient arrays in the
 su(2) basis, shape (charts, k-extents, 4 axes, 3), so every update stays
 exactly in the algebra.
 
-Polak-Ribiere+ nonlinear conjugate gradients with an exact line search
-(Nocedal & Wright, Numerical Optimization, sec. 5.2): along A + tP the
-curvature is exactly F0 + t F1 + t^2 F2, so |F|^2 and |F -+ dual F|^2 are
-quartics in t, minimized at a root of a cubic.  An Armijo test with the
-fixed constant ARMIJO_C guards each step against rounding; on failure, or
-when the conjugate direction is not a descent direction, the step restarts
-along the steepest descent.
+Damped Gauss-Newton (Nocedal & Wright, Numerical Optimization, ch. 10 and
+sec. 7.1) on the objective 2 |r|^2: each outer step solves min |J p + r| by
+CGLS from p = 0 (Bjorck, Numerical Methods for Least Squares Problems,
+1996), truncated at |J^T (J p + r)| <= ETA |J^T r|.  Along A + tP the
+curvature is exactly F0 + t F1 + t^2 F2, so the objective is a quartic in
+t, and the exact line search to a root of a cubic damps the step.  An
+Armijo test with the fixed constant ARMIJO_C guards it against rounding;
+on failure the step is retried once along the steepest descent.
 
 The kernel is the residual map r = mask L F on real quaternion planes
 (Creutz, Phys. Rev. D 21, 2308, 1980: SU(2) as a0 + i a.sigma); L is I for
@@ -41,6 +42,7 @@ log = logging.getLogger(__name__)
 
 OBJECTIVES = ("action", "sd_residual")
 ARMIJO_C = 1e-4  # Armijo constant: the line search is exact, so it only guards rounding
+ETA = 0.5  # forcing term of the inner least-squares solve
 
 
 class SolverAbort(RuntimeError):
@@ -229,31 +231,53 @@ def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, counts: dict):
     return t, new
 
 
+def _gauss_newton_step(kern: _Kernel, at: _Point, counts: dict) -> np.ndarray:
+    """p with |J^T (J p + r)| <= ETA |J^T r| by CGLS on min |J p + r| from
+    p = 0, or the last iterate when |J d|^2 is not positive and finite.
+    Every residual b = -r - J p is in the range of r, where vjp is exact."""
+    p = np.zeros_like(at.grad)
+    b = -at.field
+    s = at.grad / -4.0  # J^T b at p = 0
+    d, gamma = s, float(np.vdot(s, s))
+    stop = ETA**2 * gamma
+    for _ in range(p.size):
+        counts["jacobian_products"] += 1
+        q = kern.jvp(at, gauge.pair_operands(kern.domain, d))
+        qq = float(np.vdot(q, q))
+        if not (np.isfinite(qq) and qq > 0):
+            break
+        alpha = gamma / qq
+        p += alpha * d
+        b -= alpha * q
+        counts["jacobian_products"] += 1
+        s = kern.vjp(at, b)
+        gamma, gamma_old = float(np.vdot(s, s)), gamma
+        if gamma <= stop:
+            break
+        d = s + (gamma / gamma_old) * d
+    return p
+
+
 def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
     report = SolverReport(objective_name=kern.objective_name)
-    counts = {"objective_gradient_evals": 1, "line_coefficient_evals": 0, "restarts": 0}
+    counts = dict(objective_gradient_evals=1, line_coefficient_evals=0, restarts=0, jacobian_products=0)
     with phase(log, "solve"):
         at = kern.evaluate(vecs)
         if not np.isfinite(at.obj):
             raise SolverAbort(f"objective not finite at start: {at.obj}")
         gmax = grad_max_norm(at.grad)
         report.iterations.append((at.obj, gmax, 0.0))
-        p, steepest = -at.grad, True
         for _ in range(cfg.max_iters):
             if gmax <= cfg.grad_tol:
                 break
-            step = _line_step(kern, at, p, counts)
-            if step is None and not steepest:
+            step = _line_step(kern, at, _gauss_newton_step(kern, at, counts), counts)
+            if step is None:
                 counts["restarts"] += 1
-                p = -at.grad
-                step = _line_step(kern, at, p, counts)
+                step = _line_step(kern, at, -at.grad, counts)
             if step is None:
                 report.reason = "line search stalled"
                 break
-            t, new = step
-            beta = float(np.vdot(new.grad, new.grad - at.grad) / np.vdot(at.grad, at.grad))
-            beta = max(0.0, beta)
-            p, steepest, at = beta * p - new.grad, beta == 0.0, new
+            t, at = step
             gmax = grad_max_norm(at.grad)
             report.iterations.append((at.obj, gmax, t))
         if not report.reason:
@@ -274,11 +298,11 @@ def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport
 
 
 def minimize(A0: Cochain, cfg: SolverConfig) -> SolverReport:
-    """Nonlinear CG with an exact line search on the action |F|^2.
+    """Gauss-Newton with an exact line search on the action |F|^2.
 
     Iterates are coefficient vectors, hence exactly su(2)-valued; stops at
-    cfg.grad_tol on the gradient max-norm, at the iteration cap, or when a
-    steepest descent step fails the Armijo test.
+    cfg.grad_tol on the gradient max-norm, at the cap of cfg.max_iters outer
+    steps, or when a steepest descent step fails the Armijo test.
     """
     return _descend(connection_vectors(A0), cfg, _Kernel(A0.domain, "action"))
 

@@ -370,7 +370,7 @@ class TestBoundary:
         assert run(["relax", "--config", path]) == 0
         assert report_path.read_bytes() == first
         scalars = json.loads(first)["scalars"]
-        for key in ("objective_gradient_evals", "line_coefficient_evals", "restarts"):
+        for key in ("objective_gradient_evals", "line_coefficient_evals", "restarts", "jacobian_products"):
             assert type(scalars[key]) is int
         assert scalars["line_coefficient_evals"] == scalars["iterations"] + scalars["restarts"]
 

@@ -464,3 +464,115 @@ class TestJacobianProducts:
             assert np.array_equal((kern.mask * w) @ L, c * w)
         # the gradient of 2 |r|^2 is 4 J^T r
         assert np.array_equal(at.grad, 4.0 * kern.vjp(at, at.field))
+
+
+def _trajectory_points(domain, objective, anti):
+    """A kernel and its points at the seed-7 amplitude-1.0 start and after 5
+    and 20 outer steps: away from the start the inner solve takes several
+    CGLS iterations."""
+    kern = so._Kernel(domain, objective, anti=anti)
+    a0 = co.random_connection(domain, 1.0, seed=7)
+    points = []
+    for steps in (0, 5, 20):
+        cfg = so.SolverConfig(max_iters=steps, grad_tol=0.0)
+        rep = so.minimize(a0, cfg) if objective == "action" else so.solve_self_dual(a0, cfg, anti)
+        points.append(kern.evaluate(so.connection_vectors(rep.final)))
+    return kern, points
+
+
+class TestGaussNewton:
+    """The truncated CGLS step of each outer iteration and the work it reports."""
+
+    @pytest.mark.parametrize("domain", [SPHERE, *LARGER], ids=["sphere", "sphere-2342", "block-2342", "block-4444"])
+    @OBJECTIVES
+    def test_inner_step_meets_its_stop_rule(self, domain, objective, anti):
+        kern, points = _trajectory_points(domain, objective, anti)
+        for at in points:
+            counts = {"jacobian_products": 0}
+            p = so._gauss_newton_step(kern, at, counts)
+            assert float(np.vdot(at.grad, p)) < 0
+            r = at.field
+            res = kern.jvp(at, ga.pair_operands(domain, p)) + r
+            assert np.linalg.norm(kern.vjp(at, res)) <= so.ETA * np.linalg.norm(kern.vjp(at, r))
+            assert np.linalg.norm(res) < np.linalg.norm(r)
+            assert counts["jacobian_products"] > 0
+
+    @OBJECTIVES
+    def test_inner_step_is_the_dense_cgls_iterate(self, objective, anti):
+        # textbook CGLS (Bjorck 1996, sec. 7.4) on the dense Jacobian, built
+        # column by column from jvp, with the transpose of that matrix
+        kern, points = _trajectory_points(SPHERE, objective, anti)
+        for at in points:
+            shape = at.grad.shape
+            J = np.stack([
+                kern.jvp(at, ga.pair_operands(SPHERE, e.reshape(shape))).ravel()
+                for e in np.eye(at.grad.size)
+            ], axis=1)
+            x, b = np.zeros(J.shape[1]), -at.field.ravel()
+            s = J.T @ b
+            d, gamma = s, s @ s
+            stop = so.ETA * np.sqrt(gamma)
+            while True:
+                q = J @ d
+                alpha = gamma / (q @ q)
+                x, b = x + alpha * d, b - alpha * q
+                s, gamma_old = J.T @ b, gamma
+                gamma = s @ s
+                if np.sqrt(gamma) <= stop:
+                    break
+                d = s + gamma / gamma_old * d
+            p = so._gauss_newton_step(kern, at, {"jacobian_products": 0})
+            assert np.abs(p.ravel() - x).max() <= 1e-9 * np.abs(x).max()
+
+    @pytest.mark.parametrize("solve", [so.minimize, so.solve_self_dual], ids=["relax", "selfdual"])
+    def test_jacobian_products_count_every_inner_call(self, solve, monkeypatch):
+        calls = []
+        for name in ("jvp", "vjp"):
+            method = getattr(so._Kernel, name)
+
+            def counted(self, at, w, method=method):
+                calls.append(1)
+                return method(self, at, w)
+
+            monkeypatch.setattr(so._Kernel, name, counted)
+        a0 = co.random_connection(SPHERE, 0.3, seed=26)
+        rep = solve(a0, so.SolverConfig(max_iters=30, grad_tol=0.0))
+        d = rep.diagnostics
+        assert type(d["jacobian_products"]) is int and d["jacobian_products"] > 0
+        # line_coefficients makes one jvp and evaluate one vjp
+        assert len(calls) - d["line_coefficient_evals"] - d["objective_gradient_evals"] == d["jacobian_products"]
+        assert solve(a0, so.SolverConfig(max_iters=30, grad_tol=0.0)).diagnostics == d
+        calls.clear()
+        rep = solve(co.Cochain.zeros(SPHERE, 1), so.SolverConfig())
+        assert rep.n_iters == 0 and rep.diagnostics["jacobian_products"] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "solve,amplitude,most",
+        [(so.minimize, 0.1, 60), (so.minimize, 1.0, 100), (so.solve_self_dual, 0.1, 60)],
+        ids=["relax-0.1", "relax-1.0", "selfdual-0.1"],
+    )
+    def test_outer_step_count_on_the_default_instance(self, solve, amplitude, most):
+        # the default instance of relax and selfdual at the default settings;
+        # the step counts repeat exactly
+        rep = solve(co.random_connection(SPHERE, amplitude, seed=7), so.SolverConfig())
+        assert rep.converged and rep.n_iters <= most
+
+    @pytest.mark.parametrize("domain", [SPHERE, *NON_CUBIC], ids=["sphere", *NON_CUBIC_IDS])
+    @pytest.mark.parametrize("solve", [so.minimize, so.solve_self_dual], ids=["relax", "selfdual"])
+    def test_steps_satisfy_armijo_along_their_direction(self, domain, solve, monkeypatch):
+        steps = []
+        line_step = so._line_step
+
+        def recorded(kern, at, p, counts):
+            step = line_step(kern, at, p, counts)
+            if step is not None:
+                steps.append((at.obj, float(np.vdot(at.grad, p)), *step))
+            return step
+
+        monkeypatch.setattr(so, "_line_step", recorded)
+        rep = solve(co.random_connection(domain, 0.3, seed=27), so.SolverConfig(max_iters=20, grad_tol=0.0))
+        assert len(steps) == rep.n_iters > 0
+        for obj0, slope, t, new in steps:
+            assert slope < 0
+            assert new.obj <= obj0 + so.ARMIJO_C * t * slope
