@@ -29,10 +29,11 @@ Exit codes: 0 pass, 1 check failure, 2 config error (also sizes that
 complex4.Domain rejects, too large ones included, a form file on the
 tilde copy, and an output path that cannot be written: before the run
 when it is empty, a directory or in a missing directory, and so is the
-report path of relax and selfdual; other write failures after it), 3
-solver abort, non-finite arithmetic or out of memory.  With -v the wall
-time of each phase (load, solve, diagnostics, write; each check of
-verify) is logged to stderr; it never enters the report.
+report path of relax and selfdual; other write failures after it,
+stdout's too, such as a closed pipe), 3 solver abort, non-finite
+arithmetic or out of memory.  With -v the wall time of each phase (load,
+solve, diagnostics, write; each check of verify) is logged to stderr; it
+never enters the report.
 """
 
 from __future__ import annotations
@@ -286,16 +287,22 @@ def render_report(report) -> bytes:
 def _emit(report, job, final_form):
     with phase(log, "write"):
         payload = render_report(report)
-        _print_table(report)
-        if not job.outputs:
-            sys.stdout.write(payload.decode())
-            return
-        payloads = (payload,) if final_form is None else (co.serialize(final_form), payload)
-        for target, data in zip(job.outputs, payloads, strict=True):
-            try:
-                Path(target).write_bytes(data)
-            except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
-                raise ConfigError(f"cannot write output: {e}") from e
+        try:
+            _print_table(report)
+            if not job.outputs:
+                sys.stdout.write(payload.decode())
+            sys.stdout.flush()
+        except OSError as e:  # e.g. a pipe whose reader has exited
+            with open(os.devnull, "w") as devnull:  # for the interpreter's flush at exit
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise ConfigError(f"cannot write output: {e}") from e
+        if job.outputs:
+            payloads = (payload,) if final_form is None else (co.serialize(final_form), payload)
+            for target, data in zip(job.outputs, payloads, strict=True):
+                try:
+                    Path(target).write_bytes(data)
+                except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
+                    raise ConfigError(f"cannot write output: {e}") from e
 
 
 def main(argv=None) -> int:

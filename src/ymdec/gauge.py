@@ -70,19 +70,14 @@ def _pair_gather(domain: Domain):
     return out
 
 
-def gather_pairs(domain: Domain, a: np.ndarray) -> PairPlanes:
-    """The stencil operands of axis planes a, shape (3, ncells + 1, 4)."""
-    ti, tj, _, _ = _pair_gather(domain)
-    return PairPlanes(a[:, :, PAIR_I], a[:, :, PAIR_J], a[:, ti, PAIR_J], a[:, tj, PAIR_I])
-
-
 def pair_operands(domain: Domain, vecs: np.ndarray) -> PairPlanes:
     """The stencil operands of su(2) coefficient vectors (charts, k..., 4, 3): their
     pure quaternion planes (3, ncells + 1, 4), zero sentinel row last, per pair."""
     v = vecs.reshape(-1, 4, 3)
     a = np.zeros((3, v.shape[0] + 1, 4))
     a[:, :-1] = 0.5 * np.moveaxis(v, -1, 0)
-    return gather_pairs(domain, a)
+    ti, tj, _, _ = _pair_gather(domain)
+    return PairPlanes(a[:, :, PAIR_I], a[:, :, PAIR_J], a[:, ti, PAIR_J], a[:, tj, PAIR_I])
 
 
 def curvature_stencil(x: PairPlanes, y: PairPlanes) -> np.ndarray:

@@ -10,7 +10,7 @@ CGLS from p = 0 (Bjorck, Numerical Methods for Least Squares Problems,
 curvature is exactly F0 + t F1 + t^2 F2, so the objective is a quartic in
 t, and the exact line search to a root of a cubic damps the step.  An
 Armijo test with the fixed constant ARMIJO_C guards it against rounding;
-on failure the step is retried once along the steepest descent.
+a CGLS step descends, so one that fails stops the run ("line search stalled").
 
 The kernel is the residual map r = mask L F on real quaternion planes
 (Creutz, Phys. Rev. D 21, 2308, 1980: SU(2) as a0 + i a.sigma); L is I for
@@ -260,7 +260,7 @@ def _gauss_newton_step(kern: _Kernel, at: _Point, counts: dict) -> np.ndarray:
 
 def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
     report = SolverReport(objective_name=kern.objective_name)
-    counts = dict(objective_gradient_evals=1, line_coefficient_evals=0, restarts=0, jacobian_products=0)
+    counts = dict(objective_gradient_evals=1, line_coefficient_evals=0, jacobian_products=0)
     with phase(log, "solve"):
         at = kern.evaluate(vecs)
         if not np.isfinite(at.obj):
@@ -271,9 +271,6 @@ def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport
             if gmax <= cfg.grad_tol:
                 break
             step = _line_step(kern, at, _gauss_newton_step(kern, at, counts), counts)
-            if step is None:
-                counts["restarts"] += 1
-                step = _line_step(kern, at, -at.grad, counts)
             if step is None:
                 report.reason = "line search stalled"
                 break
@@ -302,7 +299,7 @@ def minimize(A0: Cochain, cfg: SolverConfig) -> SolverReport:
 
     Iterates are coefficient vectors, hence exactly su(2)-valued; stops at
     cfg.grad_tol on the gradient max-norm, at the cap of cfg.max_iters outer
-    steps, or when a steepest descent step fails the Armijo test.
+    steps, or when the line search along the Gauss-Newton step fails.
     """
     return _descend(connection_vectors(A0), cfg, _Kernel(A0.domain, "action"))
 

@@ -341,6 +341,26 @@ class TestBoundary:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_config_error(self, unbuffered):
+        # the reader of stdout has exited: the summary table's first print
+        # fails, or with stdout buffered its flush
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ymdec", "action"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("config error: cannot write output")
+
     def test_verify_on_non_cubic_sphere(self, tmp_path, capsys):
         path = write_config(tmp_path, sizes=[2, 3, 4, 2], gauge="identity")
         out = tmp_path / "report.json"
@@ -370,9 +390,9 @@ class TestBoundary:
         assert run(["relax", "--config", path]) == 0
         assert report_path.read_bytes() == first
         scalars = json.loads(first)["scalars"]
-        for key in ("objective_gradient_evals", "line_coefficient_evals", "restarts", "jacobian_products"):
+        for key in ("objective_gradient_evals", "line_coefficient_evals", "jacobian_products"):
             assert type(scalars[key]) is int
-        assert scalars["line_coefficient_evals"] == scalars["iterations"] + scalars["restarts"]
+        assert scalars["line_coefficient_evals"] == scalars["iterations"]
 
 
 class TestVerbose:

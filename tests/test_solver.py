@@ -298,34 +298,41 @@ class TestLineSearch:
         for f in (0.99, 1.01):
             assert best <= kern.objective(vecs + f * t * p)
 
-    def test_non_descent_direction_restarts(self, monkeypatch):
+    def test_non_descent_direction_is_rejected(self):
         kern = so._Kernel(SPHERE, "action")
         at = kern.evaluate(so.connection_vectors(co.random_connection(SPHERE, 0.3, seed=24)))
         counts = {"line_coefficient_evals": 0, "objective_gradient_evals": 0}
         assert so._line_step(kern, at, at.grad, counts) is None
         assert counts == {"line_coefficient_evals": 0, "objective_gradient_evals": 0}
 
-        calls = []
-        line_step = so._line_step
+    def test_failed_step_stops_the_run(self, monkeypatch):
+        # with grad_tol 0 the run descends to rounding level, where a line search fails
+        steps, searched = [], []
+        gauss_newton_step, line_step = so._gauss_newton_step, so._line_step
 
-        def reverse_first_conjugate_direction(kern, at, p, counts):
-            calls.append((p, at.grad))
-            return line_step(kern, at, -p if len(calls) == 2 else p, counts)
+        def record_step(kern, at, counts):
+            steps.append(gauss_newton_step(kern, at, counts))
+            return steps[-1]
 
-        monkeypatch.setattr(so, "_line_step", reverse_first_conjugate_direction)
-        a0 = co.random_connection(SPHERE, 0.1, seed=24)
-        rep = so.minimize(a0, so.SolverConfig(max_iters=5000, grad_tol=1e-6))
-        assert rep.diagnostics["restarts"] == 1
-        p, grad = calls[2]
-        assert np.array_equal(p, -grad)
-        assert rep.converged
+        def record_search(kern, at, p, counts):
+            searched.append(p)
+            return line_step(kern, at, p, counts)
+
+        monkeypatch.setattr(so, "_gauss_newton_step", record_step)
+        monkeypatch.setattr(so, "_line_step", record_search)
+        a0 = co.random_connection(SPHERE, 0.1, seed=25)
+        rep = so.minimize(a0, so.SolverConfig(max_iters=400, grad_tol=0.0))
+        assert rep.reason == "line search stalled" and not rep.converged
+        assert rep.diagnostics["line_coefficient_evals"] == rep.n_iters + 1
+        assert len(searched) == len(steps) == rep.n_iters + 1
+        assert all(p is q for p, q in zip(searched, steps))
 
     def test_counters_match_the_trace(self):
         a0 = co.random_connection(SPHERE, 0.1, seed=25)
         rep = so.minimize(a0, so.SolverConfig(max_iters=40, grad_tol=0.0))
         d = rep.diagnostics
-        assert all(type(d[k]) is int for k in ("objective_gradient_evals", "line_coefficient_evals", "restarts"))
-        assert d["line_coefficient_evals"] == rep.n_iters + d["restarts"]
+        assert all(type(d[k]) is int for k in ("objective_gradient_evals", "line_coefficient_evals"))
+        assert d["line_coefficient_evals"] == rep.n_iters
         assert d["objective_gradient_evals"] >= rep.n_iters + 1
         again = so.minimize(a0, so.SolverConfig(max_iters=40, grad_tol=0.0))
         assert again.diagnostics == d and again.iterations == rep.iterations
