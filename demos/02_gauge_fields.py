@@ -23,8 +23,8 @@ print("=" * 72)
 
 a = co.random_connection(sphere, 0.4, seed=1)
 f = ga.curvature(a)
-print("  connection coefficients in su(2):", alg.is_su2_algebra(a.values))
-print("  curvature coefficients in su(2): ", alg.is_su2_algebra(f.values))
+print("  su(2) deviation of the connection:", alg.su2_algebra_deviation(a.values))
+print("  su(2) deviation of the curvature: ", alg.su2_algebra_deviation(f.values))
 print("  (the quadratic part pushes F into general 2x2 matrices)")
 print(
     "  assembled F vs component stencil:",

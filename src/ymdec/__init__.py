@@ -9,12 +9,9 @@ __version__ = "0.1.0"
 from .algebra import (
     LAMBDA,
     SIGMA,
-    commutator,
     conj_transpose,
     embed_su2,
     exp_su2,
-    is_su2_algebra,
-    is_su2_group,
     project_su2,
     trace,
 )
@@ -29,7 +26,6 @@ from .calculus import (
     norm,
     norm_sq,
     star,
-    star_inverse,
 )
 from .cochain import (
     Cochain,

@@ -28,13 +28,6 @@ LAMBDA = SIGMA / 2j
 IDENTITY2 = np.eye(2, dtype=np.complex128)
 
 
-def commutator(a, b):
-    """ab - ba."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return a @ b - b @ a
-
-
 def conj_transpose(a):
     """Conjugate transpose of the trailing 2x2 block."""
     return np.conj(np.swapaxes(np.asarray(a), -1, -2))
@@ -142,16 +135,6 @@ def su2_group_deviation(m):
     unit = np.abs(m @ conj_transpose(m) - IDENTITY2).max()
     det = np.abs(det2(m) - 1.0).max()
     return float(max(unit, det))
-
-
-def is_su2_algebra(m, tol=1e-10):
-    """True iff every trailing 2x2 block is anti-Hermitian traceless within tol."""
-    return su2_algebra_deviation(m) <= tol
-
-
-def is_su2_group(m, tol=1e-10):
-    """True iff every trailing 2x2 block is unitary with det 1 within tol."""
-    return su2_group_deviation(m) <= tol
 
 
 def matrix_to_pairs(m):

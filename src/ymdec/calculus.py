@@ -7,7 +7,7 @@ Component conventions (direction sets written as ascending axis tuples):
                              cup_sign(P, Q) * f^P_k  g^Q_{k + 1_P}
   star         (*f)^{P^c}_k = perm_sign(P) * f^P_k,   copy flag toggled
   copy_swap    identical components, copy flag toggled
-  codifferential on a p-form: (-1)^p * star_inverse(coboundary(star(f)))
+  codifferential on a p-form: -star(coboundary(star(f)))
 
 Coefficients multiply as matrices in operand order.  On the block, reads
 one past the stored halo yield zero; identities are therefore asserted on
@@ -173,15 +173,6 @@ def star(f: Cochain) -> Cochain:
     return out
 
 
-def star_inverse(f: Cochain) -> Cochain:
-    """Inverse of star at the degree of its argument: (-1)^{p(4-p)} star."""
-    p = f.degree
-    out = star(f)
-    if (p * (4 - p)) % 2:
-        out.values = -out.values
-    return out
-
-
 def copy_swap(f: Cochain) -> Cochain:
     """Identify the two copies componentwise (an involution)."""
     return Cochain(f.domain, f.degree, f.values.copy(), f.copy ^ 1)
@@ -193,12 +184,15 @@ def dual(f: Cochain) -> Cochain:
 
 
 def codifferential(f: Cochain) -> Cochain:
-    """Adjoint of the coboundary; lowers the degree by one."""
+    """Adjoint of the coboundary; lowers the degree by one.
+
+    (-1)^p star^-1 d star with star^-1 = (-1)^{q(4-q)} star at q = 5 - p is
+    -star d star in every degree, since p + (5 - p)(p - 1) is always odd.
+    """
     if f.degree < 1:
         raise ValueError("codifferential needs degree >= 1")
-    sign = -1 if f.degree % 2 else 1
-    out = star_inverse(coboundary(star(f)))
-    out.values *= sign
+    out = star(coboundary(star(f)))
+    out.values = -out.values
     return out
 
 

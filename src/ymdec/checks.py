@@ -227,10 +227,11 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
     a = co.random_connection(domain, amplitude, seed=rng_base + 90)
     f_assembled = ga.curvature(a)
     f_direct = ga.curvature_components(a)
+    f_scale = np.abs(f_assembled.values).max()
     checks.append(
         _check(
             "curvature_component_match",
-            np.abs(f_assembled.values - f_direct.values).max(),
+            _rel(np.abs(f_assembled.values - f_direct.values).max(), f_scale),
             1e-13,
         )
     )
@@ -324,7 +325,7 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
         np.abs(ca.dual(fm).values + fm.values).max(),
         np.abs(co.add(fp, fm).values - f_assembled.values).max(),
     )
-    checks.append(_check("sd_projectors", proj, 1e-12))
+    checks.append(_check("sd_projectors", _rel(proj, f_scale), 1e-12))
     total = ca.norm_sq(f_assembled)
     checks.append(
         _check(
@@ -345,7 +346,7 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
     vecs = so.connection_vectors(a)
     rng = np.random.default_rng(rng_base + 130)
     worst = 0.0
-    h_fd = 1e-4
+    h_fd = 1e-4 * max(1.0, np.abs(vecs).max())
     for _ in range(8):
         idx = tuple(rng.integers(0, s) for s in vecs.shape)
         vp, vm = vecs.copy(), vecs.copy()

@@ -50,10 +50,10 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from . import cochain as co
+from . import gauge
 from . import solver as so
 from .checks import run_verify_checks
 from .complex4 import Domain
-from .gauge import connection_scalars
 from .timing import phase
 
 log = logging.getLogger(__name__)
@@ -221,7 +221,7 @@ def cmd_verify(job, report):
 def cmd_action(job, report):
     A = build_input(job, "connection")
     with phase(log, "diagnostics"):
-        report["scalars"] = connection_scalars(A)
+        report["scalars"] = gauge.connection_scalars(A, gauge.curvature(A))
     return 0, None
 
 

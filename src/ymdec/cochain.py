@@ -81,12 +81,8 @@ class Cochain:
     def zeros(cls, domain: Domain, degree: int, copy: int = BASE) -> "Cochain":
         return cls(domain, degree, np.zeros(cls.shape(domain, degree)), copy)
 
-    @property
-    def masks(self) -> tuple:
-        return MASKS_BY_DEGREE[self.degree]
-
     def dir_index(self, mask: int) -> int:
-        return self.masks.index(mask)
+        return MASKS_BY_DEGREE[self.degree].index(mask)
 
     def get(self, chart, k, mask):
         """Component at an address; resolves sphere gluing, reads block halo."""

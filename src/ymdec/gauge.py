@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra as alg
 from .calculus import coboundary, cup, dual, gather_table, norm, norm_sq, shift_plus
-from .cochain import Cochain, add, interior, scale, sub, validate_connection
+from .cochain import Cochain, add, interior, scale, sub, validate_connection, zero_pad
 from .complex4 import FULL_MASK, MASKS_BY_DEGREE, Domain, mask_axes
 
 # ordered axis pairs matching the degree-2 direction sets (ascending masks)
@@ -212,19 +212,23 @@ def yang_mills_residual_norm(A: Cochain) -> float:
     return norm(yang_mills_residual(A))
 
 
-def connection_scalars(A: Cochain, F: Cochain | None = None) -> dict:
-    """The standard diagnostics of a connection from one curvature F (built
-    here unless the caller passes curvature(A)): the action |F|^2, the
-    Yang-Mills residual, the self-dual residual and the Bianchi defect,
-    bitwise equal to yang_mills_residual_norm, sd_residual and
-    bianchi_residual called on their own."""
-    F = curvature(A) if F is None else F
-    return {
+def connection_scalars(A: Cochain, F: Cochain) -> dict:
+    """The standard diagnostics of a connection from its curvature F: the
+    action |F|^2, the Yang-Mills residual, the self-dual residual and the
+    Bianchi defect, bitwise equal to yang_mills_residual_norm, sd_residual
+    and bianchi_residual called on their own.  The block adds the Yang-Mills
+    residual on the deep cells (zero_pad's support, 1 <= k_i <= N_i - 1),
+    where covariant_d reads F on interior cells only, not at the halo."""
+    ym = covariant_d(A, dual(F))
+    out = {
         "action": float(norm_sq(F)),
-        "ym_residual_norm": float(norm(covariant_d(A, dual(F)))),
+        "ym_residual_norm": float(norm(ym)),
         "sd_residual": float(sd_residual(F)),
         "bianchi_defect": float(norm(covariant_d(A, F))),
     }
+    if not A.domain.is_sphere:
+        out["ym_residual_norm_deep"] = float(norm(zero_pad(ym)))
+    return out
 
 
 # the degree-2 direction sets through axis 1, (12), (13), (14): one per

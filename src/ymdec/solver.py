@@ -34,7 +34,7 @@ import numpy as np
 from . import algebra as alg
 from . import gauge
 from .calculus import norm_sq, star_plan
-from .cochain import Cochain, interior, is_finite_real
+from .cochain import Cochain, interior, is_finite_real, validate_connection
 from .complex4 import Domain
 from .timing import phase
 
@@ -78,10 +78,9 @@ class SolverReport:
 
 
 def connection_vectors(A: Cochain) -> np.ndarray:
-    """su(2) coefficient array of a connection, shape (..., 4, 3)."""
-    if A.degree != 1:
-        raise ValueError("needs a degree-1 form")
-    return alg.project_su2(A.values)
+    """su(2) coefficient array of a connection, shape (..., 4, 3); a form that
+    validate_connection rejects raises ValidationError instead of being projected."""
+    return alg.project_su2(validate_connection(A).values)
 
 
 def vectors_to_connection(domain: Domain, vecs: np.ndarray) -> Cochain:

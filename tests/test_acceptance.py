@@ -265,7 +265,7 @@ def test_criterion_9_minimizer_converges():
     objs = [row[0] for row in rep.iterations]
     monotone = all(b < a for a, b in zip(objs, objs[1:]))
     gmax = rep.iterations[-1][1]
-    su2_ok = alg.is_su2_algebra(rep.final.values, tol=1e-12)
+    su2_ok = alg.su2_algebra_deviation(rep.final.values) <= 1e-12
     passed = monotone and rep.converged and rep.n_iters <= 5000 and gmax <= 1e-6 and su2_ok
     report(9, f"minimizer ({rep.n_iters} iterations)", gmax, 1e-6, passed)
     assert monotone

@@ -88,12 +88,6 @@ class TestStar:
         want = (-1) ** (p * (4 - p))
         assert form_defect(ss, co.scale(f, want)) == 0.0
 
-    @pytest.mark.parametrize("p", range(5))
-    def test_star_inverse(self, p):
-        f = rand(SPHERE, p, seed=10 + p)
-        assert form_defect(ca.star_inverse(ca.star(f)), f) == 0.0
-        assert form_defect(ca.star(ca.star_inverse(f)), f) == 0.0
-
 
 class TestCopySwap:
     def test_involution(self):

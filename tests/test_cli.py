@@ -87,6 +87,14 @@ class TestVerify:
         table = capsys.readouterr().out
         assert "bianchi_identity" in table and "pass" in table
 
+    @pytest.mark.parametrize("amplitude", [100, 1e6])
+    def test_large_amplitude_passes(self, tmp_path, amplitude):
+        # amplitude-dependent defects are relative to max|F|, the FD step to max|A|
+        path = write_config(tmp_path, amplitude=amplitude)
+        out = tmp_path / "report.json"
+        assert run(["verify", "--config", path, "--output", str(out)]) == 0
+        assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
+
     def test_report_embeds_metadata(self, tmp_path):
         out = tmp_path / "report.json"
         run(["verify", "--output", str(out)])

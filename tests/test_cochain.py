@@ -68,12 +68,12 @@ class TestConstructors:
 
     def test_random_connection_is_su2(self):
         a = co.random_connection(BLOCK, 1.0, seed=4)
-        assert alg.is_su2_algebra(a.values)
+        assert alg.su2_algebra_deviation(a.values) <= 1e-10
         co.validate_connection(a)
 
     def test_random_gauge_is_group(self):
         h = co.random_gauge(SPHERE, seed=5)
-        assert alg.is_su2_group(h.values)
+        assert alg.su2_group_deviation(h.values) <= 1e-10
         co.validate_gauge(h)
 
     def test_block_halo_clamped_copy(self):

@@ -116,7 +116,7 @@ class TestMinimize:
         objs = [r[0] for r in rep.iterations]
         assert all(b < a for a, b in zip(objs, objs[1:]))
         assert rep.iterations[-1][1] <= 1e-6
-        assert alg.is_su2_algebra(rep.final.values, tol=1e-12)
+        assert alg.su2_algebra_deviation(rep.final.values) <= 1e-12
 
     # the same on non-cubic sizes; a parametrized copy, so the 2^4 test keeps its id
     @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
@@ -154,7 +154,7 @@ class TestMinimize:
     def test_iterates_stay_su2(self, domain=SPHERE):
         a0 = co.random_connection(domain, 0.1, seed=11)
         rep = so.minimize(a0, so.SolverConfig(max_iters=3, grad_tol=0.0))
-        assert alg.is_su2_algebra(rep.final.values, tol=1e-12)
+        assert alg.su2_algebra_deviation(rep.final.values) <= 1e-12
 
     @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
     def test_iterates_stay_su2_non_cubic(self, domain):
@@ -227,6 +227,22 @@ class TestSelfDual:
     @pytest.mark.parametrize("domain", NON_CUBIC, ids=NON_CUBIC_IDS)
     def test_residual_driven_to_component_equations_non_cubic(self, domain):
         self.test_residual_driven_to_component_equations(domain)
+
+    @pytest.mark.parametrize("anti", [False, True], ids=["sd", "anti"])
+    def test_deep_yang_mills_residual_follows_the_solved_residual(self, anti):
+        # d_A(dual F) = d_A(dual F -+ F) by Bianchi, and on the deep cells the
+        # stencil reads F on interior cells only; the full block norm also
+        # holds the boundary layer, which reads F at the unconstrained halo
+        block = Domain((3, 3, 3, 3), "block")
+        for a0 in (co.random_connection(block, 0.5, seed=7), co.random_connection(SPHERE, 0.1, seed=7)):
+            d = so.solve_self_dual(a0, so.SolverConfig(), anti=anti).diagnostics
+            solved = d["asd_residual" if anti else "sd_residual"]
+            if a0.domain.is_sphere:
+                assert "ym_residual_norm_deep" not in d
+                assert d["ym_residual_norm"] <= 4 * solved
+            else:
+                assert d["ym_residual_norm_deep"] <= 4 * solved
+                assert d["ym_residual_norm"] > 1
 
     def test_anti_variant_flips_the_sign(self):
         a0 = co.random_connection(SPHERE, 0.05, seed=14)
@@ -371,6 +387,19 @@ class TestSolverApiBoundary:
     def test_rejected_with_value_error(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a: so.minimize(a, so.SolverConfig(max_iters=3)),
+            lambda a: so.solve_self_dual(a, so.SolverConfig(max_iters=3)),
+            so.action_gradient,
+        ],
+        ids=["minimize", "solve_self_dual", "action_gradient"],
+    )
+    def test_non_su2_connection_is_rejected_not_projected(self, run):
+        with pytest.raises(co.ValidationError, match="not su\\(2\\)"):
+            run(co.random_form(SPHERE, 1, seed=1))
 
 
 def _oracle_objective(domain, objective, anti, vecs):
