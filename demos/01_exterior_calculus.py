@@ -31,12 +31,12 @@ print("=" * 72)
 
 cell = Cell(CHART_V, (1, 1, 1, 1), axes_mask([2, 4]))
 print("boundary of the (2,4)-direction square at k = (1,1,1,1):")
-for bcell, coeff in boundary_cell(block, cell):
+for bcell, coeff in boundary_cell(block, cell).items():
     print(f"  {coeff:+d} * cell(k={bcell.k}, axes={mask_axes(bcell.mask)})")
 
 f = co.random_form(sphere, 1, seed=1)
 df = ca.coboundary(f)
-pairing = ca.pair_chain(boundary_cell(sphere, cell), f)
+pairing = sum(coeff * f.get(c.chart, c.k, c.mask) for c, coeff in boundary_cell(sphere, cell).items())
 print("\n(df) component at that square equals the chain pairing <boundary, f>:")
 print("  max difference:", np.abs(df.get(CHART_V, (1, 1, 1, 1), cell.mask) - pairing).max())
 

@@ -43,7 +43,7 @@ from .cochain import (
     validate_gauge,
     zero_pad,
 )
-from .complex4 import Cell, Chain, Domain, OutOfDomain, boundary, boundary_cell
+from .complex4 import Cell, Domain, OutOfDomain, boundary_cell
 from .gauge import (
     anti_self_dual_part,
     bianchi_residual,

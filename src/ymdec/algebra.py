@@ -135,16 +135,3 @@ def su2_group_deviation(m):
     unit = np.abs(m @ conj_transpose(m) - IDENTITY2).max()
     det = np.abs(det2(m) - 1.0).max()
     return float(max(unit, det))
-
-
-def matrix_to_pairs(m):
-    """Row-major [re, im] pair encoding: [[re,im],[re,im],[re,im],[re,im]]."""
-    m = np.asarray(m, dtype=np.complex128)
-    flat = m.reshape(*m.shape[:-2], 4)
-    return np.stack([flat.real, flat.imag], axis=-1)
-
-
-def matrix_from_pairs(p):
-    p = np.asarray(p, dtype=np.float64)
-    flat = p[..., 0] + 1j * p[..., 1]
-    return flat.reshape(*p.shape[:-2], 2, 2)

@@ -27,11 +27,9 @@ from .complex4 import (
     FULL_MASK,
     MASKS_BY_DEGREE,
     PERM_SIGN,
-    Chain,
     Domain,
     boundary_arrays,
     cup_sign,
-    degree,
     mask_axes,
 )
 
@@ -205,8 +203,10 @@ def inner_product(f: Cochain, g: Cochain) -> complex:
 
 
 def norm_sq(f: Cochain) -> float:
-    """(f, f); guaranteed real and >= 0."""
+    """(f, f); guaranteed finite, real and >= 0."""
     v = inner_product(f, f)
+    if not np.isfinite(v):
+        raise ArithmeticError(f"inner product not finite: {v}")
     scale = float(np.abs(v)) + 1.0
     if not abs(v.imag) <= 1e-10 * scale:
         raise ArithmeticError(f"inner product not real: {v}")
@@ -217,18 +217,8 @@ def norm(f: Cochain) -> float:
     return float(np.sqrt(norm_sq(f)))
 
 
-def pair_chain(chain: Chain, f: Cochain):
-    """Pairing of a sparse chain against a form: sum of coeff * component."""
-    out = np.zeros((2, 2), dtype=np.complex128)
-    for cell, coeff in chain:
-        if cell.copy != f.copy or degree(cell.mask) != f.degree:
-            continue
-        out += coeff * f.get(cell.chart, cell.k, cell.mask)
-    return out
-
-
 def pair_boundaries(f: Cochain) -> Cochain:
-    """pair_chain(boundary_cell(cell), f) for every stored degree-(p+1) cell.
+    """Sum of coefficient * f over boundary_cell(cell), per stored (p+1)-cell.
 
     Scattered from boundary_arrays, so it never reads the shifts; zero on
     the block cells whose boundary leaves the halo.

@@ -48,6 +48,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import __version__
 from . import cochain as co
 from . import gauge
@@ -57,8 +59,6 @@ from .complex4 import Domain
 from .timing import phase
 
 log = logging.getLogger(__name__)
-
-CELL_ORDERING = "chart-major,k-lexicographic,mask-ascending,row-major/v1"
 
 DEFAULT_CONFIG = {
     "topology": "sphere",
@@ -99,7 +99,7 @@ def load_config(command, path=None, seed=None, output=None) -> Job:
             user = json.loads(Path(path).read_text())
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}") from e
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
@@ -342,14 +342,15 @@ def _run(args) -> int:
         report = {
             "tool": "ymdec",
             "version": __version__,
-            "cell_ordering": CELL_ORDERING,
+            "cell_ordering": co.CELL_ORDERING,
             "command": args.command,
             "config": job.config,
             "checks": [],
             "scalars": {},
             "trace": [],
         }
-        code, final = COMMANDS[args.command].run(job, report)
+        with np.errstate(all="ignore"):  # a non-finite result aborts below in one line
+            code, final = COMMANDS[args.command].run(job, report)
         _emit(report, job, final)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

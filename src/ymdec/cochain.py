@@ -28,6 +28,7 @@ from .complex4 import (
 )
 
 FILE_VERSION = 1
+CELL_ORDERING = f"chart-major,k-lexicographic,mask-ascending,row-major/v{FILE_VERSION}"
 
 COPY_NAMES = {BASE: "base", TILDE: "tilde"}
 COPY_FLAGS = {v: k for k, v in COPY_NAMES.items()}
@@ -248,9 +249,9 @@ def validate_gauge(f: Cochain) -> Cochain:
 
 
 def serialize(f: Cochain) -> bytes:
-    """JSON encoding over the normative component order."""
-    flat = f.values.reshape(-1, 2, 2)
-    data = alg.matrix_to_pairs(flat).tolist()
+    """JSON encoding over the normative component order; each matrix is its
+    four entries row-major as [re, im] pairs, which is complex128's memory layout."""
+    data = np.ascontiguousarray(f.values).view(np.float64).reshape(-1, 4, 2).tolist()
     doc = {
         "version": FILE_VERSION,
         "topology": f.domain.topology,
@@ -275,7 +276,7 @@ def is_finite_real(v) -> bool:
 def deserialize(payload: bytes) -> Cochain:
     try:
         doc = json.loads(payload)
-    except (ValueError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         raise MalformedFormError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise MalformedFormError("top-level value must be an object")
@@ -296,11 +297,10 @@ def deserialize(payload: bytes) -> Cochain:
     shape = Cochain.shape(domain, degree)
     try:
         pairs = np.asarray(doc["data"], dtype=np.float64)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:  # OverflowError: an int past the float range
         raise MalformedFormError(f"bad data payload: {e}") from e
     # Domain bounds the storage, so this count fits an array index
     expected = (domain.ncells * len(MASKS_BY_DEGREE[degree]), 4, 2)
     if pairs.shape != expected:
         raise FormShapeError(f"payload has shape {pairs.shape}, expected {expected}")
-    values = alg.matrix_from_pairs(pairs).reshape(shape)
-    return Cochain(domain, degree, values, COPY_FLAGS[doc["copy"]])
+    return Cochain(domain, degree, pairs.view(np.complex128).reshape(shape), COPY_FLAGS[doc["copy"]])

@@ -7,10 +7,9 @@ tensor factors are 1-dimensional.  Direction sets are stored as bitmasks
 (axis i <-> bit i-1).  Each cell additionally carries a copy flag (base
 complex vs its mirror copy), which the star operator toggles.
 
-Chains are sparse integer/real combinations of cells; the boundary
-operator, its cached integer arrays and the diagonal chains of the
-per-cell Green oracle in the tests live here.
-All topology arithmetic is exact (no floats).
+The boundary of a cell is a plain {cell: coefficient} dict; the boundary
+operator is read once per stored cell into cached integer arrays.  All
+topology arithmetic is exact (no floats).
 """
 
 from __future__ import annotations
@@ -199,62 +198,23 @@ class Domain:
         ]
 
 
-class Chain:
-    """Sparse real-weighted combination of cells; zero coefficients are dropped."""
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for cell, coeff in dict(terms).items():
-                self.add(cell, coeff)
-
-    def add(self, cell: Cell, coeff):
-        if coeff == 0:
-            return
-        new = self.terms.get(cell, 0) + coeff
-        if new == 0:
-            self.terms.pop(cell, None)
-        else:
-            self.terms[cell] = new
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Chain) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"Chain({self.terms!r})"
-
-
-def boundary_cell(domain: Domain, cell: Cell) -> Chain:
-    """Boundary of a basis cell.
+def boundary_cell(domain: Domain, cell: Cell) -> dict:
+    """Boundary of a basis cell as {cell: coefficient}.
 
     For a cell with direction axes i1 < i2 < ... the i-th axis contributes
     (-1)^(number of direction axes before i) * (cell at tau_i k minus cell
-    at k), each with the axis dropped from the direction set.  Output cells
-    are address-resolved, k once and each tau_i k once; 0-cells have empty
-    boundary.
+    at k), each with the axis dropped from the direction set.  No two terms
+    share a cell, so none cancel.  Output cells are address-resolved, k
+    once and each tau_i k once; 0-cells have empty boundary.
     """
-    out = Chain()
+    out = {}
     lo_chart, lo_k = domain.resolve(cell.chart, cell.k)
     for pos, i in enumerate(mask_axes(cell.mask)):
         sign = -1 if pos & 1 else 1
         sub = cell.mask & ~(1 << (i - 1))
         up_chart, up_k = domain.resolve(cell.chart, shift(cell.k, i))
-        out.add(Cell(up_chart, up_k, sub, cell.copy), sign)
-        out.add(Cell(lo_chart, lo_k, sub, cell.copy), -sign)
-    return out
-
-
-def boundary(domain: Domain, chain: Chain) -> Chain:
-    out = Chain()
-    for cell, coeff in chain:
-        for bcell, bcoeff in boundary_cell(domain, cell):
-            out.add(bcell, coeff * bcoeff)
+        out[Cell(up_chart, up_k, sub, cell.copy)] = sign
+        out[Cell(lo_chart, lo_k, sub, cell.copy)] = -sign
     return out
 
 
@@ -279,10 +239,10 @@ def boundary_arrays(domain: Domain, p: int):
     for n, (chart, k) in enumerate(cells):
         for d, mask in enumerate(masks):
             try:
-                chain = boundary_cell(domain, Cell(chart, k, mask))
+                terms = boundary_cell(domain, Cell(chart, k, mask)).items()
             except OutOfDomain:
                 continue
-            for cell, coeff in chain:
+            for cell, coeff in terms:
                 rows.append(n * len(masks) + d)
                 cols.append(position[cell.chart, cell.k] * len(sub_index) + sub_index[cell.mask])
                 coeffs.append(coeff)
@@ -298,21 +258,3 @@ def star_cell(cell: Cell):
     return PERM_SIGN[cell.mask], Cell(
         cell.chart, cell.k, FULL_MASK ^ cell.mask, cell.copy ^ 1
     )
-
-
-def build_Vp(domain: Domain, p: int):
-    """Diagonal chain of degree p: triples (cell, mirrored complement, sign).
-
-    One entry per interior (chart, k) and per direction set of degree p;
-    paired against a form and a starred form they give the discrete Green
-    formula cell by cell, the oracle of calculus.green_boundary_term.
-    """
-    if not 0 <= p <= 4:
-        raise ValueError("degree out of range")
-    out = []
-    for chart, k in domain.interior_cells():
-        for mask in MASKS_BY_DEGREE[p]:
-            cell = Cell(chart, k, mask, BASE)
-            sign, mirrored = star_cell(cell)
-            out.append((cell, mirrored, sign))
-    return out

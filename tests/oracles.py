@@ -2,16 +2,66 @@
 
 Everything here is built straight from the one-dimensional definitions
 (boundary of an interval, the three nonzero 1-D products, the recursive
-sign rule) or from the per-cell chain layer (boundary_cell, pair_chain,
-the diagonal chains), and never calls the vectorized implementations it
-checks.
+sign rule) or from the per-cell chain layer (boundary_cell and, built on
+it here, sparse chains, their boundary and pairing, the diagonal chains),
+and never calls the vectorized implementations it checks.
 """
 
 import numpy as np
 
-from ymdec.calculus import pair_chain, star
+from ymdec.calculus import star
 from ymdec.cochain import conj_transpose_form
-from ymdec.complex4 import boundary_cell, build_Vp
+from ymdec.complex4 import BASE, MASKS_BY_DEGREE, Cell, boundary_cell, degree, star_cell
+
+
+class Chain(dict):
+    """Sparse integer combination of cells, {cell: coefficient}; terms that
+    cancel are dropped, so the zero chain is empty."""
+
+    def add(self, cell, coeff):
+        new = self.get(cell, 0) + coeff
+        if new == 0:
+            self.pop(cell, None)
+        else:
+            self[cell] = new
+
+
+def boundary(domain, chain):
+    """Boundary of a chain, summed cell by cell over boundary_cell."""
+    out = Chain()
+    for cell, coeff in chain.items():
+        for bcell, bcoeff in boundary_cell(domain, cell).items():
+            out.add(bcell, coeff * bcoeff)
+    return out
+
+
+def pair_chain(chain, f):
+    """Pairing of a chain {cell: coefficient} against a form: the sum of
+    coefficient times component over the cells on f's copy and degree."""
+    out = np.zeros((2, 2), dtype=np.complex128)
+    for cell, coeff in chain.items():
+        if cell.copy != f.copy or degree(cell.mask) != f.degree:
+            continue
+        out += coeff * f.get(cell.chart, cell.k, cell.mask)
+    return out
+
+
+def build_Vp(domain, p):
+    """Diagonal chain of degree p: triples (cell, mirrored complement, sign).
+
+    One entry per interior (chart, k) and per direction set of degree p;
+    paired against a form and a starred form they give the discrete Green
+    formula cell by cell.
+    """
+    if not 0 <= p <= 4:
+        raise ValueError("degree out of range")
+    out = []
+    for chart, k in domain.interior_cells():
+        for mask in MASKS_BY_DEGREE[p]:
+            cell = Cell(chart, k, mask, BASE)
+            sign, mirrored = star_cell(cell)
+            out.append((cell, mirrored, sign))
+    return out
 
 
 def parity_sign(seq):

@@ -106,10 +106,3 @@ class TestMisc:
         rng = np.random.default_rng(3)
         m = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
         np.testing.assert_allclose(alg.inv2(m) @ m, np.broadcast_to(alg.IDENTITY2, m.shape), atol=1e-12)
-
-    def test_pair_encoding_roundtrip(self):
-        m = np.array([[1 + 2j, 3 - 4j], [-5j, 6.5]])
-        p = alg.matrix_to_pairs(m)
-        assert p.shape == (4, 2)
-        np.testing.assert_array_equal(p[0], [1.0, 2.0])
-        np.testing.assert_array_equal(alg.matrix_from_pairs(p), m)

@@ -100,7 +100,7 @@ class TestVerify:
         run(["verify", "--output", str(out)])
         report = json.loads(out.read_text())
         assert report["version"] == cli.__version__
-        assert report["cell_ordering"] == cli.CELL_ORDERING
+        assert report["cell_ordering"] == co.CELL_ORDERING
         assert report["config"]["sizes"] == [2, 2, 2, 2]
 
     def test_byte_identical_reports(self, tmp_path):
@@ -516,6 +516,36 @@ class TestBoundaryRegressions:
         path = write_config(tmp_path, amplitude=1e300, **solver)
         assert run([command, "--config", path]) == 3
         assert "abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["action", "verify"])
+    def test_numerical_abort_prints_one_stderr_line(self, tmp_path, command):
+        # numpy's overflow warnings stay off stderr; the abort names the non-finite value
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ymdec", command, "--config", write_config(tmp_path, amplitude=1e200)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("numerical abort:") and "not finite" in line
+
+    @pytest.mark.parametrize("where", ["config", "form"])
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, where):
+        # json.loads raises RecursionError, not ValueError, past its nesting limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        path = str(deep) if where == "config" else write_config(tmp_path, connection=f"file:{deep}")
+        assert run(["action", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
+
+    def test_integer_beyond_the_float_range_in_form_data_is_config_error(self, tmp_path, capsys):
+        doc = _form_document(1)
+        doc["data"][0][0][0] = 10**400
+        form = tmp_path / "input.form.json"
+        form.write_text(json.dumps(doc))
+        assert run(["action", "--config", write_config(tmp_path, connection=f"file:{form}")]) == 2
+        assert "bad connection file: bad data payload" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field,value", [("copy", []), ("copy", {}), ("degree", 9), ("degree", float("inf"))]

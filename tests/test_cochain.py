@@ -197,10 +197,41 @@ class TestSerialization:
         flat = doc["data"]
         pos = 0
         for _, k in BLOCK.stored_cells():
-            m = alg.matrix_from_pairs(np.array(flat[pos]))
-            np.testing.assert_array_equal(m, f.get(CHART_V, k, 0))
+            pairs = np.array(flat[pos])
+            np.testing.assert_array_equal((pairs[:, 0] + 1j * pairs[:, 1]).reshape(2, 2), f.get(CHART_V, k, 0))
             pos += 1
         assert pos == len(flat)
+
+    def test_data_is_row_major_re_im_pairs(self):
+        # each matrix is its entries row-major as [re, im]; signed zeros survive the round trip
+        m = np.array([[1 + 2j, 3 - 4j], [-5j, complex(6.5, -0.0)]])
+        f = co.Cochain.zeros(BLOCK, 0)
+        f.set(CHART_V, (1, 2, 1, 1), 0, m)
+        doc = json.loads(co.serialize(f))
+        pos = BLOCK.stored_cells().index((CHART_V, (1, 2, 1, 1)))
+        assert doc["data"][pos] == [[1.0, 2.0], [3.0, -4.0], [0.0, -5.0], [6.5, -0.0]]
+        assert str(doc["data"][pos][3][1]) == "-0.0"
+        g = co.deserialize(co.serialize(f))
+        assert np.signbit(g.get(CHART_V, (1, 2, 1, 1), 0)[1, 1].imag)
+        np.testing.assert_array_equal(g.values, f.values)
+        # values held as a strided view serialize the same
+        strided = f.like(f.values.swapaxes(-1, -2).copy().swapaxes(-1, -2))
+        assert not strided.values.flags.c_contiguous
+        assert co.serialize(strided) == co.serialize(f)
+
+    def test_integer_beyond_the_float_range_is_malformed(self):
+        doc = json.loads(co.serialize(_golden_form()))
+        doc["data"][0][0][0] = 10**400
+        with pytest.raises(co.MalformedFormError, match="bad data payload"):
+            co.deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("where", ["document", "data"])
+    def test_deeply_nested_json_is_malformed(self, where):
+        deep = "[" * 200_000 + "]" * 200_000
+        payload = deep if where == "document" else co.serialize(_golden_form()).decode().replace(
+            '"data": [', f'"data": [{deep}, ', 1)
+        with pytest.raises(co.MalformedFormError, match="not valid JSON"):
+            co.deserialize(payload.encode())
 
     def test_truncated_payload(self):
         payload = co.serialize(_golden_form())

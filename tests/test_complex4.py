@@ -1,4 +1,5 @@
-"""Tests for the combinatorial layer: signs, addressing, boundary, diagonal chains."""
+"""Tests for the combinatorial layer: signs, addressing, boundary, topology, and the
+chain oracles (chain boundary, diagonal chains) in tests/oracles.py."""
 
 import collections
 import itertools
@@ -6,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import cup_basis, factors, parity_sign
+from oracles import boundary, build_Vp, cup_basis, factors, parity_sign
 from ymdec import complex4 as cx
 from ymdec.complex4 import (
     CHART_V,
@@ -14,7 +15,6 @@ from ymdec.complex4 import (
     FULL_MASK,
     TILDE,
     Cell,
-    Chain,
     Domain,
     OutOfDomain,
 )
@@ -184,15 +184,13 @@ class TestBoundary:
         k = (1, 1, 1, 1)
         cell = Cell(CHART_V, k, cx.axes_mask([2, 4]))
         got = cx.boundary_cell(BLOCK, cell)
-        want = Chain(
-            {
-                Cell(CHART_V, (1, 2, 1, 1), cx.axes_mask([4])): 1,
-                Cell(CHART_V, k, cx.axes_mask([4])): -1,
-                Cell(CHART_V, (1, 1, 1, 2), cx.axes_mask([2])): -1,
-                Cell(CHART_V, k, cx.axes_mask([2])): 1,
-            }
-        )
-        assert got == want
+        want = {
+            Cell(CHART_V, (1, 2, 1, 1), cx.axes_mask([4])): 1,
+            Cell(CHART_V, k, cx.axes_mask([4])): -1,
+            Cell(CHART_V, (1, 1, 1, 2), cx.axes_mask([2])): -1,
+            Cell(CHART_V, k, cx.axes_mask([2])): 1,
+        }
+        assert type(got) is dict and got == want
 
     @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
     def test_boundary_squared_is_zero(self, domain):
@@ -205,11 +203,11 @@ class TestBoundary:
                 except OutOfDomain:
                     assert not domain.is_sphere
                     continue
-                assert len(cx.boundary(domain, chain)) == 0, (chart, k, mask)
+                assert len(boundary(domain, chain)) == 0, (chart, k, mask)
 
     def test_boundary_keeps_copy_flag(self):
         cell = Cell(CHART_V, (1, 1, 1, 1), cx.axes_mask([1]), TILDE)
-        for bcell, _ in cx.boundary_cell(SPHERE, cell):
+        for bcell in cx.boundary_cell(SPHERE, cell):
             assert bcell.copy == TILDE
 
     @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
@@ -241,7 +239,7 @@ def _boundary_by_cell(domain, p):
             except OutOfDomain:
                 raising.add(row)
                 continue
-            for cell, coeff in chain:
+            for cell, coeff in chain.items():
                 m = np.ravel_multi_index(domain.storage_index(cell.chart, cell.k), shape)
                 terms[(row, m * len(sub) + sub.index(cell.mask), coeff)] += 1
     return terms, raising
@@ -291,6 +289,31 @@ class TestBoundaryArrays:
             assert len(set(calls)) == len(calls)
 
 
+class TestTopology:
+    """The glued "sphere" has the homology of the 4-torus: every axis line
+    closes into a circle of 2 N_i steps.  Ranks over the reals of the
+    integer boundary_arrays."""
+
+    @pytest.mark.parametrize(
+        "n,ranks", [(2, (31, 93, 93, 31)), (3, (161, 483, 483, 161))], ids=["sphere-2", "sphere-3"]
+    )
+    def test_betti_numbers_and_euler_characteristic(self, n, ranks):
+        domain = Domain((n,) * 4, "sphere")
+        dims = [domain.ncells * len(cx.MASKS_BY_DEGREE[p]) for p in range(5)]
+        got = []
+        for p in range(1, 5):
+            row, col, coeff = cx.boundary_arrays(domain, p)
+            dense = np.zeros((dims[p], dims[p - 1]))
+            dense[row, col] = coeff
+            got.append(int(np.linalg.matrix_rank(dense)))
+        assert tuple(got) == ranks
+        rank = [0, *got, 0]  # rank of the boundary on degree p, p = 0..5
+        betti = [dims[p] - rank[p] - rank[p + 1] for p in range(5)]
+        assert betti == [1, 4, 6, 4, 1]
+        assert sum((-1) ** p * dims[p] for p in range(5)) == 0
+        assert sum((-1) ** p * b for p, b in enumerate(betti)) == 0
+
+
 class TestStarChain:
     def test_star_cell_tables(self):
         # *e^1 = +e~^{234}, *e^2 = -e~^{134}, *e^3 = +e~^{124}, *e^4 = -e~^{123}
@@ -314,7 +337,7 @@ class TestStarChain:
 
 class TestDiagonalChains:
     def test_degree1_signs(self):
-        entries = cx.build_Vp(BLOCK, 1)
+        entries = build_Vp(BLOCK, 1)
         by_mask = {c.mask: (c, t, s) for c, t, s in entries if c.k == (1, 1, 1, 1)}
         signs = [by_mask[cx.axes_mask([i])][2] for i in cx.AXES]
         assert signs == [1, -1, 1, -1]
@@ -323,12 +346,12 @@ class TestDiagonalChains:
         assert tcell.copy == TILDE
 
     def test_degree0(self):
-        entries = cx.build_Vp(BLOCK, 0)
+        entries = build_Vp(BLOCK, 0)
         assert all(s == 1 for _, _, s in entries)
         assert all(t.mask == FULL_MASK for _, t, _ in entries)
 
     def test_degree2_count_block(self):
-        assert len(cx.build_Vp(BLOCK, 2)) == 6 * 16
+        assert len(build_Vp(BLOCK, 2)) == 6 * 16
 
     def test_degree2_count_sphere(self):
-        assert len(cx.build_Vp(SPHERE, 2)) == 2 * 6 * 16
+        assert len(build_Vp(SPHERE, 2)) == 2 * 6 * 16
