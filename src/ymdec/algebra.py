@@ -38,6 +38,22 @@ def trace(a):
     return np.trace(np.asarray(a), axis1=-2, axis2=-1)
 
 
+def mat_mul(a, b):
+    """Product of the trailing 2x2 blocks, its four entries written out.
+
+    Broadcasts over leading axes and takes strided views.  numpy's batched
+    matmul is several times slower on 2x2 operands; this is the one product
+    of coefficient matrices in the program.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
 def det2(a):
     a = np.asarray(a)
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
@@ -132,6 +148,6 @@ def su2_group_deviation(m):
     m = np.asarray(m)
     if not m.size:
         return 0.0
-    unit = np.abs(m @ conj_transpose(m) - IDENTITY2).max()
+    unit = np.abs(mat_mul(m, conj_transpose(m)) - IDENTITY2).max()
     det = np.abs(det2(m) - 1.0).max()
     return float(max(unit, det))

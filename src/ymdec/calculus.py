@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import mat_mul
 from .cochain import Cochain, conj_transpose_form, interior
 from .complex4 import (
     BASE,
@@ -147,7 +148,7 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
         gcomp = g.values[..., g_idx, :, :]
         for axis in p_axes:
             gcomp = shift_plus(g.domain, gcomp, axis)
-        out.values[..., r_idx, :, :] += sign * (f.values[..., f_idx, :, :] @ gcomp)
+        out.values[..., r_idx, :, :] += sign * mat_mul(f.values[..., f_idx, :, :], gcomp)
     return out
 
 

@@ -177,6 +177,8 @@ def random_connection(domain: Domain, amplitude: float, seed) -> Cochain:
     """su(2)-valued degree-1 form with coefficient vectors uniform in a box."""
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0")
+    # -0.0 passes the check, and uniform(0.0, -0.0) rejects its interval
+    amplitude = abs(amplitude)
     rng = np.random.default_rng(seed)
     shape = (domain.ncharts, *domain.extents, 4, 3)
     vecs = rng.uniform(-amplitude, amplitude, size=shape)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ymdec import algebra as alg
+from ymdec import cochain as co
+from ymdec.complex4 import Domain
 
 
 def su2_vectors(max_norm=10.0):
@@ -31,6 +33,38 @@ class TestBasis:
         assert not alg.su2_algebra_deviation(alg.SIGMA[0]) <= 1e-10
         assert alg.su2_algebra_deviation(alg.LAMBDA[0]) <= 1e-10
         assert alg.su2_group_deviation(alg.IDENTITY2) <= 1e-10
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _relative_defect(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestMatMul:
+    # np.matmul is the independent reference; the two may round differently
+    def test_batch_matches_matmul(self):
+        rng = np.random.default_rng(21)
+        a, b = _complex(rng, (1000, 2, 2)), _complex(rng, (1000, 2, 2))
+        assert _relative_defect(alg.mat_mul(a, b), a @ b) <= 1e-15
+
+    def test_broadcasts_leading_axes(self):
+        rng = np.random.default_rng(22)
+        for sa, sb in [((3, 1, 2, 2), (1, 4, 2, 2)), ((2, 2), (5, 2, 2)), ((6, 2, 2), (2, 2))]:
+            a, b = _complex(rng, sa), _complex(rng, sb)
+            got = alg.mat_mul(a, b)
+            assert got.shape == np.broadcast_shapes(sa, sb)
+            assert _relative_defect(got, a @ b) <= 1e-15
+
+    def test_strided_direction_views(self):
+        # cup multiplies views of one direction set out of a form's values
+        domain = Domain((2, 3, 4, 2), "sphere")
+        f, g = co.random_form(domain, 2, seed=23), co.random_form(domain, 1, seed=24)
+        a, b = f.values[..., 4, :, :], g.values[..., 1, :, :]
+        assert not a.flags.c_contiguous and not b.flags.c_contiguous
+        assert _relative_defect(alg.mat_mul(a, b), a @ b) <= 1e-15
 
 
 class TestEmbedProject:
@@ -87,6 +121,21 @@ class TestExp:
         v *= (rng.uniform(0, 10, size=1000) / np.linalg.norm(v, axis=1))[:, None]
         u = alg.exp_su2(v)
         assert alg.su2_group_deviation(u) <= 1e-10
+
+    def test_group_deviation_of_exp_is_at_rounding(self):
+        rng = np.random.default_rng(25)
+        u = alg.exp_su2(rng.uniform(-3.0, 3.0, size=(2000, 3)))
+        assert alg.su2_group_deviation(u) <= 1e-14
+
+    def test_group_deviation_flags_a_perturbed_element(self):
+        rng = np.random.default_rng(26)
+        u = alg.exp_su2(rng.uniform(-3.0, 3.0, size=(50, 3)))
+        u[17, 0, 1] += 1e-6
+        assert alg.su2_group_deviation(u) >= 5e-7
+        # a phase keeps u unitary and moves only its determinant
+        phased = alg.exp_su2(rng.uniform(-3.0, 3.0, size=(50, 3)))
+        phased[3] *= np.exp(1e-6j)
+        assert alg.su2_group_deviation(phased) >= 1e-6
 
     def test_exp_tiny_angle_branch(self):
         v = np.array([1e-12, 0.0, 0.0])

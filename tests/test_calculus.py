@@ -17,6 +17,7 @@ from ymdec.complex4 import (
     OutOfDomain,
     axes_mask,
     boundary_cell,
+    cup_sign,
     mask_axes,
 )
 
@@ -229,6 +230,32 @@ class TestCup:
                     np.testing.assert_allclose(
                         got.get(CHART_V, k, mask), expect, atol=1e-13
                     )
+
+    @pytest.mark.parametrize("domain", [SPHERE_2342, BLOCK_2342], ids=["sphere-2342", "block-2342"])
+    def test_dense_forms_against_per_cell_reference(self, domain):
+        # g is read at k + 1_P through Cochain.get, so the sphere gluing is
+        # Domain.resolve's, not shift_plus's; past the block halo g reads zero
+        for p in range(5):
+            for q in range(5 - p):
+                f, g = rand(domain, p, seed=30 + p), rand(domain, q, seed=40 + q)
+                fg = ca.cup(f, g)
+                got, want = [], []
+                for chart, k in domain.stored_cells():
+                    for rmask in MASKS_BY_DEGREE[p + q]:
+                        total = np.zeros((2, 2), dtype=complex)
+                        for pmask in MASKS_BY_DEGREE[p]:
+                            if pmask & ~rmask:
+                                continue
+                            qmask = rmask & ~pmask
+                            k_plus = tuple(n + (pmask >> i & 1) for i, n in enumerate(k))
+                            try:
+                                right = g.get(chart, k_plus, qmask)
+                            except OutOfDomain:
+                                continue
+                            total += cup_sign(pmask, qmask) * (f.get(chart, k, pmask) @ right)
+                        got.append(fg.get(chart, k, rmask))
+                        want.append(total)
+                np.testing.assert_allclose(np.array(got), np.array(want), rtol=0, atol=1e-13)
 
     def test_degree_overflow_raises(self):
         with pytest.raises(ValueError):

@@ -517,6 +517,17 @@ class TestBoundaryRegressions:
         assert run([command, "--config", path]) == 3
         assert "abort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["action", "verify", "relax"])
+    def test_negative_zero_amplitude_runs_as_zero(self, tmp_path, command):
+        reports = []
+        for amplitude in (0.0, -0.0):
+            out = tmp_path / f"amp{amplitude}.json"
+            assert run([command, "--config", write_config(tmp_path, amplitude=amplitude, output=str(out))]) == 0
+            report = json.loads((out if command != "relax" else Path(f"{out}.report.json")).read_text())
+            del report["config"]  # echoes the output path
+            reports.append(report)
+        assert reports[0]["scalars"] and reports[0] == reports[1]
+
     @pytest.mark.parametrize("command", ["action", "verify"])
     def test_numerical_abort_prints_one_stderr_line(self, tmp_path, command):
         # numpy's overflow warnings stay off stderr; the abort names the non-finite value
