@@ -109,8 +109,9 @@ def exp_su2(v):
 # Quaternion planes.  e_a = -i sigma_a = 2 lam_a obey e1 e2 = e3 and
 # e_a^2 = -1, so s I + sum_a u_a e_a is the real quaternion (s, u), with
 # squared Frobenius norm 2 (s^2 + |u|^2); the su(2) coefficient vector v is
-# the pure quaternion u = v / 2.  Plane arrays put the component axis first,
-# so every component is one contiguous array over the lattice.
+# the pure quaternion u = v / 2.  Plane arrays put the component axis first
+# and are C-contiguous, so every component is one contiguous array over the
+# lattice; gauge gathers the stencil operands as such planes (3, ncells + 1, 6).
 
 
 def plane_dot(x, y):

@@ -52,7 +52,8 @@ def curvature(A: Cochain) -> Cochain:
 
 class PairPlanes(NamedTuple):
     """Operands of the curvature stencil for every axis pair i < j:
-    x^i, x^j, x^j(tau_i n), x^i(tau_j n), each of shape (3, ncells + 1, 6)."""
+    x^i, x^j, x^j(tau_i n), x^i(tau_j n), each a C-contiguous plane array
+    (3, ncells + 1, 6)."""
 
     i: np.ndarray
     j: np.ndarray
@@ -62,9 +63,16 @@ class PairPlanes(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _pair_gather(domain: Domain):
-    """Flat cell indices of tau_i n, tau_j n, sigma_i n, sigma_j n per pair, (ncells + 1, 6) each."""
+    """Flat indices into the plane layout, (ncells + 1, 6) each, for cell n
+    and pair (i, j): the four stencil operands in PairPlanes order,
+    4 m + a - 1 for (m, a) = (n, i), (n, j), (tau_i n, j), (tau_j n, i), into
+    vector planes (3, (ncells + 1) 4); then the two scatters 6 sigma_i n + pair
+    and 6 sigma_j n + pair into pair planes (3, (ncells + 1) 6).  np.take
+    along axis 1 gives C-contiguous planes (3, ncells + 1, 6)."""
     tau, sigma = gather_table(domain)
-    out = tuple(t[axes].T.copy() for t in (tau, sigma) for axes in (PAIR_I, PAIR_J))
+    n = np.arange(domain.ncells + 1)[:, None]
+    out = (4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[PAIR_I].T + PAIR_J, 4 * tau[PAIR_J].T + PAIR_I,
+           6 * sigma[PAIR_I].T + _PAIRS, 6 * sigma[PAIR_J].T + _PAIRS)
     for t in out:
         t.setflags(write=False)
     return out
@@ -76,8 +84,8 @@ def pair_operands(domain: Domain, vecs: np.ndarray) -> PairPlanes:
     v = vecs.reshape(-1, 4, 3)
     a = np.zeros((3, v.shape[0] + 1, 4))
     a[:, :-1] = 0.5 * np.moveaxis(v, -1, 0)
-    ti, tj, _, _ = _pair_gather(domain)
-    return PairPlanes(a[:, :, PAIR_I], a[:, :, PAIR_J], a[:, ti, PAIR_J], a[:, tj, PAIR_I])
+    a = a.reshape(3, -1)
+    return PairPlanes(*(np.take(a, idx, axis=1) for idx in _pair_gather(domain)[:4]))
 
 
 def curvature_stencil(x: PairPlanes, y: PairPlanes) -> np.ndarray:
@@ -128,11 +136,11 @@ def curvature_adjoint(domain: Domain, x: PairPlanes, W: np.ndarray) -> np.ndarra
     at n, W + conj(A^j) W on axis i at tau_j n (subtracted), W + W conj(A^i(tau_j n))
     on axis j at n (subtracted) and W + conj(A^i) W on axis j at tau_i n, halved
     by the pair-to-axis incidence since the planes of P are P / 2."""
-    _, _, sigma_i, sigma_j = _pair_gather(domain)
+    sigma_i, sigma_j = _pair_gather(domain)[4:]
     w0, w = W[0], W[1:]
     on_i = _weighted(w0, w, x.j_ti, -1)
-    on_i -= _weighted(w0, w, x.j, 1)[:, sigma_j, _PAIRS]
-    on_j = _weighted(w0, w, x.i, 1)[:, sigma_i, _PAIRS]
+    on_i -= np.take(_weighted(w0, w, x.j, 1).reshape(3, -1), sigma_j, axis=1)
+    on_j = np.take(_weighted(w0, w, x.i, 1).reshape(3, -1), sigma_i, axis=1)
     on_j -= _weighted(w0, w, x.i_tj, -1)
     G = on_i @ _HALF_TO_AXIS_I
     G += on_j @ _HALF_TO_AXIS_J

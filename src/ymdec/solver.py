@@ -115,13 +115,13 @@ class _Kernel:
         self.mask = np.append(mask.ravel(), 0.0)[:, None]   # (cells + sentinel, pair)
         # the dual map on pair planes: a signed permutation
         plan = sorted(star_plan(2))
-        self.dual_perm = [i for _, _, i in plan]
+        self.dual_perm = np.array([i for _, _, i in plan])
         self.dual_sign = (1.0 if anti else -1.0) * np.array([sign for _, sign, _ in plan])
 
     def _field(self, F: np.ndarray) -> np.ndarray:
         """The masked field whose squared norm is the objective; overwrites F."""
         if self.objective_name == "sd_residual":
-            R = F[..., self.dual_perm]
+            R = np.take(F, self.dual_perm, axis=-1)
             R *= self.dual_sign
             R += F
             F = R

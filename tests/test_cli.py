@@ -528,17 +528,28 @@ class TestBoundaryRegressions:
             reports.append(report)
         assert reports[0]["scalars"] and reports[0] == reports[1]
 
+    @staticmethod
+    def _subprocess(command, tmp_path, amplitude):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "ymdec", command, "--config", write_config(tmp_path, amplitude=amplitude)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+
     @pytest.mark.parametrize("command", ["action", "verify"])
     def test_numerical_abort_prints_one_stderr_line(self, tmp_path, command):
         # numpy's overflow warnings stay off stderr; the abort names the non-finite value
-        src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "ymdec", command, "--config", write_config(tmp_path, amplitude=1e200)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
-        )
+        proc = self._subprocess(command, tmp_path, 1e200)
         assert proc.returncode == 3
         [line] = proc.stderr.splitlines()
         assert line.startswith("numerical abort:") and "not finite" in line
+
+    def test_verify_aborts_past_its_amplitude_range(self, tmp_path):
+        # the Yang-Mills residual is cubic in A: its squared norm overflows from amplitude ~1e52
+        proc = self._subprocess("verify", tmp_path, 1e100)
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("numerical abort")
 
     @pytest.mark.parametrize("where", ["config", "form"])
     def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, where):

@@ -74,6 +74,23 @@ class TestCurvature:
             ga.curvature_components(co.Cochain.zeros(domain, 2))
 
 
+class TestPlaneLayout:
+    @pytest.mark.parametrize("domain", [SPHERE, SPHERE_2342, BLOCK_2342], ids=["sphere", "sphere-2342", "block-2342"])
+    def test_operands_are_contiguous_plain_gathers(self, domain):
+        # reference: per pair (i, j), plain fancy indexing through the gather table
+        vecs = np.random.default_rng(45).uniform(-0.5, 0.5, size=(domain.ncharts, *domain.extents, 4, 3))
+        a = np.zeros((3, domain.ncells + 1, 4))
+        a[:, :-1] = 0.5 * np.moveaxis(vecs.reshape(-1, 4, 3), -1, 0)
+        tau, _ = ca.gather_table(domain)
+        want = [np.stack(planes, axis=-1) for planes in zip(*(
+            (a[:, :, i - 1], a[:, :, j - 1], a[:, tau[i - 1], j - 1], a[:, tau[j - 1], i - 1])
+            for i, j in ga.DIR_PAIRS))]
+        got = ga.pair_operands(domain, vecs)
+        for plane, ref in zip(got, want):
+            assert plane.shape == (3, domain.ncells + 1, 6) and plane.flags.c_contiguous
+            assert np.array_equal(plane, ref)
+
+
 class TestCurvatureTangentAndAdjoint:
     @ALL_DOMAINS
     def test_tangent_is_the_central_difference(self, domain):

@@ -501,6 +501,15 @@ class TestJacobianProducts:
         # the gradient of 2 |r|^2 is 4 J^T r
         assert np.array_equal(at.grad, 4.0 * kern.vjp(at, at.field))
 
+    @JACOBIAN_DOMAINS
+    @pytest.mark.parametrize("anti", [False, True], ids=["sd", "anti-sd"])
+    def test_self_dual_field_is_contiguous(self, domain, anti):
+        kern, at, _, _ = _jacobian_setup(domain, "sd_residual", anti)
+        F = ga.curvature_planes(at.planes)
+        want = (F + kern.dual_sign * F[..., kern.dual_perm]) * kern.mask
+        got = kern._field(F)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
 
 def _trajectory_points(domain, objective, anti):
     """A kernel and its points at the seed-7 amplitude-1.0 start and after 5
