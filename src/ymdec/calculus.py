@@ -61,31 +61,6 @@ def shift_plus(domain: Domain, vals: np.ndarray, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def gather_table(domain: Domain):
-    """(tau, sigma): flat cell indices of tau_axis n and sigma_axis n, row
-    axis - 1, shape (4, ncells + 1), cells in storage order.
-
-    tau is built by shifting an array of cell ids, so the gluing keeps its
-    one array definition in shift_plus; sigma is its inverse.  Row ncells
-    is a sentinel: a step past the block halo points there (sigma at
-    k_a = 0, tau at k_a = N_a + 1), and the sentinel points at itself.
-    Arrays gathered through the table carry a zero row at that index.
-    """
-    ncells = domain.ncells
-    ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
-    # shift_plus fills a read past the halo with 0, which marks the sentinel
-    tau = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)]) - 1
-    tau[tau < 0] = ncells
-    tau = np.concatenate([tau, np.full((4, 1), ncells)], axis=1)
-    sigma = np.full_like(tau, ncells)
-    axis, n = np.nonzero(tau < ncells)
-    sigma[axis, tau[axis, n]] = n
-    for t in (tau, sigma):
-        t.setflags(write=False)
-    return tau, sigma
-
-
-@lru_cache(maxsize=None)
 def _coboundary_plan(p: int):
     """(out_index, axis, sign, in_index) quadruples for degree p -> p + 1."""
     plan = []

@@ -87,10 +87,10 @@ def _boundary_example_defect(domain):
     k = (1,) * 4
     got = boundary_cell(domain, Cell(CHART_V, k, axes_mask([2, 4])))
     want = {
-        domain.resolve_cell(Cell(CHART_V, (1, 2, 1, 1), axes_mask([4]))): 1,
-        domain.resolve_cell(Cell(CHART_V, k, axes_mask([4]))): -1,
-        domain.resolve_cell(Cell(CHART_V, (1, 1, 1, 2), axes_mask([2]))): -1,
-        domain.resolve_cell(Cell(CHART_V, k, axes_mask([2]))): 1,
+        Cell(*domain.resolve(CHART_V, (1, 2, 1, 1)), axes_mask([4])): 1,
+        Cell(*domain.resolve(CHART_V, k), axes_mask([4])): -1,
+        Cell(*domain.resolve(CHART_V, (1, 1, 1, 2)), axes_mask([2])): -1,
+        Cell(*domain.resolve(CHART_V, k), axes_mask([2])): 1,
     }
     return 0.0 if got == want else 1.0
 

@@ -298,7 +298,13 @@ def deserialize(payload: bytes) -> Cochain:
         raise FormShapeError(str(e)) from e
     shape = Cochain.shape(domain, degree)
     try:
-        pairs = np.asarray(doc["data"], dtype=np.float64)
+        pairs = np.asarray(doc["data"])
+        # JSON numbers only: a float64 conversion reads "0" as 0.0 and null as NaN
+        if pairs.dtype.kind not in "iuf" and not (
+            pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat)
+        ):
+            raise TypeError("entries must be JSON numbers")
+        pairs = pairs.astype(np.float64, copy=False)
     except (ValueError, TypeError, OverflowError) as e:  # OverflowError: an int past the float range
         raise MalformedFormError(f"bad data payload: {e}") from e
     # Domain bounds the storage, so this count fits an array index

@@ -176,10 +176,6 @@ class Domain:
             return (chart,) + tuple(ki - 1 for ki in k)
         return (chart,) + tuple(k)
 
-    def resolve_cell(self, cell: Cell) -> Cell:
-        chart, k = self.resolve(cell.chart, cell.k)
-        return Cell(chart, k, cell.mask, cell.copy)
-
     def interior_cells(self):
         """(chart, k) pairs with 1 <= k_i <= N_i, chart-major, k lexicographic."""
         return [

@@ -13,9 +13,10 @@ deviation instead of assuming membership.
 
 The curvature stencil has one implementation, on real quaternion planes
 (see algebra): F is the product of su(2) elements, so it lies in
-H = span_R{I, lam_a}.  This module owns the plane layout: pair_operands
-gathers A's pure quaternion planes per axis pair through the gather table
-of calculus, curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for
+H = span_R{I, lam_a}.  This module owns the plane layout: _pair_gather
+builds its index tables from tau (shift_plus on cell ids) and sigma, its
+inverse; pair_operands gathers A's pure quaternion planes per axis pair
+through them, curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for
 pure x, y, curvature_tangent is F's derivative along a direction and
 curvature_adjoint its adjoint.  curvature_components and the solver kernel
 build on them; curvature() on the gl(2, C) Cochain calculus is the oracle
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra as alg
-from .calculus import coboundary, cup, dual, gather_table, norm, norm_sq, shift_plus
+from .calculus import coboundary, cup, dual, norm, norm_sq, shift_plus
 from .cochain import Cochain, add, interior, scale, sub, validate_connection, zero_pad
 from .complex4 import FULL_MASK, MASKS_BY_DEGREE, Domain, mask_axes
 
@@ -68,11 +69,21 @@ def _pair_gather(domain: Domain):
     4 m + a - 1 for (m, a) = (n, i), (n, j), (tau_i n, j), (tau_j n, i), into
     vector planes (3, (ncells + 1) 4); then the two scatters 6 sigma_i n + pair
     and 6 sigma_j n + pair into pair planes (3, (ncells + 1) 6).  np.take
-    along axis 1 gives C-contiguous planes (3, ncells + 1, 6)."""
-    tau, sigma = gather_table(domain)
-    n = np.arange(domain.ncells + 1)[:, None]
-    out = (4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[PAIR_I].T + PAIR_J, 4 * tau[PAIR_J].T + PAIR_I,
-           6 * sigma[PAIR_I].T + _PAIRS, 6 * sigma[PAIR_J].T + _PAIRS)
+    along axis 1 gives C-contiguous planes (3, ncells + 1, 6).  tau shifts
+    cell ids, so the gluing keeps its one array definition in shift_plus;
+    sigma is its inverse.  Row ncells is a sentinel with a zero plane row:
+    a step past the block halo points there, and it points at itself."""
+    ncells = domain.ncells
+    ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
+    steps = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)], axis=1)
+    # shift_plus reads id 0 past the halo: id - 1 mod ncells + 1 is the sentinel
+    tau = (np.pad(steps, ((0, 1), (0, 0))) - 1) % (ncells + 1)
+    sigma = np.full_like(tau, ncells)
+    cell, axis = np.nonzero(tau < ncells)
+    sigma[tau[cell, axis], axis] = cell
+    n = np.arange(ncells + 1)[:, None]
+    out = (4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[:, PAIR_I] + PAIR_J, 4 * tau[:, PAIR_J] + PAIR_I,
+           6 * sigma[:, PAIR_I] + _PAIRS, 6 * sigma[:, PAIR_J] + _PAIRS)
     for t in out:
         t.setflags(write=False)
     return out

@@ -11,7 +11,7 @@ import numpy as np
 
 from ymdec.calculus import star
 from ymdec.cochain import conj_transpose_form
-from ymdec.complex4 import BASE, MASKS_BY_DEGREE, Cell, boundary_cell, degree, star_cell
+from ymdec.complex4 import BASE, MASKS_BY_DEGREE, Cell, OutOfDomain, boundary_cell, degree, star_cell
 
 
 class Chain(dict):
@@ -161,3 +161,22 @@ def green_boundary_term_oracle(phi, omega):
         m1 = phi.get(cell.chart, cell.k, cell.mask)
         total += sgn * np.trace(m1 @ m2)
     return complex(total)
+
+
+def gather_by_resolve(domain, axis, step):
+    """Flat index of Domain.resolve(chart, k + step e_axis) per stored cell,
+    the sentinel ncells where that address is outside the domain, then the
+    sentinel row itself."""
+    shape = (domain.ncharts, *domain.extents)
+    offset = 1 if domain.is_sphere else 0   # storage index to k
+    out = []
+    for chart, *idx in np.ndindex(*shape):
+        k = [i + offset for i in idx]
+        k[axis - 1] += step
+        try:
+            chart2, k2 = domain.resolve(chart, tuple(k))
+        except OutOfDomain:
+            out.append(int(np.prod(shape)))
+            continue
+        out.append(int(np.ravel_multi_index(domain.storage_index(chart2, k2), shape)))
+    return np.array(out + [int(np.prod(shape))])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import cup_form_oracle, green_boundary_term_oracle, pair_chain
+from oracles import cup_form_oracle, gather_by_resolve, green_boundary_term_oracle, pair_chain
 from ymdec import calculus as ca
 from ymdec import cochain as co
+from ymdec import gauge as ga
 from ymdec.complex4 import (
     BASE,
     CHART_V,
@@ -446,43 +447,34 @@ class TestGreenFormula:
         assert abs(bt) > 1e-3
 
 
-def _gather_by_resolve(domain, axis, step):
-    """Flat index of Domain.resolve(chart, k + step e_axis) per stored cell,
-    the sentinel ncells where that address is outside the domain, then the
-    sentinel row itself."""
-    shape = (domain.ncharts, *domain.extents)
-    offset = 1 if domain.is_sphere else 0   # storage index to k
-    out = []
-    for chart, *idx in np.ndindex(*shape):
-        k = [i + offset for i in idx]
-        k[axis - 1] += step
-        try:
-            chart2, k2 = domain.resolve(chart, tuple(k))
-        except OutOfDomain:
-            out.append(int(np.prod(shape)))
-            continue
-        out.append(int(np.ravel_multi_index(domain.storage_index(chart2, k2), shape)))
-    return np.array(out + [int(np.prod(shape))])
-
-
 class TestGatherTable:
     @pytest.mark.parametrize("topology", ["sphere", "block"])
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 4, 2)], ids=["2222", "2342"])
     def test_reproduces_the_shifts(self, topology, sizes):
         # the scalar gluing of Domain.resolve is the oracle of both array
-        # statements of it: shift_plus and the table built from it
+        # statements of it: shift_plus and the plane tables built from it
         domain = Domain(sizes, topology)
-        tau, sigma = ca.gather_table(domain)
         shape = (domain.ncharts, *domain.extents)
         ncells = int(np.prod(shape))
         vals = np.random.default_rng(5).normal(size=shape + (3,))
         flat = np.concatenate([vals.reshape(ncells, 3), np.zeros((1, 3))])
+        tau = np.stack([gather_by_resolve(domain, axis, +1) for axis in (1, 2, 3, 4)])
+        sigma = np.stack([gather_by_resolve(domain, axis, -1) for axis in (1, 2, 3, 4)])
         for axis in (1, 2, 3, 4):
-            want = _gather_by_resolve(domain, axis, +1)
-            assert np.array_equal(tau[axis - 1], want)
             # a read past the block halo gives zero, as the sentinel row does
-            assert np.array_equal(ca.shift_plus(domain, vals, axis), flat[want][:-1].reshape(vals.shape))
-            assert np.array_equal(sigma[axis - 1], _gather_by_resolve(domain, axis, -1))
+            assert np.array_equal(ca.shift_plus(domain, vals, axis), flat[tau[axis - 1]][:-1].reshape(vals.shape))
+        # operands 4 tau + axis, scatters 6 sigma + pair, per pair (i, j)
+        n = np.arange(ncells + 1)[:, None]
+        i, j = ga.PAIR_I, ga.PAIR_J
+        pairs = np.arange(len(ga.DIR_PAIRS))
+        want = (4 * n + i, 4 * n + j, 4 * tau[i].T + j, 4 * tau[j].T + i,
+                6 * sigma[i].T + pairs, 6 * sigma[j].T + pairs)
+        tables = ga._pair_gather(domain)
+        assert len(tables) == len(want)
+        for got, ref in zip(tables, want):
+            assert np.array_equal(got, ref)
+        # the sentinel row maps to itself
+        assert (tau[:, -1] == ncells).all() and (sigma[:, -1] == ncells).all()
         # sphere shifts are permutations, inverse to each other; none reads the sentinel
         if domain.is_sphere:
             for axis in range(4):
@@ -490,7 +482,8 @@ class TestGatherTable:
                 assert (tau[axis][:-1] < ncells).all()
 
     def test_cached_and_read_only(self):
-        tau, _ = ca.gather_table(SPHERE)
-        assert ca.gather_table(Domain((2, 2, 2, 2), "sphere"))[0] is tau
-        with pytest.raises(ValueError):
-            tau[0, 0] = 0
+        tables = ga._pair_gather(SPHERE)
+        assert ga._pair_gather(Domain((2, 2, 2, 2), "sphere")) is tables
+        for t in tables:
+            with pytest.raises(ValueError):
+                t[0, 0] = 0

@@ -225,6 +225,30 @@ class TestSerialization:
         with pytest.raises(co.MalformedFormError, match="bad data payload"):
             co.deserialize(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("entry", ["0", "0.0", None], ids=["string", "float-string", "null"])
+    def test_data_entries_must_be_json_numbers(self, entry):
+        # a float64 conversion would read a string as its number and null as NaN
+        doc = json.loads(co.serialize(_golden_form()))
+        doc["data"][0][0][0] = entry
+        with pytest.raises(co.MalformedFormError, match="bad data payload"):
+            co.deserialize(json.dumps(doc).encode())
+        # the same entry beside an integer past int64, where numpy infers an object array
+        doc["data"][1][0][0] = 2**70
+        with pytest.raises(co.MalformedFormError, match="bad data payload"):
+            co.deserialize(json.dumps(doc).encode())
+
+    def test_integer_entries_parse_as_their_nearest_float(self):
+        doc = json.loads(co.serialize(_golden_form()))
+        big = (2**53 + 1, 2**64 - 1, 2**70 + 12345, -(2**63))
+        for pos, v in enumerate(big):
+            doc["data"][pos][0][0] = v
+        g = co.deserialize(json.dumps(doc).encode())
+        want = np.asarray(doc["data"], dtype=np.float64)
+        assert g.values.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
+        # every entry an integer: numpy infers int64
+        doc["data"] = [[[1, 0]] * 4 for _ in doc["data"]]
+        assert (co.deserialize(json.dumps(doc).encode()).values == 1).all()
+
     @pytest.mark.parametrize("where", ["document", "data"])
     def test_deeply_nested_json_is_malformed(self, where):
         deep = "[" * 200_000 + "]" * 200_000

@@ -273,12 +273,13 @@ class TestBoundaryArrays:
         # one boundary_cell call per stored cell and direction set, and no
         # path into the vectorized shifts the arrays are used to check
         from ymdec import calculus as ca
+        from ymdec import gauge as ga
 
         def forbidden(*args):
             raise AssertionError("boundary_arrays reached the vectorized shifts")
 
         monkeypatch.setattr(ca, "shift_plus", forbidden)
-        monkeypatch.setattr(ca, "gather_table", forbidden)
+        monkeypatch.setattr(ga, "_pair_gather", forbidden)
         calls = []
         real = cx.boundary_cell
         monkeypatch.setattr(cx, "boundary_cell", lambda d, c: calls.append(c) or real(d, c))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import gather_by_resolve
 from ymdec import algebra as alg
 from ymdec import calculus as ca
 from ymdec import cochain as co
@@ -77,11 +78,11 @@ class TestCurvature:
 class TestPlaneLayout:
     @pytest.mark.parametrize("domain", [SPHERE, SPHERE_2342, BLOCK_2342], ids=["sphere", "sphere-2342", "block-2342"])
     def test_operands_are_contiguous_plain_gathers(self, domain):
-        # reference: per pair (i, j), plain fancy indexing through the gather table
+        # reference: per pair (i, j), plain fancy indexing through the tau of Domain.resolve
         vecs = np.random.default_rng(45).uniform(-0.5, 0.5, size=(domain.ncharts, *domain.extents, 4, 3))
         a = np.zeros((3, domain.ncells + 1, 4))
         a[:, :-1] = 0.5 * np.moveaxis(vecs.reshape(-1, 4, 3), -1, 0)
-        tau, _ = ca.gather_table(domain)
+        tau = [gather_by_resolve(domain, axis, +1) for axis in (1, 2, 3, 4)]
         want = [np.stack(planes, axis=-1) for planes in zip(*(
             (a[:, :, i - 1], a[:, :, j - 1], a[:, tau[i - 1], j - 1], a[:, tau[j - 1], i - 1])
             for i, j in ga.DIR_PAIRS))]
