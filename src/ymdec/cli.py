@@ -18,8 +18,9 @@ the action, selfdual the self-dual residual |F - dual F|^2, or
 |F + dual F|^2 with "anti" set.
 
 --seed and --output override the config fields.  Reports are JSON with
-sorted keys, byte-identical for identical config, seed and BLAS thread
-count (README, Determinism).  For verify
+sorted keys, byte-identical for identical config and seed: no run enters
+BLAS, whose threaded sums round by the thread count (README,
+Determinism).  For verify
 and action the output path receives the report; for relax and selfdual
 it receives the final connection (form file format) and the report lands
 next to it with ".report.json" appended.  A fixed-format summary table is

@@ -14,11 +14,15 @@ deviation instead of assuming membership.
 The curvature stencil has one implementation, on real quaternion planes
 (see algebra): F is the product of su(2) elements, so it lies in
 H = span_R{I, lam_a}.  This module owns the plane layout: _pair_gather
-builds its index tables from tau (shift_plus on cell ids) and sigma, its
-inverse; pair_operands gathers A's pure quaternion planes per axis pair
-through them, curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for
-pure x, y, curvature_tangent is F's derivative along a direction and
-curvature_adjoint its adjoint.  curvature_components and the solver kernel
+builds its index tables from tau (shift_plus on cell ids); pair_operands
+gathers A's pure quaternion planes per axis pair through them on every
+stored cell, and curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j)
+for pure x, y.  The solver kernel works on the interior rows, the cells its
+objective keeps: through their table (interior_gather),
+interior_operands gathers the operand slots stacked and interior_scatter
+sums back by np.bincount; curvature_blocks is F's derivative along a direction there,
+as per-row 4x3 blocks, one per operand slot, whose transpose is its
+adjoint.  curvature_components and the solver kernel
 build on them; curvature() on the gl(2, C) Cochain calculus is the oracle
 they are checked against.
 """
@@ -40,8 +44,6 @@ DIR_PAIRS = tuple(mask_axes(m) for m in MASKS_BY_DEGREE[2])
 # 0-based first and second axis of each pair
 PAIR_I = np.array([i - 1 for i, _ in DIR_PAIRS])
 PAIR_J = np.array([j - 1 for _, j in DIR_PAIRS])
-_PAIRS = np.arange(len(DIR_PAIRS))
-_HALF_TO_AXIS_I, _HALF_TO_AXIS_J = 0.5 * np.eye(4)[PAIR_I], 0.5 * np.eye(4)[PAIR_J]  # (6, 4)
 
 
 def curvature(A: Cochain) -> Cochain:
@@ -53,8 +55,7 @@ def curvature(A: Cochain) -> Cochain:
 
 class PairPlanes(NamedTuple):
     """Operands of the curvature stencil for every axis pair i < j:
-    x^i, x^j, x^j(tau_i n), x^i(tau_j n), each a C-contiguous plane array
-    (3, ncells + 1, 6)."""
+    x^i, x^j, x^j(tau_i n), x^i(tau_j n), each a plane array (3, rows, 6)."""
 
     i: np.ndarray
     j: np.ndarray
@@ -67,23 +68,18 @@ def _pair_gather(domain: Domain):
     """Flat indices into the plane layout, (ncells + 1, 6) each, for cell n
     and pair (i, j): the four stencil operands in PairPlanes order,
     4 m + a - 1 for (m, a) = (n, i), (n, j), (tau_i n, j), (tau_j n, i), into
-    vector planes (3, (ncells + 1) 4); then the two scatters 6 sigma_i n + pair
-    and 6 sigma_j n + pair into pair planes (3, (ncells + 1) 6).  np.take
-    along axis 1 gives C-contiguous planes (3, ncells + 1, 6).  tau shifts
-    cell ids, so the gluing keeps its one array definition in shift_plus;
-    sigma is its inverse.  Row ncells is a sentinel with a zero plane row:
-    a step past the block halo points there, and it points at itself."""
+    vector planes (3, (ncells + 1) 4).  np.take along axis 1 gives
+    C-contiguous planes (3, ncells + 1, 6).  tau shifts cell ids, so the
+    gluing keeps its one array definition in shift_plus.  Row ncells is a
+    sentinel with a zero plane row: a step past the block halo points
+    there, and it points at itself."""
     ncells = domain.ncells
     ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
     steps = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)], axis=1)
     # shift_plus reads id 0 past the halo: id - 1 mod ncells + 1 is the sentinel
     tau = (np.pad(steps, ((0, 1), (0, 0))) - 1) % (ncells + 1)
-    sigma = np.full_like(tau, ncells)
-    cell, axis = np.nonzero(tau < ncells)
-    sigma[tau[cell, axis], axis] = cell
     n = np.arange(ncells + 1)[:, None]
-    out = (4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[:, PAIR_I] + PAIR_J, 4 * tau[:, PAIR_J] + PAIR_I,
-           6 * sigma[:, PAIR_I] + _PAIRS, 6 * sigma[:, PAIR_J] + _PAIRS)
+    out = (4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[:, PAIR_I] + PAIR_J, 4 * tau[:, PAIR_J] + PAIR_I)
     for t in out:
         t.setflags(write=False)
     return out
@@ -91,17 +87,56 @@ def _pair_gather(domain: Domain):
 
 def pair_operands(domain: Domain, vecs: np.ndarray) -> PairPlanes:
     """The stencil operands of su(2) coefficient vectors (charts, k..., 4, 3): their
-    pure quaternion planes (3, ncells + 1, 4), zero sentinel row last, per pair."""
+    pure quaternion planes (3, ncells + 1, 6) per pair, zero sentinel row last."""
     v = vecs.reshape(-1, 4, 3)
     a = np.zeros((3, v.shape[0] + 1, 4))
     a[:, :-1] = 0.5 * np.moveaxis(v, -1, 0)
     a = a.reshape(3, -1)
-    return PairPlanes(*(np.take(a, idx, axis=1) for idx in _pair_gather(domain)[:4]))
+    return PairPlanes(*(np.take(a, idx, axis=1) for idx in _pair_gather(domain)))
+
+
+@lru_cache(maxsize=None)
+def interior_gather(domain: Domain) -> np.ndarray:
+    """_pair_gather's operand tables restricted to the interior rows, the
+    cells 1 <= k_i <= N_i in storage order (every stored cell on the
+    sphere): 4 m + axis, shape (4 slots, nrows, 6 pairs).  tau of an
+    interior cell stays inside the stored halo, so no row reads the
+    sentinel, and every index is a (cell, axis) row of coefficient vectors
+    (charts, k..., 4, 3)."""
+    rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
+    rows[interior(domain)] = True
+    out = np.stack(_pair_gather(domain))[:, np.flatnonzero(rows)]
+    out.setflags(write=False)
+    return out
+
+
+def interior_operands(domain: Domain, vecs: np.ndarray) -> np.ndarray:
+    """The stencil operands of coefficient vectors (charts, k..., 4, 3) on
+    the interior rows, stacked (3, 4, nrows, 6) in PairPlanes slot order:
+    one np.take along the component planes of vecs."""
+    planes = np.ascontiguousarray(vecs.reshape(-1, 3).T)
+    return np.take(planes, interior_gather(domain), axis=1)
+
+
+def interior_scatter(domain: Domain, z: np.ndarray) -> np.ndarray:
+    """The adjoint of interior_operands: z (3, 4, nrows, 6) summed into
+    coefficient vectors (charts, k..., 4, 3), one np.bincount per component
+    on the gather table."""
+    index = interior_gather(domain).ravel()
+    out = np.empty((4 * domain.ncells, 3))
+    for c in range(3):
+        out[:, c] = np.bincount(index, weights=z[c].ravel(), minlength=4 * domain.ncells)
+    return out.reshape(domain.ncharts, *domain.extents, 4, 3)
+
+
+def stacked_planes(x: np.ndarray) -> PairPlanes:
+    """The slots of stacked operand planes (3, 4, rows, 6) as PairPlanes."""
+    return PairPlanes(*x.swapaxes(0, 1))
 
 
 def curvature_stencil(x: PairPlanes, y: PairPlanes) -> np.ndarray:
     """x^i y^j(tau_i) - x^j y^i(tau_j) for pure quaternion operands, as
-    planes (4, ncells + 1, 6), scalar first:
+    planes (4, rows, 6), scalar first:
       scalar  x^j . y^i(tau_j) - x^i . y^j(tau_i)
       vector  x^i x y^j(tau_i) - x^j x y^i(tau_j)
     The quadratic part of the curvature is stencil(a, a); along A + tP it
@@ -115,59 +150,44 @@ def curvature_stencil(x: PairPlanes, y: PairPlanes) -> np.ndarray:
     return out
 
 
-def add_pair_difference(out: np.ndarray, x: PairPlanes) -> None:
-    """out += (x^j(tau_i) - x^j) - (x^i(tau_j) - x^i): the coboundary of
-    pair planes, added in place to vector planes."""
-    out += x.j_ti
-    out -= x.j
-    out -= x.i_tj
-    out += x.i
-
-
 def curvature_planes(x: PairPlanes) -> np.ndarray:
-    """F = dA + A u A as quaternion planes (4, ncells + 1, 6), scalar first."""
+    """F = dA + A u A as quaternion planes (4, rows, 6), scalar first; the
+    coboundary of pair planes is (x^j(tau_i) - x^j) - (x^i(tau_j) - x^i)."""
     F = curvature_stencil(x, x)
-    add_pair_difference(F[1:], x)
+    F[1:] += x.j_ti
+    F[1:] -= x.j
+    F[1:] -= x.i_tj
+    F[1:] += x.i
     return F
 
 
-def curvature_tangent(x: PairPlanes, y: PairPlanes) -> np.ndarray:
-    """F1 = dP + stencil(A, P) + stencil(P, A): the derivative of the
-    curvature at A along P, for their operands x and y, as planes."""
-    F1 = curvature_stencil(x, y)
-    F1 += curvature_stencil(y, x)
-    add_pair_difference(F1[1:], y)
-    return F1
+# F1 = dP + stencil(A, P) + stencil(P, A) slot by slot, for P's planes y:
+# slot s meets A's operand in slot s + 2 mod 4 as b, and adds
+# _DOT[s] b . y to the scalar, _CROSS[s] b x y and _D[s] y to the vector;
+# halved, since y is half of P's coefficients.  Slots are indexed
+# (half, slot in half), so the partner slot is the other half.
+_DOT, _CROSS, _D = (0.5 * np.array(signs, dtype=float).reshape(2, 2, 1, 1)
+                    for signs in ((-1, 1, -1, 1), (-1, 1, 1, -1), (1, -1, 1, -1)))
 
 
-def curvature_adjoint(domain: Domain, x: PairPlanes, W: np.ndarray) -> np.ndarray:
-    """G with <curvature_tangent(x, pair_operands(domain, P)), W> = <P, G> for
-    every P, for planes W = (w0, w) with a zero sentinel row.  Per pair (i, j)
-    one sweep collects the vector parts of W + W conj(A^j(tau_i n)) on axis i
-    at n, W + conj(A^j) W on axis i at tau_j n (subtracted), W + W conj(A^i(tau_j n))
-    on axis j at n (subtracted) and W + conj(A^i) W on axis j at tau_i n, halved
-    by the pair-to-axis incidence since the planes of P are P / 2."""
-    sigma_i, sigma_j = _pair_gather(domain)[4:]
-    w0, w = W[0], W[1:]
-    on_i = _weighted(w0, w, x.j_ti, -1)
-    on_i -= np.take(_weighted(w0, w, x.j, 1).reshape(3, -1), sigma_j, axis=1)
-    on_j = np.take(_weighted(w0, w, x.i, 1).reshape(3, -1), sigma_i, axis=1)
-    on_j -= _weighted(w0, w, x.i_tj, -1)
-    G = on_i @ _HALF_TO_AXIS_I
-    G += on_j @ _HALF_TO_AXIS_J
-    return np.ascontiguousarray(G[:, :-1].transpose(1, 2, 0)).reshape(
-        domain.ncharts, *domain.extents, 4, 3)
-
-
-def _weighted(w0: np.ndarray, w: np.ndarray, b: np.ndarray, side: int) -> np.ndarray:
-    """Vector part of W + W conj(b) (side -1) or of W + conj(b) W (side 1)
-    for pure b: w - w0 b - w x b, or w - w0 b + w x b."""
-    out = alg.plane_cross(w, b)
-    if side < 0:
-        np.negative(out, out=out)
-    out -= w0 * b
-    out += w
-    return out
+def curvature_blocks(x: np.ndarray) -> np.ndarray:
+    """The derivative of the curvature at A as per-row blocks K, shape
+    (4 out, 3 in, 4 slots, rows, 6), for A's stacked operand planes x
+    (3, 4, rows, 6): F1 = einsum("ocsnp,csnp->onp", K, v) for the stacked
+    coefficients v of a direction P (interior_operands), and its adjoint
+    einsum("ocsnp,onp->csnp", K, W).  Row o of the vector part holds b x y
+    as b_{o+1} y_{o+2} - b_{o+2} y_{o+1}, indices mod 3."""
+    halves = (2, 2) + x.shape[2:]
+    b = x.reshape(3, *halves)[:, ::-1]
+    K = np.empty((4,) + x.shape)
+    k = K.reshape(4, 3, *halves)
+    np.multiply(b, _DOT, out=k[0])
+    for o in range(3):
+        n, p = (o + 1) % 3, (o + 2) % 3
+        k[1 + o, o] = _D
+        np.multiply(b[n], _CROSS, out=k[1 + o, p])
+        np.multiply(b[p], -_CROSS, out=k[1 + o, n])
+    return K
 
 
 def curvature_components(A: Cochain) -> Cochain:

@@ -12,19 +12,23 @@ t, and the exact line search to a root of a cubic damps the step.  An
 Armijo test with the fixed constant ARMIJO_C guards it against rounding;
 a CGLS step descends, so one that fails stops the run ("line search stalled").
 
-The kernel is the residual map r = mask L F on real quaternion planes
-(Creutz, Phys. Rev. D 21, 2308, 1980: SU(2) as a0 + i a.sigma); L is I for
-the action and I -+ dual, a signed permutation of the six pair planes, for
-the self-dual residual.  The layout, F, its tangent F1 and F1's adjoint are
-gauge's; the kernel's jvp is mask L F1 and its vjp, on the range of r,
-c F1^T, so the gradient is 4 vjp(r) and the line's quartic reads jvp.  The
-gl(2, C) Cochain calculus (gauge.curvature, action) stays the oracle the
-kernel is tested against.
+The kernel is the residual map r = L F on the interior rows, the cells the
+objective keeps, on real quaternion planes (Creutz, Phys. Rev. D 21, 2308,
+1980: SU(2) as a0 + i a.sigma); L is I for the action and I -+ dual, a
+signed permutation of the six pair planes, for the self-dual residual.
+The layout, F and its derivative are gauge's: a point holds the per-row
+blocks K of F's derivative, so jvp is L K applied to the gathered
+operands of P and vjp, on the range of r, c K^T scattered back; the
+gradient is 4 vjp(r) and the line's quartic reads jvp.  Every reduction
+is an einsum, never BLAS, so a run does not depend on the BLAS thread
+count.  The gl(2, C) Cochain calculus (gauge.curvature, action) stays the
+oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -34,7 +38,7 @@ import numpy as np
 from . import algebra as alg
 from . import gauge
 from .calculus import norm_sq, star_plan
-from .cochain import Cochain, interior, is_finite_real, validate_connection
+from .cochain import Cochain, is_finite_real, validate_connection
 from .complex4 import Domain
 from .timing import phase
 
@@ -92,16 +96,22 @@ def action(A: Cochain) -> float:
     return norm_sq(gauge.curvature(A))
 
 
-# an iterate, its objective and gradient, its masked field (F or F -+ dual F)
-# and the gathered stencil operands of its planes
-_Point = namedtuple("_Point", "vecs obj grad field planes")
+# an iterate, its objective and gradient, its field on the interior rows
+# (L F) and the blocks of F's derivative there
+_Point = namedtuple("_Point", "vecs obj grad field blocks")
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """sum(u v) over every entry, by einsum: no BLAS call, so the summation
+    order, and with it every report, does not depend on the thread count."""
+    return float(np.einsum("i,i->", u.ravel(), v.ravel()))
 
 
 class _Kernel:
-    """The residual map r = mask L F of one objective on one domain, its
-    Jacobian products and the objective 2 |r|^2, on quaternion planes (see
-    gauge).  With a field R = s I + sum_a u_a e_a the objective is
-    2 sum mask (s^2 + |u|^2).
+    """The residual map r = L F of one objective on one domain's interior
+    rows, its Jacobian products and the objective 2 |r|^2, on quaternion
+    planes (see gauge).  With a field R = s I + sum_a u_a e_a the objective
+    is 2 sum (s^2 + |u|^2).
     """
 
     def __init__(self, domain: Domain, objective: str, anti: bool = False):
@@ -110,68 +120,68 @@ class _Kernel:
         self.domain = domain
         self.objective_name = objective
         self.anti = anti
-        mask = np.zeros((domain.ncharts, *domain.extents))
-        mask[interior(domain)] = 1.0
-        self.mask = np.append(mask.ravel(), 0.0)[:, None]   # (cells + sentinel, pair)
         # the dual map on pair planes: a signed permutation
         plan = sorted(star_plan(2))
         self.dual_perm = np.array([i for _, _, i in plan])
         self.dual_sign = (1.0 if anti else -1.0) * np.array([sign for _, sign, _ in plan])
 
     def _field(self, F: np.ndarray) -> np.ndarray:
-        """The masked field whose squared norm is the objective; overwrites F."""
+        """The field whose squared norm is the objective; may overwrite F."""
         if self.objective_name == "sd_residual":
             R = np.take(F, self.dual_perm, axis=-1)
             R *= self.dual_sign
             R += F
             F = R
-        F *= self.mask
         return F
+
+    def _planes(self, vecs: np.ndarray) -> np.ndarray:
+        """The stacked operand planes (3, 4, nrows, 6) of coefficient vectors."""
+        return gauge.interior_operands(self.domain, 0.5 * vecs)
 
     def objective(self, vecs: np.ndarray) -> float:
         # overflow on wild iterates is legitimate; the descent checks finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._field(gauge.curvature_planes(gauge.pair_operands(self.domain, vecs)))
-            return 2.0 * float(np.vdot(r, r))
+            r = self._field(gauge.curvature_planes(gauge.stacked_planes(self._planes(vecs))))
+            return 2.0 * _dot(r, r)
 
     def gradient(self, vecs: np.ndarray) -> np.ndarray:
         return self.evaluate(vecs).grad
 
     def evaluate(self, vecs: np.ndarray) -> _Point:
-        """Objective and gradient from one curvature evaluation: the
+        """Objective, gradient and the blocks K from one gather: the
         gradient of 2 |r|^2 is 4 vjp(r)."""
-        x = gauge.pair_operands(self.domain, vecs)
+        x = self._planes(vecs)
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._field(gauge.curvature_planes(x))
-            at = _Point(vecs, 2.0 * float(np.vdot(r, r)), None, r, x)
+            r = self._field(gauge.curvature_planes(gauge.stacked_planes(x)))
+            at = _Point(vecs, 2.0 * _dot(r, r), None, r, gauge.curvature_blocks(x))
             grad = self.vjp(at, r)
             grad *= 4.0
             return at._replace(grad=grad)
 
-    def jvp(self, at: _Point, p: gauge.PairPlanes) -> np.ndarray:
-        """J P = mask L F1 at the point, for the operands p = gauge.pair_operands of P."""
-        return self._field(gauge.curvature_tangent(at.planes, p))
+    def jvp(self, at: _Point, p: np.ndarray) -> np.ndarray:
+        """J P = L F1 at the point, for coefficient vectors P: one gather, one contraction."""
+        return self._field(np.einsum("ocsnp,csnp->onp", at.blocks, gauge.interior_operands(self.domain, p)))
 
     def vjp(self, at: _Point, w: np.ndarray) -> np.ndarray:
         """J^T w for w in the range of the residual map (r and every J P), where
-        L^T mask w = c w exactly: c = 1 for the action, and 2 for the (anti-)
+        L^T w = c w exactly: c = 1 for the action, and 2 for the (anti-)
         self-dual residual, whose L is symmetric with L^2 = 2 L.  No transpose pass."""
-        g = gauge.curvature_adjoint(self.domain, at.planes, w)
-        g *= 2.0 if self.objective_name == "sd_residual" else 1.0
+        g = gauge.interior_scatter(self.domain, np.einsum("ocsnp,onp->csnp", at.blocks, w))
+        if self.objective_name == "sd_residual":
+            g *= 2.0
         return g
 
     def line_coefficients(self, at: _Point, p: np.ndarray) -> np.ndarray:
         """c with objective(at.vecs + t p) = c[0] + c[1] t + ... + c[4] t^4:
         F(A + tP) = F0 + t F1 + t^2 F2 on the curvature stencil, with
         F2 = stencil(P, P); the residual map is linear.  Only P is gathered:
-        the operands of A are kept in the point.
+        the point holds F0 and the blocks of F1.
         """
-        y = gauge.pair_operands(self.domain, p)
+        y = gauge.stacked_planes(self._planes(p))
         with np.errstate(over="ignore", invalid="ignore"):
-            r0, r1, r2 = at.field, self.jvp(at, y), self._field(gauge.curvature_stencil(y, y))
+            r0, r1, r2 = at.field, self.jvp(at, p), self._field(gauge.curvature_stencil(y, y))
             g00, g01, g02, g11, g12, g22 = (
-                float(np.vdot(u, v))
-                for u, v in ((r0, r0), (r0, r1), (r0, r2), (r1, r1), (r1, r2), (r2, r2))
+                _dot(u, v) for u, v in ((r0, r0), (r0, r1), (r0, r2), (r1, r1), (r1, r2), (r2, r2))
             )
             return 2.0 * np.array([g00, 2 * g01, g11 + 2 * g02, 2 * g12, g22])
 
@@ -179,17 +189,82 @@ class _Kernel:
 def _line_minimum(c: np.ndarray) -> float | None:
     """The t > 0 of least value among the stationary points of the quartic
     sum_n c[n] t^n, or None if there is none or c is not finite.  In units
-    of tau every coefficient of the derivative is at most |c[1]|; leading
-    ones at rounding level there (c[4] ~ 0: P u P negligible) are dropped."""
-    d = np.array([c[1], 2 * c[2], 3 * c[3], 4 * c[4]])
-    if not (np.isfinite(c).all() and d[0] < 0 and d[1:].any()):
+    of tau the derivative is e[0] + e[1] s + e[2] s^2 + e[3] s^3 with
+    e[0] = -1 and max |e[n]| = 1; leading coefficients at rounding level
+    there (c[4] ~ 0: P u P negligible) are dropped, leaving a cubic, a
+    quadratic or a linear equation.  The values compared are those of the
+    quartic less c[0], which in these units is a positive multiple of
+    sum_n e[n] s^(n+1) / (n+1)."""
+    c = [float(v) for v in c]
+    d = [c[1], 2 * c[2], 3 * c[3], 4 * c[4]]
+    if not (all(map(math.isfinite, c)) and d[0] < 0 and any(d[1:])):
         return None
-    tau = 1.0 / max((abs(d[n]) / -d[0]) ** (1.0 / n) for n in (1, 2, 3))
-    ds = d * tau ** np.arange(4) / -d[0]
-    roots = np.roots(np.trim_zeros(np.where(abs(ds) > 1e-13, ds, 0.0), "b")[::-1])
-    s = roots.real[(roots.imag == 0) & (roots.real > 0)]
-    values = np.polyval((c * tau ** np.arange(5))[::-1], s)
-    return float(tau * s[np.argmin(values)]) if s.size else None
+    scale = [(abs(d[n]) / -d[0]) ** (1.0 / n) for n in (1, 2, 3)]
+    m = max(scale)  # 1 / tau
+    if not 0.0 < m < math.inf:
+        return None
+    e = [-1.0] + [math.copysign((r / m) ** n, dn) for n, (r, dn) in enumerate(zip(scale, d[1:]), 1)]
+    kept = [v if abs(v) > 1e-13 else 0.0 for v in e]
+    while kept[-1] == 0.0:
+        kept.pop()
+    best = None
+    for s in _real_roots(kept):
+        value = (((e[3] / 4 * s + e[2] / 3) * s + e[1] / 2) * s + e[0]) * s
+        if s > 0 and (best is None or value < best[0]):
+            best = (value, s)
+    return best[1] / m if best else None
+
+
+def _real_roots(e: list) -> list:
+    """The real roots of e[0] + e[1] s + ... of degree 1 to 3, with e[0] = -1
+    and every |e[n]| <= 1, in closed form and polished by one Newton step.
+    The cubic is solved for w = 1 / s: w^3 - e[1] w^2 - e[2] w - e[3] has
+    coefficients bounded by 1, so a small e[3] costs the other roots no
+    accuracy.  Its root of largest modulus (Cardano, or Viete's three),
+    polished, is divided out, and the stable quadratic formula gives the
+    other two (Press et al., Numerical Recipes, 3rd ed., sec. 5.6): roots
+    that nearly meet are not read off a cosine."""
+    if len(e) == 2:
+        roots = [1.0 / e[1]]
+    elif len(e) == 3:
+        roots = _quadratic_roots(e[1] / e[2], -1.0 / e[2])
+    else:
+        # w^3 + b w^2 + c w + g, with w = z - b / 3 and z^3 + p z + q = 0
+        b, c, g = -e[1], -e[2], -e[3]
+        p = c - b * b / 3.0
+        q = 2.0 * b**3 / 27.0 - b * c / 3.0 + g
+        h = q * q / 4.0 + p**3 / 27.0
+        if h > 0:  # one real root (Cardano)
+            u = -math.copysign((abs(q) / 2.0 + math.sqrt(h)) ** (1.0 / 3.0), q)
+            z = [u - p / (3.0 * u)]
+        elif p < 0:  # three real roots (Viete)
+            m = 2.0 * math.sqrt(-p / 3.0)
+            phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+            z = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
+        else:  # p = q = 0: a triple root
+            z = [0.0]
+        w = max((zk - b / 3.0 for zk in z), key=abs)
+        df = (3.0 * w + 2.0 * b) * w + c
+        if df != 0.0:
+            w -= (((w + b) * w + c) * w + g) / df
+        roots = [1.0 / w] + [1.0 / v for v in _quadratic_roots(b + w, -g / w) if v != 0.0]
+    out = []
+    for s in roots:
+        f, df = e[-1], 0.0
+        for coef in e[-2::-1]:
+            df = df * s + f
+            f = f * s + coef
+        out.append(s - f / df if df != 0.0 else s)
+    return out
+
+
+def _quadratic_roots(b: float, c: float) -> list:
+    """The real roots of s^2 + b s + c, without cancellation."""
+    disc = b * b - 4.0 * c
+    if disc < 0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q, c / q] if q != 0.0 else [0.0, 0.0]
 
 
 def action_gradient(A: Cochain) -> np.ndarray:
@@ -214,7 +289,7 @@ def grad_max_norm(grad: np.ndarray) -> float:
 def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, counts: dict):
     """(t, point) at the exact line minimum along p, or None if p is not a
     descent direction, the line has no minimum or the step fails Armijo."""
-    slope = float(np.vdot(at.grad, p))
+    slope = _dot(at.grad, p)
     if not slope < 0:
         return None
     counts["line_coefficient_evals"] += 1
@@ -237,12 +312,12 @@ def _gauss_newton_step(kern: _Kernel, at: _Point, counts: dict) -> np.ndarray:
     p = np.zeros_like(at.grad)
     b = -at.field
     s = at.grad / -4.0  # J^T b at p = 0
-    d, gamma = s, float(np.vdot(s, s))
+    d, gamma = s, _dot(s, s)
     stop = ETA**2 * gamma
     for _ in range(p.size):
         counts["jacobian_products"] += 1
-        q = kern.jvp(at, gauge.pair_operands(kern.domain, d))
-        qq = float(np.vdot(q, q))
+        q = kern.jvp(at, d)
+        qq = _dot(q, q)
         if not (np.isfinite(qq) and qq > 0):
             break
         alpha = gamma / qq
@@ -250,7 +325,7 @@ def _gauss_newton_step(kern: _Kernel, at: _Point, counts: dict) -> np.ndarray:
         b -= alpha * q
         counts["jacobian_products"] += 1
         s = kern.vjp(at, b)
-        gamma, gamma_old = float(np.vdot(s, s)), gamma
+        gamma, gamma_old = _dot(s, s), gamma
         if gamma <= stop:
             break
         d = s + (gamma / gamma_old) * d

@@ -2,8 +2,8 @@
 
 Phase times go to the "ymdec" loggers at INFO level, which `ymdec -v`
 sends to stderr.  They never enter a report, so reports stay
-byte-identical for a given config, seed and BLAS thread count (README,
-Determinism).
+byte-identical for a given config and seed, the one condition, since no
+run enters BLAS (README, Determinism).
 """
 
 from __future__ import annotations

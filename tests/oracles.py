@@ -180,3 +180,19 @@ def gather_by_resolve(domain, axis, step):
             continue
         out.append(int(np.ravel_multi_index(domain.storage_index(chart2, k2), shape)))
     return np.array(out + [int(np.prod(shape))])
+
+
+def line_minimum_by_roots(c):
+    """The solver's line minimum with the cubic solved by np.roots (the
+    eigenvalues of its companion matrix): the t > 0 of least value among the
+    stationary points of sum_n c[n] t^n, or None.  Same rescaling and the
+    same rule for dropping leading coefficients at rounding level."""
+    d = np.array([c[1], 2 * c[2], 3 * c[3], 4 * c[4]])
+    if not (np.isfinite(c).all() and d[0] < 0 and d[1:].any()):
+        return None
+    tau = 1.0 / max((abs(d[n]) / -d[0]) ** (1.0 / n) for n in (1, 2, 3))
+    ds = d * tau ** np.arange(4) / -d[0]
+    roots = np.roots(np.trim_zeros(np.where(abs(ds) > 1e-13, ds, 0.0), "b")[::-1])
+    s = roots.real[(roots.imag == 0) & (roots.real > 0)]
+    values = np.polyval((c * tau ** np.arange(5))[::-1], s)
+    return float(tau * s[np.argmin(values)]) if s.size else None

@@ -463,12 +463,10 @@ class TestGatherTable:
         for axis in (1, 2, 3, 4):
             # a read past the block halo gives zero, as the sentinel row does
             assert np.array_equal(ca.shift_plus(domain, vals, axis), flat[tau[axis - 1]][:-1].reshape(vals.shape))
-        # operands 4 tau + axis, scatters 6 sigma + pair, per pair (i, j)
+        # operands 4 tau + axis per pair (i, j)
         n = np.arange(ncells + 1)[:, None]
         i, j = ga.PAIR_I, ga.PAIR_J
-        pairs = np.arange(len(ga.DIR_PAIRS))
-        want = (4 * n + i, 4 * n + j, 4 * tau[i].T + j, 4 * tau[j].T + i,
-                6 * sigma[i].T + pairs, 6 * sigma[j].T + pairs)
+        want = (4 * n + i, 4 * n + j, 4 * tau[i].T + j, 4 * tau[j].T + i)
         tables = ga._pair_gather(domain)
         assert len(tables) == len(want)
         for got, ref in zip(tables, want):

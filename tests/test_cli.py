@@ -278,6 +278,24 @@ class TestSolverCommands:
         objective = report["trace"][-1][0]
         assert report["scalars"]["asd_residual"] ** 2 == pytest.approx(objective, rel=1e-10)
 
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # block 3^4 relax at amplitude 0.5 is the run that moves with rounding:
+        # its final form and report are the same bytes at 1 and 2 threads
+        out = tmp_path / "block3.form.json"
+        path = write_config(tmp_path, topology="block", sizes=[3, 3, 3, 3], amplitude=0.5, output=str(out))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ymdec", "relax", "--config", path],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out.read_bytes(), (tmp_path / "block3.form.json.report.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["scalars"]["converged"] is True
+
     def test_solver_abort_exit_code(self, tmp_path):
         domain = Domain((2, 2, 2, 2), "sphere")
         huge = so.vectors_to_connection(

@@ -75,46 +75,100 @@ class TestCurvature:
             ga.curvature_components(co.Cochain.zeros(domain, 2))
 
 
+def _interior_rows(domain):
+    """Storage indices of the interior cells, 1 <= k_i <= N_i."""
+    rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
+    rows[co.interior(domain)] = True
+    return np.flatnonzero(rows)
+
+
+def _planes(domain, vecs):
+    """The stacked operand planes (3, 4, nrows, 6) of coefficient vectors."""
+    return 0.5 * ga.interior_operands(domain, vecs)
+
+
 class TestPlaneLayout:
-    @pytest.mark.parametrize("domain", [SPHERE, SPHERE_2342, BLOCK_2342], ids=["sphere", "sphere-2342", "block-2342"])
+    @pytest.mark.parametrize(
+        "domain", [SPHERE, SPHERE_2342, BLOCK_2342, Domain((4, 4, 4, 4), "block")],
+        ids=["sphere", "sphere-2342", "block-2342", "block-4444"],
+    )
     def test_operands_are_contiguous_plain_gathers(self, domain):
         # reference: per pair (i, j), plain fancy indexing through the tau of Domain.resolve
         vecs = np.random.default_rng(45).uniform(-0.5, 0.5, size=(domain.ncharts, *domain.extents, 4, 3))
         a = np.zeros((3, domain.ncells + 1, 4))
-        a[:, :-1] = 0.5 * np.moveaxis(vecs.reshape(-1, 4, 3), -1, 0)
+        a[:, :-1] = np.moveaxis(vecs.reshape(-1, 4, 3), -1, 0)
         tau = [gather_by_resolve(domain, axis, +1) for axis in (1, 2, 3, 4)]
         want = [np.stack(planes, axis=-1) for planes in zip(*(
             (a[:, :, i - 1], a[:, :, j - 1], a[:, tau[i - 1], j - 1], a[:, tau[j - 1], i - 1])
             for i, j in ga.DIR_PAIRS))]
+        # every stored cell and the sentinel, as planes (half the coefficients)
         got = ga.pair_operands(domain, vecs)
         for plane, ref in zip(got, want):
             assert plane.shape == (3, domain.ncells + 1, 6) and plane.flags.c_contiguous
-            assert np.array_equal(plane, ref)
+            assert np.array_equal(plane, 0.5 * ref)
+        # the interior rows, stacked by slot: no row reads the sentinel
+        rows = _interior_rows(domain)
+        got = ga.interior_operands(domain, vecs)
+        assert got.shape == (3, 4, rows.size, 6) and got.flags.c_contiguous
+        assert np.array_equal(got, np.stack([ref[:, rows] for ref in want], axis=1))
+        assert ga.interior_gather(domain).max() < 4 * domain.ncells
+
+    @pytest.mark.parametrize("domain", [SPHERE, BLOCK_2342], ids=["sphere", "block-2342"])
+    def test_scatter_is_the_adjoint_of_the_gather(self, domain):
+        rng = np.random.default_rng(46)
+        v = rng.uniform(-1.0, 1.0, size=(domain.ncharts, *domain.extents, 4, 3))
+        z = rng.uniform(-1.0, 1.0, size=(3, 4, _interior_rows(domain).size, 6))
+        got = ga.interior_scatter(domain, z)
+        assert got.shape == v.shape
+        assert float(np.vdot(v, got)) == pytest.approx(float(np.vdot(ga.interior_operands(domain, v), z)), rel=1e-13)
+        table = ga.interior_gather(domain)
+        assert ga.interior_gather(Domain(domain.sizes, domain.topology)) is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0
 
 
 class TestCurvatureTangentAndAdjoint:
+    """The per-row blocks K of the curvature's derivative on the interior rows."""
+
     @ALL_DOMAINS
     def test_tangent_is_the_central_difference(self, domain):
         # F is quadratic along A + hP, so the central difference is F1 up to rounding
         rng = np.random.default_rng(43)
         a, p = rng.uniform(-0.5, 0.5, size=(2, domain.ncharts, *domain.extents, 4, 3))
-        f1 = ga.curvature_tangent(ga.pair_operands(domain, a), ga.pair_operands(domain, p))
+        K = ga.curvature_blocks(_planes(domain, a))
+        f1 = np.einsum("ocsnp,csnp->onp", K, ga.interior_operands(domain, p))
         for h in (1.0, 0.125):
-            fp, fm = (ga.curvature_planes(ga.pair_operands(domain, a + s * h * p)) for s in (1, -1))
+            fp, fm = (ga.curvature_planes(ga.stacked_planes(_planes(domain, a + s * h * p))) for s in (1, -1))
             scale = max(np.abs(fp).max(), np.abs(fm).max()) / h
             assert np.abs(f1 - (fp - fm) / (2 * h)).max() <= 1e-14 * scale
 
     @ALL_DOMAINS
     def test_adjoint_identity(self, domain):
-        # <F1(P), W> = <P, adjoint(W)> for every W with a zero sentinel row
+        # <F1(P), W> = <P, scatter(K^T W)> for every W on the interior rows
         rng = np.random.default_rng(44)
         a, p = rng.uniform(-0.5, 0.5, size=(2, domain.ncharts, *domain.extents, 4, 3))
-        x = ga.pair_operands(domain, a)
-        W = rng.uniform(-1.0, 1.0, size=(4, domain.ncells + 1, 6))
-        W[:, -1] = 0.0
-        want = float(np.vdot(ga.curvature_tangent(x, ga.pair_operands(domain, p)), W))
-        got = float(np.vdot(p, ga.curvature_adjoint(domain, x, W)))
+        K = ga.curvature_blocks(_planes(domain, a))
+        W = rng.uniform(-1.0, 1.0, size=(4, _interior_rows(domain).size, 6))
+        want = float(np.vdot(np.einsum("ocsnp,csnp->onp", K, ga.interior_operands(domain, p)), W))
+        got = float(np.vdot(p, ga.interior_scatter(domain, np.einsum("ocsnp,onp->csnp", K, W))))
         assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("domain", [SPHERE, BLOCK_2342], ids=["sphere", "block-2342"])
+    def test_blocks_are_the_stencil_linearisation(self, domain):
+        # column K[:, k, s] is stencil(x, e) + stencil(e, x) + d(e) for the unit
+        # coefficient in component k of slot s, whose plane operand e is 1/2
+        a = np.random.default_rng(47).uniform(-0.5, 0.5, size=(domain.ncharts, *domain.extents, 4, 3))
+        x = _planes(domain, a)
+        K = ga.curvature_blocks(x)
+        assert K.shape == (4, 3, 4, *x.shape[2:])
+        for k in range(3):
+            for s in range(4):
+                e = np.zeros_like(x)
+                e[k, s] = 0.5
+                col = ga.curvature_stencil(ga.stacked_planes(x), ga.stacked_planes(e))
+                col += ga.curvature_stencil(ga.stacked_planes(e), ga.stacked_planes(x))
+                col[1:] += e[:, 2] - e[:, 1] - e[:, 3] + e[:, 0]
+                assert np.array_equal(K[:, k, s], col)
 
 
 class TestConnectionScalars:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import line_minimum_by_roots
 from ymdec import algebra as alg
 from ymdec import calculus as ca
 from ymdec import cochain as co
@@ -369,6 +370,44 @@ class TestLineSearch:
         assert max(counts) - min(counts) <= 0.01 * min(counts)
 
 
+class TestClosedFormCubic:
+    """_line_minimum against the np.roots version in tests/oracles.py."""
+
+    @staticmethod
+    def _agree(c):
+        got, want = so._line_minimum(c), line_minimum_by_roots(c)
+        assert (got is None) == (want is None), (c, got, want)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-10), c
+
+    def test_random_quartics(self):
+        rng = np.random.default_rng(48)
+        found = 0
+        for _ in range(1000):
+            c = rng.normal(size=5) * 10.0 ** rng.uniform(-3, 3, size=5)
+            c[1] = -abs(c[1])
+            self._agree(c)
+            found += so._line_minimum(c) is not None
+        assert found > 600
+
+    @pytest.mark.parametrize("c", [
+        [1.0, -2.0, 1.0, 0.0, 0.0],        # quadratic
+        [1.0, -2.0, 0.0, 0.0, 1e-30],      # a small quartic term alone: one far stationary point
+        [1.0, -2.0, -1.0, 0.5, 0.0],       # cubic quartic-free line
+        [1.0, -2.0, 1.0, 1e-16, 1e-15],    # quartic and cubic terms at rounding level
+        [1.0, -2.0, 1.0, -1e-9, 1e-12],    # small but kept: a far cubic root
+        [1.0, -2.0, -1.0, 0.0, 1e-30],     # quadratic with no minimum after the drop
+        [1.0, -2.0, 0.0, 0.0, 1.0],        # t^4 - 2 t: one real root
+        [1.0, -1e-12, 1.0, 0.0, 1.0],      # a slope at rounding level of the rest
+        [1.0, 2.0, 1.0, 0.0, 1.0],         # no descent
+        [1.0, 0.0, 1.0, 0.0, 1.0],         # no slope
+        [1.0, -2.0, 0.0, 0.0, 0.0],        # nothing past the slope
+        [1.0, -2.0, np.nan, 0.0, 1.0],     # not finite
+    ])
+    def test_degenerate_quartics(self, c):
+        self._agree(np.array(c))
+
+
 class TestSolverApiBoundary:
     @pytest.mark.parametrize(
         "make",
@@ -418,6 +457,29 @@ LARGER = [*NON_CUBIC, Domain((4, 4, 4, 4), "block")]
 
 class TestKernelAgainstCochainOracle:
     """The quaternion-plane kernel beyond the cubic 2^4 domains."""
+
+    @pytest.mark.parametrize(
+        "domain", [SPHERE, NON_CUBIC[1], Domain((4, 4, 4, 4), "block")], ids=["sphere", "block-2342", "block-4444"]
+    )
+    @pytest.mark.parametrize(
+        "objective,anti",
+        [("action", False), ("sd_residual", False), ("sd_residual", True)],
+        ids=["action", "sd", "anti-sd"],
+    )
+    def test_residual_is_L_F_on_the_interior_rows(self, domain, objective, anti):
+        # the kernel's rows are exactly the interior cells, and its residual
+        # there is mask L F of the Cochain curvature
+        kern = so._Kernel(domain, objective, anti=anti)
+        a = co.random_connection(domain, 0.5, seed=33)
+        r = kern.evaluate(so.connection_vectors(a)).field
+        f = ga.curvature(a)
+        if objective == "sd_residual":
+            f = (co.add if anti else co.sub)(f, ca.dual(f))
+        want = f.values[co.interior(domain)].reshape(-1, 6, 2, 2)
+        nrows = domain.ncharts * int(np.prod(domain.sizes))
+        assert r.shape == (4, nrows, 6) == (4, want.shape[0], 6)
+        got = alg.quaternion_matrices(r[0], r[1:])
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("domain", LARGER, ids=["sphere-2342", "block-2342", "block-4444"])
     @pytest.mark.parametrize(
@@ -475,29 +537,29 @@ def _jacobian_setup(domain, objective, anti):
 
 
 class TestJacobianProducts:
-    """jvp and vjp of the residual map r = mask L F on its range."""
+    """jvp and vjp of the residual map r = L F on its range."""
 
     @JACOBIAN_DOMAINS
     @OBJECTIVES
     def test_adjoint_identity(self, domain, objective, anti):
         # <J v, w> = <v, J^T w> for w = r and for w = J u
         kern, at, v, u = _jacobian_setup(domain, objective, anti)
-        jv = kern.jvp(at, ga.pair_operands(domain, v))
-        for w in (at.field, kern.jvp(at, ga.pair_operands(domain, u))):
+        jv = kern.jvp(at, v)
+        for w in (at.field, kern.jvp(at, u)):
             want = float(np.vdot(jv, w))
             assert float(np.vdot(v, kern.vjp(at, w))) == pytest.approx(want, rel=1e-13)
 
     @JACOBIAN_DOMAINS
     @OBJECTIVES
     def test_range_identity(self, domain, objective, anti):
-        # L^T mask w = c w bitwise on the range, c = 1 (action) or 2 (I -+ dual)
+        # L^T w = c w bitwise on the range, c = 1 (action) or 2 (I -+ dual)
         kern, at, _, u = _jacobian_setup(domain, objective, anti)
         L = np.eye(6)
         if objective == "sd_residual":
             L[np.arange(6), kern.dual_perm] += kern.dual_sign
         c = 2.0 if objective == "sd_residual" else 1.0
-        for w in (at.field, kern.jvp(at, ga.pair_operands(domain, u))):
-            assert np.array_equal((kern.mask * w) @ L, c * w)
+        for w in (at.field, kern.jvp(at, u)):
+            assert np.array_equal(w @ L, c * w)
         # the gradient of 2 |r|^2 is 4 J^T r
         assert np.array_equal(at.grad, 4.0 * kern.vjp(at, at.field))
 
@@ -505,8 +567,8 @@ class TestJacobianProducts:
     @pytest.mark.parametrize("anti", [False, True], ids=["sd", "anti-sd"])
     def test_self_dual_field_is_contiguous(self, domain, anti):
         kern, at, _, _ = _jacobian_setup(domain, "sd_residual", anti)
-        F = ga.curvature_planes(at.planes)
-        want = (F + kern.dual_sign * F[..., kern.dual_perm]) * kern.mask
+        F = ga.curvature_planes(ga.stacked_planes(kern._planes(at.vecs)))
+        want = F + kern.dual_sign * F[..., kern.dual_perm]
         got = kern._field(F)
         assert got.flags.c_contiguous and np.array_equal(got, want)
 
@@ -537,7 +599,7 @@ class TestGaussNewton:
             p = so._gauss_newton_step(kern, at, counts)
             assert float(np.vdot(at.grad, p)) < 0
             r = at.field
-            res = kern.jvp(at, ga.pair_operands(domain, p)) + r
+            res = kern.jvp(at, p) + r
             assert np.linalg.norm(kern.vjp(at, res)) <= so.ETA * np.linalg.norm(kern.vjp(at, r))
             assert np.linalg.norm(res) < np.linalg.norm(r)
             assert counts["jacobian_products"] > 0
@@ -550,7 +612,7 @@ class TestGaussNewton:
         for at in points:
             shape = at.grad.shape
             J = np.stack([
-                kern.jvp(at, ga.pair_operands(SPHERE, e.reshape(shape))).ravel()
+                kern.jvp(at, e.reshape(shape)).ravel()
                 for e in np.eye(at.grad.size)
             ], axis=1)
             x, b = np.zeros(J.shape[1]), -at.field.ravel()
