@@ -41,13 +41,15 @@ def trace(a):
 def mat_mul(a, b):
     """Product of the trailing 2x2 blocks, its four entries written out.
 
-    Broadcasts over leading axes and takes strided views.  numpy's batched
-    matmul is several times slower on 2x2 operands; this is the one product
-    of coefficient matrices in the program.
+    Broadcasts over leading axes and takes strided views; the result has
+    a's memory order, so entry-major operands (see cochain.Cochain) give
+    an entry-major product.  numpy's batched matmul is several times
+    slower on 2x2 operands; this is the one product of coefficient
+    matrices in the program.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out = np.empty_like(a, dtype=np.result_type(a, b), shape=np.broadcast_shapes(a.shape, b.shape))
     for i in range(2):
         for j in range(2):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]

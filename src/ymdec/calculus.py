@@ -149,7 +149,7 @@ def star(f: Cochain) -> Cochain:
 
 def copy_swap(f: Cochain) -> Cochain:
     """Identify the two copies componentwise (an involution)."""
-    return Cochain(f.domain, f.degree, f.values.copy(), f.copy ^ 1)
+    return Cochain(f.domain, f.degree, f.values.copy(order="K"), f.copy ^ 1)
 
 
 def dual(f: Cochain) -> Cochain:
@@ -166,8 +166,7 @@ def codifferential(f: Cochain) -> Cochain:
     if f.degree < 1:
         raise ValueError("codifferential needs degree >= 1")
     out = star(coboundary(star(f)))
-    out.values = -out.values
-    return out
+    return out.like(-out.values)
 
 
 def inner_product(f: Cochain, g: Cochain) -> complex:
@@ -200,12 +199,11 @@ def pair_boundaries(f: Cochain) -> Cochain:
     the block cells whose boundary leaves the halo.
     """
     row, col, coeff = boundary_arrays(f.domain, f.degree + 1)
-    out = Cochain.zeros(f.domain, f.degree + 1, f.copy)
-    np.add.at(
-        out.values.reshape(-1, 2, 2), row,
-        coeff[:, None, None] * f.values.reshape(-1, 2, 2)[col],
-    )
-    return out
+    # the indices count (cell, direction) cell-major, so the sum goes into
+    # a C-contiguous buffer: a reshape of entry-major values is a copy
+    out = np.zeros(Cochain.shape(f.domain, f.degree + 1), dtype=np.complex128)
+    np.add.at(out.reshape(-1, 2, 2), row, coeff[:, None, None] * f.values.reshape(-1, 2, 2)[col])
+    return Cochain(f.domain, f.degree + 1, out, f.copy)
 
 
 def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:

@@ -1,11 +1,13 @@
 """Matrix-valued discrete forms: dense storage, constructors, serialization.
 
 A degree-p form stores one 2x2 complex matrix per (chart, multi-index,
-direction set of degree p).  Storage layout (normative for files):
+direction set of degree p).  The file order is normative and cell-major:
 chart-major, then k lexicographic, then direction sets by ascending
-bitmask, then matrix entries row-major.  On the block the stored range
-includes the width-1 halo (indices 0 .. N_i + 1); on the sphere it is
-1 .. N_i over both charts and every read resolves through the gluing.
+bitmask, then matrix entries row-major; Cochain.values indexes in that
+order.  Memory is entry-major (see Cochain), so each (direction set,
+entry) is one contiguous plane over the cells.  On the block the stored
+range includes the width-1 halo (indices 0 .. N_i + 1); on the sphere it
+is 1 .. N_i over both charts and every read resolves through the gluing.
 
 Randomized constructors use numpy's default_rng (PCG64), so a seed pins
 the field exactly.
@@ -58,9 +60,22 @@ class ValidationError(ValueError):
 
 
 class Cochain:
-    """A degree-p discrete form on one copy of the double complex."""
+    """A degree-p discrete form on one copy of the double complex.
+
+    values has the logical shape (charts, k..., dirs, 2, 2) and is a view
+    of a C-contiguous entry-major buffer (dirs, 2, 2, charts, k...), so
+    values[..., d, i, j] is one contiguous plane over the cells and every
+    operator runs on unit-stride data.  numpy keeps that memory order
+    through elementwise results, empty_like, zeros_like and
+    copy(order="K"); the constructor copies any other input into it.  A
+    reshape or ravel of values is a copy, so writes into one are lost.
+    """
 
     __slots__ = ("domain", "degree", "copy", "values")
+
+    # the (dirs, 2, 2) axes: last in values, first in memory
+    _ENTRY_AXES = (-3, -2, -1)
+    _PLANE_AXES = (0, 1, 2)
 
     def __init__(self, domain: Domain, degree: int, values, copy: int = BASE):
         if not 0 <= degree <= 4:
@@ -72,7 +87,8 @@ class Cochain:
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape}, expected {expected}")
-        self.values = values
+        planes = np.ascontiguousarray(np.moveaxis(values, self._ENTRY_AXES, self._PLANE_AXES))
+        self.values = np.moveaxis(planes, self._PLANE_AXES, self._ENTRY_AXES)
 
     @staticmethod
     def shape(domain: Domain, degree: int) -> tuple:
@@ -80,7 +96,9 @@ class Cochain:
 
     @classmethod
     def zeros(cls, domain: Domain, degree: int, copy: int = BASE) -> "Cochain":
-        return cls(domain, degree, np.zeros(cls.shape(domain, degree)), copy)
+        shape = cls.shape(domain, degree)
+        planes = np.zeros(shape[-3:] + shape[:-3], dtype=np.complex128)
+        return cls(domain, degree, np.moveaxis(planes, cls._PLANE_AXES, cls._ENTRY_AXES), copy)
 
     def dir_index(self, mask: int) -> int:
         return MASKS_BY_DEGREE[self.degree].index(mask)
@@ -157,7 +175,7 @@ def zero_pad(f: Cochain) -> Cochain:
     stencil identities exact on the stored range.  No-op on the sphere.
     """
     if f.domain.is_sphere:
-        return f.like(f.values.copy())
+        return f.like(f.values.copy(order="K"))
     out = np.zeros_like(f.values)
     sl = (slice(None),) + tuple(slice(1, n) for n in f.domain.sizes)
     out[sl] = f.values[sl]
@@ -251,8 +269,9 @@ def validate_gauge(f: Cochain) -> Cochain:
 
 
 def serialize(f: Cochain) -> bytes:
-    """JSON encoding over the normative component order; each matrix is its
-    four entries row-major as [re, im] pairs, which is complex128's memory layout."""
+    """JSON encoding over the normative component order, read from a
+    cell-major copy of the values; each matrix is its four entries
+    row-major as [re, im] pairs, which is complex128's memory layout."""
     data = np.ascontiguousarray(f.values).view(np.float64).reshape(-1, 4, 2).tolist()
     doc = {
         "version": FILE_VERSION,
@@ -268,6 +287,18 @@ def serialize(f: Cochain) -> bytes:
 def is_json_int(v) -> bool:
     """True for a JSON integer: an int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _may_hold_bool(payload) -> bool:
+    """False only when JSON text, str or bytes, has no true or false literal.
+
+    Both literals hold a u or an f, and in UTF-8, -16 and -32 alike an
+    ASCII letter is one byte of the text.  No header key or value of a form
+    file and no number holds either letter, so a clean file costs two
+    memchr scans; other text with one of them takes the exact check.
+    """
+    letters = ("u", "f") if isinstance(payload, str) else (b"u", b"f")
+    return any(c in payload for c in letters)
 
 
 def is_finite_real(v) -> bool:
@@ -299,10 +330,15 @@ def deserialize(payload: bytes) -> Cochain:
     shape = Cochain.shape(domain, degree)
     try:
         pairs = np.asarray(doc["data"])
-        # JSON numbers only: a float64 conversion reads "0" as 0.0 and null as NaN
-        if pairs.dtype.kind not in "iuf" and not (
-            pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat)
-        ):
+        # numpy folds a bool among numbers into a numeric array, so the
+        # entries are read one by one when the text may hold one
+        if pairs.dtype.kind in "iuf" and _may_hold_bool(payload):
+            pairs = np.asarray(doc["data"], dtype=object)
+        # JSON numbers only: a float64 conversion reads "0" as 0.0, null as
+        # NaN and true as 1.0
+        if pairs.dtype.kind not in "iuf" and not (pairs.dtype == object and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pairs.flat
+        )):
             raise TypeError("entries must be JSON numbers")
         pairs = pairs.astype(np.float64, copy=False)
     except (ValueError, TypeError, OverflowError) as e:  # OverflowError: an int past the float range

@@ -102,10 +102,11 @@ def interior_gather(domain: Domain) -> np.ndarray:
     sphere): 4 m + axis, shape (4 slots, nrows, 6 pairs).  tau of an
     interior cell stays inside the stored halo, so no row reads the
     sentinel, and every index is a (cell, axis) row of coefficient vectors
-    (charts, k..., 4, 3)."""
+    (charts, k..., 4, 3).  C-contiguous, so np.take reads it at unit
+    stride and interior_scatter ravels it without a copy."""
     rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
     rows[interior(domain)] = True
-    out = np.stack(_pair_gather(domain))[:, np.flatnonzero(rows)]
+    out = np.ascontiguousarray(np.stack(_pair_gather(domain))[:, np.flatnonzero(rows)])
     out.setflags(write=False)
     return out
 

@@ -1,5 +1,7 @@
 """Tests for coboundary, cup, star, codifferential, inner product, Green formula."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -445,6 +447,50 @@ class TestGreenFormula:
         bt = ca.green_boundary_term(phi, omega)
         assert abs(lhs - rhs - bt) <= 1e-13
         assert abs(bt) > 1e-3
+
+
+def _entry_major(f):
+    return np.moveaxis(f.values, (-3, -2, -1), (0, 1, 2)).flags.c_contiguous
+
+
+class TestEntryMajorLayout:
+    @pytest.mark.parametrize("domain", [SPHERE_2342, BLOCK_2342], ids=["sphere-2342", "block-2342"])
+    def test_every_result_is_entry_major(self, domain):
+        # each (direction set, entry) of a form is one contiguous plane over the cells
+        a = co.random_connection(domain, 0.5, seed=3)
+        f = rand(domain, 2, seed=4)
+        g = rand(domain, 1, seed=5)
+        forms = {
+            "zeros": co.Cochain.zeros(domain, 3),
+            "random_form": f,
+            "random_connection": a,
+            "deserialize": co.deserialize(co.serialize(f)),
+            "add": co.add(f, f),
+            "sub": co.sub(f, f),
+            "scale": co.scale(f, 2.0),
+            "coboundary": ca.coboundary(f),
+            "cup": ca.cup(g, f),
+            "star": ca.star(f),
+            "copy_swap": ca.copy_swap(f),
+            "dual": ca.dual(f),
+            "zero_pad": co.zero_pad(f),
+            "curvature": ga.curvature(a),
+            "pair_boundaries": ca.pair_boundaries(g),
+        }
+        assert [name for name, h in forms.items() if not _entry_major(h)] == []
+        # a cell-major input is copied into the layout
+        copied = f.like(np.ascontiguousarray(f.values))
+        assert _entry_major(copied) and np.array_equal(copied.values, f.values)
+        # the file order stays cell-major: the bytes of a cell-major reference
+        doc = {
+            "version": co.FILE_VERSION,
+            "topology": domain.topology,
+            "sizes": list(domain.sizes),
+            "degree": 2,
+            "copy": "base",
+            "data": np.array(f.values, order="C").view(np.float64).reshape(-1, 4, 2).tolist(),
+        }
+        assert co.serialize(f) == json.dumps(doc).encode()
 
 
 class TestGatherTable:

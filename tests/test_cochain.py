@@ -225,13 +225,19 @@ class TestSerialization:
         with pytest.raises(co.MalformedFormError, match="bad data payload"):
             co.deserialize(json.dumps(doc).encode())
 
-    @pytest.mark.parametrize("entry", ["0", "0.0", None], ids=["string", "float-string", "null"])
+    @pytest.mark.parametrize(
+        "entry", ["0", "0.0", None, True, False], ids=["string", "float-string", "null", "true", "false"]
+    )
     def test_data_entries_must_be_json_numbers(self, entry):
-        # a float64 conversion would read a string as its number and null as NaN
+        # a float64 conversion would read a string as its number, null as NaN
+        # and true as 1.0; numpy folds a bool among numbers into a float array
         doc = json.loads(co.serialize(_golden_form()))
         doc["data"][0][0][0] = entry
+        for encoding in ("utf-8", "utf-16"):
+            with pytest.raises(co.MalformedFormError, match="bad data payload"):
+                co.deserialize(json.dumps(doc).encode(encoding))
         with pytest.raises(co.MalformedFormError, match="bad data payload"):
-            co.deserialize(json.dumps(doc).encode())
+            co.deserialize(json.dumps(doc))
         # the same entry beside an integer past int64, where numpy infers an object array
         doc["data"][1][0][0] = 2**70
         with pytest.raises(co.MalformedFormError, match="bad data payload"):
@@ -244,7 +250,7 @@ class TestSerialization:
             doc["data"][pos][0][0] = v
         g = co.deserialize(json.dumps(doc).encode())
         want = np.asarray(doc["data"], dtype=np.float64)
-        assert g.values.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
+        assert np.ascontiguousarray(g.values).view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
         # every entry an integer: numpy infers int64
         doc["data"] = [[[1, 0]] * 4 for _ in doc["data"]]
         assert (co.deserialize(json.dumps(doc).encode()).values == 1).all()

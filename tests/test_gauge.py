@@ -123,6 +123,8 @@ class TestPlaneLayout:
         assert float(np.vdot(v, got)) == pytest.approx(float(np.vdot(ga.interior_operands(domain, v), z)), rel=1e-13)
         table = ga.interior_gather(domain)
         assert ga.interior_gather(Domain(domain.sizes, domain.topology)) is table
+        # so np.take reads it at unit stride and ravel is no copy
+        assert table.flags.c_contiguous
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0
 
