@@ -214,7 +214,7 @@ def random_gauge(domain: Domain, seed) -> Cochain:
     return Cochain(domain, 0, alg.exp_su2(vecs), BASE)
 
 
-def sum_profile_gauge(domain: Domain, amplitude=1.0, seed=0) -> Cochain:
+def sum_profile_gauge(domain: Domain, amplitude, seed) -> Cochain:
     """SU(2) gauge whose coefficient depends only on k1+k2+k3+k4.
 
     Such gauges satisfy the three paired-double-shift conditions

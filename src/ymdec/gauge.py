@@ -13,24 +13,23 @@ deviation instead of assuming membership.
 
 The curvature stencil has one implementation, on real quaternion planes
 (see algebra): F is the product of su(2) elements, so it lies in
-H = span_R{I, lam_a}.  This module owns the plane layout: _pair_gather
-builds its index tables from tau (shift_plus on cell ids); pair_operands
-gathers A's pure quaternion planes per axis pair through them on every
-stored cell, and curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j)
-for pure x, y.  The solver kernel works on the interior rows, the cells its
-objective keeps: through their table (interior_gather),
-interior_operands gathers the operand slots stacked and interior_scatter
-sums back by np.bincount; curvature_blocks is F's derivative along a direction there,
-as per-row 4x3 blocks, one per operand slot, whose transpose is its
-adjoint.  curvature_components and the solver kernel
-build on them; curvature() on the gl(2, C) Cochain calculus is the oracle
-they are checked against.
+H = span_R{I, lam_a}.  This module owns the plane layout, one stacked
+array (3 components, 4 slots, rows, 6 axis pairs): _pair_gather builds
+its one index table from tau (shift_plus on cell ids) and states the slot
+order; interior_gather restricts it to the interior rows, the cells the
+solver kernel's objective keeps.  pair_operands gathers pure quaternion
+planes through either table, and interior_scatter, its adjoint on the
+interior rows, sums back by np.bincount.  curvature_stencil forms
+x^i y^j(tau_i) - x^j y^i(tau_j) for pure x, y, and curvature_blocks is F's
+derivative along a direction as per-row 4x3 blocks, one per operand slot,
+whose transpose is its adjoint.  curvature_components and the solver
+kernel build on them; curvature() on the gl(2, C) Cochain calculus is the
+oracle they are checked against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,76 +52,58 @@ def curvature(A: Cochain) -> Cochain:
     return add(coboundary(A), cup(A, A))
 
 
-class PairPlanes(NamedTuple):
-    """Operands of the curvature stencil for every axis pair i < j:
-    x^i, x^j, x^j(tau_i n), x^i(tau_j n), each a plane array (3, rows, 6)."""
-
-    i: np.ndarray
-    j: np.ndarray
-    j_ti: np.ndarray
-    i_tj: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _pair_gather(domain: Domain):
-    """Flat indices into the plane layout, (ncells + 1, 6) each, for cell n
-    and pair (i, j): the four stencil operands in PairPlanes order,
-    4 m + a - 1 for (m, a) = (n, i), (n, j), (tau_i n, j), (tau_j n, i), into
-    vector planes (3, (ncells + 1) 4).  np.take along axis 1 gives
-    C-contiguous planes (3, ncells + 1, 6).  tau shifts cell ids, so the
-    gluing keeps its one array definition in shift_plus.  Row ncells is a
-    sentinel with a zero plane row: a step past the block halo points
-    there, and it points at itself."""
+def _pair_gather(domain: Domain) -> np.ndarray:
+    """The plane index table of the curvature stencil, read-only, shape
+    (4 slots, ncells + 1, 6 pairs).  For cell n and pair (i, j) its slots
+    hold, in this order, the operands
+      x^i, x^j, x^j(tau_i n), x^i(tau_j n)
+    as flat indices 4 m + a - 1 into vector planes (3, 4 (ncells + 1)), for
+    (m, a) = (n, i), (n, j), (tau_i n, j), (tau_j n, i).  tau shifts cell
+    ids, so the gluing keeps its one array definition in shift_plus.  Row
+    ncells is a sentinel cell with zero planes: a step past the block halo
+    points there, and it points at itself."""
     ncells = domain.ncells
     ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
     steps = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)], axis=1)
     # shift_plus reads id 0 past the halo: id - 1 mod ncells + 1 is the sentinel
     tau = (np.pad(steps, ((0, 1), (0, 0))) - 1) % (ncells + 1)
     n = np.arange(ncells + 1)[:, None]
-    out = (4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[:, PAIR_I] + PAIR_J, 4 * tau[:, PAIR_J] + PAIR_I)
-    for t in out:
-        t.setflags(write=False)
-    return out
-
-
-def pair_operands(domain: Domain, vecs: np.ndarray) -> PairPlanes:
-    """The stencil operands of su(2) coefficient vectors (charts, k..., 4, 3): their
-    pure quaternion planes (3, ncells + 1, 6) per pair, zero sentinel row last."""
-    v = vecs.reshape(-1, 4, 3)
-    a = np.zeros((3, v.shape[0] + 1, 4))
-    a[:, :-1] = 0.5 * np.moveaxis(v, -1, 0)
-    a = a.reshape(3, -1)
-    return PairPlanes(*(np.take(a, idx, axis=1) for idx in _pair_gather(domain)))
-
-
-@lru_cache(maxsize=None)
-def interior_gather(domain: Domain) -> np.ndarray:
-    """_pair_gather's operand tables restricted to the interior rows, the
-    cells 1 <= k_i <= N_i in storage order (every stored cell on the
-    sphere): 4 m + axis, shape (4 slots, nrows, 6 pairs).  tau of an
-    interior cell stays inside the stored halo, so no row reads the
-    sentinel, and every index is a (cell, axis) row of coefficient vectors
-    (charts, k..., 4, 3).  C-contiguous, so np.take reads it at unit
-    stride and interior_scatter ravels it without a copy."""
-    rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
-    rows[interior(domain)] = True
-    out = np.ascontiguousarray(np.stack(_pair_gather(domain))[:, np.flatnonzero(rows)])
+    out = np.stack((4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[:, PAIR_I] + PAIR_J, 4 * tau[:, PAIR_J] + PAIR_I))
     out.setflags(write=False)
     return out
 
 
-def interior_operands(domain: Domain, vecs: np.ndarray) -> np.ndarray:
-    """The stencil operands of coefficient vectors (charts, k..., 4, 3) on
-    the interior rows, stacked (3, 4, nrows, 6) in PairPlanes slot order:
-    one np.take along the component planes of vecs."""
-    planes = np.ascontiguousarray(vecs.reshape(-1, 3).T)
-    return np.take(planes, interior_gather(domain), axis=1)
+@lru_cache(maxsize=None)
+def interior_gather(domain: Domain) -> np.ndarray:
+    """_pair_gather restricted to the interior rows, the cells
+    1 <= k_i <= N_i in storage order (every stored cell on the sphere),
+    shape (4 slots, nrows, 6 pairs).  tau of an interior cell stays inside
+    the stored halo, so no row reads the sentinel, and every index is a
+    (cell, axis) row of coefficient vectors (charts, k..., 4, 3).  C-contiguous, so
+    np.take reads it at unit stride and interior_scatter ravels it without
+    a copy."""
+    rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
+    rows[interior(domain)] = True
+    out = np.ascontiguousarray(_pair_gather(domain)[:, np.flatnonzero(rows)])
+    out.setflags(write=False)
+    return out
+
+
+def pair_operands(table: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The stencil operands of coefficient vectors (charts, k..., 4, 3)
+    through a plane index table (_pair_gather or interior_gather): stacked
+    planes (3, 4 slots, rows, 6), one np.take along the component planes
+    of vecs, zero-padded by the sentinel cell."""
+    planes = np.zeros((3, vecs.size // 3 + 4))
+    planes[:, :-4] = vecs.reshape(-1, 3).T
+    return np.take(planes, table, axis=1)
 
 
 def interior_scatter(domain: Domain, z: np.ndarray) -> np.ndarray:
-    """The adjoint of interior_operands: z (3, 4, nrows, 6) summed into
-    coefficient vectors (charts, k..., 4, 3), one np.bincount per component
-    on the gather table."""
+    """The adjoint of pair_operands on interior_gather: z (3, 4, nrows, 6)
+    summed into coefficient vectors (charts, k..., 4, 3), one np.bincount
+    per component on the gather table."""
     index = interior_gather(domain).ravel()
     out = np.empty((4 * domain.ncells, 3))
     for c in range(3):
@@ -130,35 +111,32 @@ def interior_scatter(domain: Domain, z: np.ndarray) -> np.ndarray:
     return out.reshape(domain.ncharts, *domain.extents, 4, 3)
 
 
-def stacked_planes(x: np.ndarray) -> PairPlanes:
-    """The slots of stacked operand planes (3, 4, rows, 6) as PairPlanes."""
-    return PairPlanes(*x.swapaxes(0, 1))
-
-
-def curvature_stencil(x: PairPlanes, y: PairPlanes) -> np.ndarray:
-    """x^i y^j(tau_i) - x^j y^i(tau_j) for pure quaternion operands, as
-    planes (4, rows, 6), scalar first:
+def curvature_stencil(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^i y^j(tau_i) - x^j y^i(tau_j) for pure quaternion operands, stacked
+    planes (3, 4, rows, 6) with slot s the view x[:, s], as planes
+    (4, rows, 6), scalar first:
       scalar  x^j . y^i(tau_j) - x^i . y^j(tau_i)
       vector  x^i x y^j(tau_i) - x^j x y^i(tau_j)
     The quadratic part of the curvature is stencil(a, a); along A + tP it
     contributes stencil(a, p) + stencil(p, a) at order t and stencil(p, p)
     at order t^2.
     """
-    out = np.empty((4,) + x.i.shape[1:])
-    np.subtract(alg.plane_dot(x.j, y.i_tj), alg.plane_dot(x.i, y.j_ti), out=out[0])
-    alg.plane_cross(x.i, y.j_ti, out=out[1:])
-    out[1:] -= alg.plane_cross(x.j, y.i_tj)
+    out = np.empty((4,) + x.shape[2:])
+    np.subtract(alg.plane_dot(x[:, 1], y[:, 3]), alg.plane_dot(x[:, 0], y[:, 2]), out=out[0])
+    alg.plane_cross(x[:, 0], y[:, 2], out=out[1:])
+    out[1:] -= alg.plane_cross(x[:, 1], y[:, 3])
     return out
 
 
-def curvature_planes(x: PairPlanes) -> np.ndarray:
-    """F = dA + A u A as quaternion planes (4, rows, 6), scalar first; the
-    coboundary of pair planes is (x^j(tau_i) - x^j) - (x^i(tau_j) - x^i)."""
+def curvature_planes(x: np.ndarray) -> np.ndarray:
+    """F = dA + A u A as quaternion planes (4, rows, 6), scalar first, for
+    stacked operand planes x; the coboundary is
+    (x^j(tau_i) - x^j) - (x^i(tau_j) - x^i)."""
     F = curvature_stencil(x, x)
-    F[1:] += x.j_ti
-    F[1:] -= x.j
-    F[1:] -= x.i_tj
-    F[1:] += x.i
+    F[1:] += x[:, 2]
+    F[1:] -= x[:, 1]
+    F[1:] -= x[:, 3]
+    F[1:] += x[:, 0]
     return F
 
 
@@ -175,7 +153,7 @@ def curvature_blocks(x: np.ndarray) -> np.ndarray:
     """The derivative of the curvature at A as per-row blocks K, shape
     (4 out, 3 in, 4 slots, rows, 6), for A's stacked operand planes x
     (3, 4, rows, 6): F1 = einsum("ocsnp,csnp->onp", K, v) for the stacked
-    coefficients v of a direction P (interior_operands), and its adjoint
+    coefficients v of a direction P (pair_operands), and its adjoint
     einsum("ocsnp,onp->csnp", K, W).  Row o of the vector part holds b x y
     as b_{o+1} y_{o+2} - b_{o+2} y_{o+1}, indices mod 3."""
     halves = (2, 2) + x.shape[2:]
@@ -204,7 +182,7 @@ def curvature_components(A: Cochain) -> Cochain:
     of being projected silently.
     """
     validate_connection(A)
-    F = curvature_planes(pair_operands(A.domain, alg.project_su2(A.values)))[:, :-1]
+    F = curvature_planes(pair_operands(_pair_gather(A.domain), 0.5 * alg.project_su2(A.values)))[:, :-1]
     values = alg.quaternion_matrices(F[0], F[1:])
     return Cochain(A.domain, 2, values.reshape(A.values.shape[:-3] + (6, 2, 2)), A.copy)
 

@@ -16,13 +16,15 @@ The kernel is the residual map r = L F on the interior rows, the cells the
 objective keeps, on real quaternion planes (Creutz, Phys. Rev. D 21, 2308,
 1980: SU(2) as a0 + i a.sigma); L is I for the action and I -+ dual, a
 signed permutation of the six pair planes, for the self-dual residual.
-The layout, F and its derivative are gauge's: a point holds the per-row
-blocks K of F's derivative, so jvp is L K applied to the gathered
-operands of P and vjp, on the range of r, c K^T scattered back; the
-gradient is 4 vjp(r) and the line's quartic reads jvp.  Every reduction
-is an einsum, never BLAS, so a run does not depend on the BLAS thread
-count.  The gl(2, C) Cochain calculus (gauge.curvature, action) stays the
-oracle the kernel is tested against.
+The layout, F and its derivative are gauge's: the kernel holds the
+interior rows' gather table, gauge.pair_operands stacks a point's
+operands through it, and a point holds the per-row blocks K of F's
+derivative, so jvp is L K applied to the gathered operands of P and vjp,
+on the range of r, c K^T scattered back; the gradient is 4 vjp(r) and the
+line's quartic reads jvp.  Every reduction is an einsum, never BLAS, so a
+run does not depend on the BLAS thread count.  The gl(2, C) Cochain
+calculus (gauge.curvature, action) stays the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ class _Kernel:
         self.domain = domain
         self.objective_name = objective
         self.anti = anti
+        self.table = gauge.interior_gather(domain)
         # the dual map on pair planes: a signed permutation
         plan = sorted(star_plan(2))
         self.dual_perm = np.array([i for _, _, i in plan])
@@ -136,12 +139,12 @@ class _Kernel:
 
     def _planes(self, vecs: np.ndarray) -> np.ndarray:
         """The stacked operand planes (3, 4, nrows, 6) of coefficient vectors."""
-        return gauge.interior_operands(self.domain, 0.5 * vecs)
+        return gauge.pair_operands(self.table, 0.5 * vecs)
 
     def objective(self, vecs: np.ndarray) -> float:
         # overflow on wild iterates is legitimate; the descent checks finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._field(gauge.curvature_planes(gauge.stacked_planes(self._planes(vecs))))
+            r = self._field(gauge.curvature_planes(self._planes(vecs)))
             return 2.0 * _dot(r, r)
 
     def gradient(self, vecs: np.ndarray) -> np.ndarray:
@@ -152,7 +155,7 @@ class _Kernel:
         gradient of 2 |r|^2 is 4 vjp(r)."""
         x = self._planes(vecs)
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._field(gauge.curvature_planes(gauge.stacked_planes(x)))
+            r = self._field(gauge.curvature_planes(x))
             at = _Point(vecs, 2.0 * _dot(r, r), None, r, gauge.curvature_blocks(x))
             grad = self.vjp(at, r)
             grad *= 4.0
@@ -160,7 +163,7 @@ class _Kernel:
 
     def jvp(self, at: _Point, p: np.ndarray) -> np.ndarray:
         """J P = L F1 at the point, for coefficient vectors P: one gather, one contraction."""
-        return self._field(np.einsum("ocsnp,csnp->onp", at.blocks, gauge.interior_operands(self.domain, p)))
+        return self._field(np.einsum("ocsnp,csnp->onp", at.blocks, gauge.pair_operands(self.table, p)))
 
     def vjp(self, at: _Point, w: np.ndarray) -> np.ndarray:
         """J^T w for w in the range of the residual map (r and every J P), where
@@ -177,7 +180,7 @@ class _Kernel:
         F2 = stencil(P, P); the residual map is linear.  Only P is gathered:
         the point holds F0 and the blocks of F1.
         """
-        y = gauge.stacked_planes(self._planes(p))
+        y = self._planes(p)
         with np.errstate(over="ignore", invalid="ignore"):
             r0, r1, r2 = at.field, self.jvp(at, p), self._field(gauge.curvature_stencil(y, y))
             g00, g01, g02, g11, g12, g22 = (

@@ -514,9 +514,7 @@ class TestGatherTable:
         i, j = ga.PAIR_I, ga.PAIR_J
         want = (4 * n + i, 4 * n + j, 4 * tau[i].T + j, 4 * tau[j].T + i)
         tables = ga._pair_gather(domain)
-        assert len(tables) == len(want)
-        for got, ref in zip(tables, want):
-            assert np.array_equal(got, ref)
+        assert np.array_equal(tables, np.stack(want))
         # the sentinel row maps to itself
         assert (tau[:, -1] == ncells).all() and (sigma[:, -1] == ncells).all()
         # sphere shifts are permutations, inverse to each other; none reads the sentinel
@@ -528,6 +526,5 @@ class TestGatherTable:
     def test_cached_and_read_only(self):
         tables = ga._pair_gather(SPHERE)
         assert ga._pair_gather(Domain((2, 2, 2, 2), "sphere")) is tables
-        for t in tables:
-            with pytest.raises(ValueError):
-                t[0, 0] = 0
+        with pytest.raises(ValueError):
+            tables[0, 0, 0] = 0

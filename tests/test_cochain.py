@@ -130,7 +130,7 @@ class TestConstructors:
 
     def test_sum_profile_gauge_rejects_uneven_sphere(self):
         with pytest.raises(ValueError):
-            co.sum_profile_gauge(Domain((2, 3, 2, 2), "sphere"))
+            co.sum_profile_gauge(Domain((2, 3, 2, 2), "sphere"), amplitude=1.0, seed=0)
 
     def test_zero_pad_support(self):
         f = co.random_form(Domain((3, 3, 3, 3), "block"), 1, seed=10)

@@ -84,7 +84,7 @@ def _interior_rows(domain):
 
 def _planes(domain, vecs):
     """The stacked operand planes (3, 4, nrows, 6) of coefficient vectors."""
-    return 0.5 * ga.interior_operands(domain, vecs)
+    return 0.5 * ga.pair_operands(ga.interior_gather(domain), vecs)
 
 
 class TestPlaneLayout:
@@ -102,13 +102,12 @@ class TestPlaneLayout:
             (a[:, :, i - 1], a[:, :, j - 1], a[:, tau[i - 1], j - 1], a[:, tau[j - 1], i - 1])
             for i, j in ga.DIR_PAIRS))]
         # every stored cell and the sentinel, as planes (half the coefficients)
-        got = ga.pair_operands(domain, vecs)
-        for plane, ref in zip(got, want):
-            assert plane.shape == (3, domain.ncells + 1, 6) and plane.flags.c_contiguous
-            assert np.array_equal(plane, 0.5 * ref)
+        got = ga.pair_operands(ga._pair_gather(domain), 0.5 * vecs)
+        assert got.shape == (3, 4, domain.ncells + 1, 6) and got.flags.c_contiguous
+        assert np.array_equal(got, 0.5 * np.stack(want, axis=1))
         # the interior rows, stacked by slot: no row reads the sentinel
         rows = _interior_rows(domain)
-        got = ga.interior_operands(domain, vecs)
+        got = ga.pair_operands(ga.interior_gather(domain), vecs)
         assert got.shape == (3, 4, rows.size, 6) and got.flags.c_contiguous
         assert np.array_equal(got, np.stack([ref[:, rows] for ref in want], axis=1))
         assert ga.interior_gather(domain).max() < 4 * domain.ncells
@@ -120,8 +119,8 @@ class TestPlaneLayout:
         z = rng.uniform(-1.0, 1.0, size=(3, 4, _interior_rows(domain).size, 6))
         got = ga.interior_scatter(domain, z)
         assert got.shape == v.shape
-        assert float(np.vdot(v, got)) == pytest.approx(float(np.vdot(ga.interior_operands(domain, v), z)), rel=1e-13)
         table = ga.interior_gather(domain)
+        assert float(np.vdot(v, got)) == pytest.approx(float(np.vdot(ga.pair_operands(table, v), z)), rel=1e-13)
         assert ga.interior_gather(Domain(domain.sizes, domain.topology)) is table
         # so np.take reads it at unit stride and ravel is no copy
         assert table.flags.c_contiguous
@@ -138,9 +137,9 @@ class TestCurvatureTangentAndAdjoint:
         rng = np.random.default_rng(43)
         a, p = rng.uniform(-0.5, 0.5, size=(2, domain.ncharts, *domain.extents, 4, 3))
         K = ga.curvature_blocks(_planes(domain, a))
-        f1 = np.einsum("ocsnp,csnp->onp", K, ga.interior_operands(domain, p))
+        f1 = np.einsum("ocsnp,csnp->onp", K, ga.pair_operands(ga.interior_gather(domain), p))
         for h in (1.0, 0.125):
-            fp, fm = (ga.curvature_planes(ga.stacked_planes(_planes(domain, a + s * h * p))) for s in (1, -1))
+            fp, fm = (ga.curvature_planes(_planes(domain, a + s * h * p)) for s in (1, -1))
             scale = max(np.abs(fp).max(), np.abs(fm).max()) / h
             assert np.abs(f1 - (fp - fm) / (2 * h)).max() <= 1e-14 * scale
 
@@ -151,7 +150,7 @@ class TestCurvatureTangentAndAdjoint:
         a, p = rng.uniform(-0.5, 0.5, size=(2, domain.ncharts, *domain.extents, 4, 3))
         K = ga.curvature_blocks(_planes(domain, a))
         W = rng.uniform(-1.0, 1.0, size=(4, _interior_rows(domain).size, 6))
-        want = float(np.vdot(np.einsum("ocsnp,csnp->onp", K, ga.interior_operands(domain, p)), W))
+        want = float(np.vdot(np.einsum("ocsnp,csnp->onp", K, ga.pair_operands(ga.interior_gather(domain), p)), W))
         got = float(np.vdot(p, ga.interior_scatter(domain, np.einsum("ocsnp,onp->csnp", K, W))))
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -167,8 +166,8 @@ class TestCurvatureTangentAndAdjoint:
             for s in range(4):
                 e = np.zeros_like(x)
                 e[k, s] = 0.5
-                col = ga.curvature_stencil(ga.stacked_planes(x), ga.stacked_planes(e))
-                col += ga.curvature_stencil(ga.stacked_planes(e), ga.stacked_planes(x))
+                col = ga.curvature_stencil(x, e)
+                col += ga.curvature_stencil(e, x)
                 col[1:] += e[:, 2] - e[:, 1] - e[:, 3] + e[:, 0]
                 assert np.array_equal(K[:, k, s], col)
 

@@ -567,7 +567,7 @@ class TestJacobianProducts:
     @pytest.mark.parametrize("anti", [False, True], ids=["sd", "anti-sd"])
     def test_self_dual_field_is_contiguous(self, domain, anti):
         kern, at, _, _ = _jacobian_setup(domain, "sd_residual", anti)
-        F = ga.curvature_planes(ga.stacked_planes(kern._planes(at.vecs)))
+        F = ga.curvature_planes(kern._planes(at.vecs))
         want = F + kern.dual_sign * F[..., kern.dual_perm]
         got = kern._field(F)
         assert got.flags.c_contiguous and np.array_equal(got, want)
@@ -664,6 +664,23 @@ class TestGaussNewton:
         # the step counts repeat exactly
         rep = solve(co.random_connection(SPHERE, amplitude, seed=7), so.SolverConfig())
         assert rep.converged and rep.n_iters <= most
+
+    @pytest.mark.parametrize(
+        "domain,amplitude,solve,want",
+        [
+            (SPHERE, 0.1, so.minimize, (34, 200)),
+            (SPHERE, 0.1, so.solve_self_dual, (34, 444)),
+            (SPHERE, 0.1, lambda a0, cfg: so.solve_self_dual(a0, cfg, anti=True), (37, 518)),
+            (Domain((3, 3, 3, 3), "block"), 0.5, so.minimize, (37, 2140)),
+        ],
+        ids=["relax", "selfdual", "anti-selfdual", "block-3333-relax"],
+    )
+    def test_trajectory_is_pinned(self, domain, amplitude, solve, want):
+        # outer steps and Jacobian products of the default runs: a change of
+        # the kernel that moves the trajectory, even at rounding level, shows here
+        rep = solve(co.random_connection(domain, amplitude, seed=7), so.SolverConfig())
+        assert rep.converged
+        assert (rep.n_iters, rep.diagnostics["jacobian_products"]) == want
 
     @pytest.mark.parametrize("domain", [SPHERE, *NON_CUBIC], ids=["sphere", *NON_CUBIC_IDS])
     @pytest.mark.parametrize("solve", [so.minimize, so.solve_self_dual], ids=["relax", "selfdual"])
