@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import mat_mul
-from .cochain import Cochain, conj_transpose_form, interior
+from .cochain import Cochain, conj_transpose_form
 from .complex4 import (
     BASE,
     FULL_MASK,
@@ -173,7 +173,7 @@ def inner_product(f: Cochain, g: Cochain) -> complex:
     """tr sum_k sum_P f^P_k (g^P_k)^H over interior cells, both charts."""
     if f.domain != g.domain or f.degree != g.degree or f.copy != g.copy:
         raise ValueError("inner product needs matching domain, degree and copy")
-    sl = interior(f.domain)
+    sl = f.domain.interior
     return complex(np.sum(f.values[sl] * np.conj(g.values[sl])))
 
 
@@ -226,7 +226,7 @@ def green_boundary_term(phi: Cochain, omega: Cochain) -> complex:
     if phi.copy != BASE or omega.copy != BASE:
         raise ValueError("the pairing is assembled over base-copy diagonal chains")
     star_omega_conj = star(conj_transpose_form(omega))
-    sl = interior(phi.domain)
+    sl = phi.domain.interior
 
     def traced(lower, upper, q):
         # sum over the interior of sign * tr(lower^P upper^{P^c}), P of degree q

@@ -99,7 +99,7 @@ def _boundary_squared_defect(domain):
     """Largest |coefficient| of the boundary of the boundary of an interior
     cell: the integer product of boundary_arrays, joined on the middle cell."""
     inside = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
-    inside[co.interior(domain)] = True
+    inside[domain.interior] = True
     inside = inside.ravel()
     worst = 0
     for p in range(2, 5):
@@ -123,7 +123,7 @@ def _boundary_squared_defect(domain):
 
 def _chain_duality_defect(domain, seed):
     """coboundary against the chain pairing of every interior cell's boundary."""
-    sl = co.interior(domain)
+    sl = domain.interior
     worst = 0.0
     for p in range(4):
         f = co.random_form(domain, p, seed=seed + p)
@@ -243,7 +243,7 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
     hinv = ga.gauge_inverse(h)
     a2 = ga.gauge_transform(a, h)
     scalars["gauge_transform_su2_deviation"] = float(
-        alg.su2_algebra_deviation(a2.values[co.interior(domain)])
+        alg.su2_algebra_deviation(a2.values[domain.interior])
     )
     fprime = ga.curvature(a2)
     want = ca.cup(h, ca.cup(f_assembled, hinv))

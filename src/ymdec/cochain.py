@@ -56,7 +56,6 @@ class ValidationError(ValueError):
 
     def __init__(self, message, deviation):
         super().__init__(f"{message} (max deviation {deviation:.3e})")
-        self.deviation = deviation
 
 
 class Cochain:
@@ -152,18 +151,11 @@ def conj_transpose_form(f: Cochain) -> Cochain:
     return f.like(alg.conj_transpose(f.values))
 
 
-def interior(domain: Domain):
-    """Slices selecting cells with 1 <= k_i <= N_i in a stored array."""
-    if domain.is_sphere:
-        return (slice(None),) * 5
-    return (slice(None),) + tuple(slice(1, n + 1) for n in domain.sizes)
-
-
 def _fill_halo_clamped(domain: Domain, values):
     """Copy the nearest interior value into the block halo (edge padding)."""
     if domain.is_sphere:
         return values
-    inner = values[interior(domain)]
+    inner = values[domain.interior]
     pad = [(0, 0)] + [(1, 1)] * 4 + [(0, 0)] * (values.ndim - 5)
     return np.pad(inner, pad, mode="edge")
 

@@ -105,6 +105,13 @@ class Domain:
     resolves into the other chart.  Construction is the one check of a
     valid lattice (four integer sizes >= 2, never coerced, a known
     topology, the storage limit); it raises TypeError or ValueError.
+
+    Construction also sets the storage facts once, as plain attributes
+    outside the dataclass fields (so equality and hashing read sizes and
+    topology only): is_sphere, ncharts, extents (stored index count per
+    axis), ncells (stored cells over all charts) and interior (the slices
+    of a stored array (charts, k..., ...) that select the cells
+    1 <= k_i <= N_i, every stored cell on the sphere).
     """
 
     sizes: tuple
@@ -120,28 +127,17 @@ class Domain:
             raise ValueError(f"sizes must be four integers >= 2, got {given!r}")
         if self.topology not in ("block", "sphere"):
             raise ValueError(f"unknown topology {self.topology!r}")
+        sphere = self.topology == "sphere"
+        extents = self.sizes if sphere else tuple(n + 2 for n in self.sizes)
+        ncharts = 2 if sphere else 1
+        object.__setattr__(self, "is_sphere", sphere)
+        object.__setattr__(self, "ncharts", ncharts)
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "ncells", ncharts * math.prod(extents))
+        object.__setattr__(self, "interior", (slice(None),) * 5 if sphere else
+                           (slice(None),) + tuple(slice(1, n + 1) for n in self.sizes))
         if self.ncells * 6 * 4 * 16 > sys.maxsize:  # 2-form: 6 x 2x2 complex128 per cell
             raise ValueError(f"sizes {given!r} are too large: a 2-form exceeds the largest array")
-
-    @property
-    def is_sphere(self) -> bool:
-        return self.topology == "sphere"
-
-    @property
-    def ncharts(self) -> int:
-        return 2 if self.is_sphere else 1
-
-    @property
-    def extents(self) -> tuple:
-        """Stored index count per axis."""
-        if self.is_sphere:
-            return self.sizes
-        return tuple(n + 2 for n in self.sizes)
-
-    @property
-    def ncells(self) -> int:
-        """Stored cells over all charts."""
-        return self.ncharts * math.prod(self.extents)
 
     def resolve(self, chart: int, k: tuple):
         """Resolve an address to its stored representative.

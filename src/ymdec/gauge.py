@@ -35,7 +35,7 @@ import numpy as np
 
 from . import algebra as alg
 from .calculus import coboundary, cup, dual, norm, norm_sq, shift_plus
-from .cochain import Cochain, add, interior, scale, sub, validate_connection, zero_pad
+from .cochain import Cochain, add, scale, sub, validate_connection, zero_pad
 from .complex4 import FULL_MASK, MASKS_BY_DEGREE, Domain, mask_axes
 
 # ordered axis pairs matching the degree-2 direction sets (ascending masks)
@@ -84,7 +84,7 @@ def interior_gather(domain: Domain) -> np.ndarray:
     np.take reads it at unit stride and interior_scatter ravels it without
     a copy."""
     rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
-    rows[interior(domain)] = True
+    rows[domain.interior] = True
     out = np.ascontiguousarray(_pair_gather(domain)[:, np.flatnonzero(rows)])
     out.setflags(write=False)
     return out
@@ -144,7 +144,11 @@ def curvature_planes(x: np.ndarray) -> np.ndarray:
 # slot s meets A's operand in slot s + 2 mod 4 as b, and adds
 # _DOT[s] b . y to the scalar, _CROSS[s] b x y and _D[s] y to the vector;
 # halved, since y is half of P's coefficients.  Slots are indexed
-# (half, slot in half), so the partner slot is the other half.
+# (half, slot in half), so the partner slot is the other half.  The 1/2
+# stays here, not in pair_operands: halving there makes these plain signs
+# but turns each product's gather from a strided copy into a strided
+# multiply (best of 7 on 2 cores: 10.0 -> 12.6 us at sphere 2^4, 49 -> 57 us
+# at block 4^4).
 _DOT, _CROSS, _D = (0.5 * np.array(signs, dtype=float).reshape(2, 2, 1, 1)
                     for signs in ((-1, 1, -1, 1), (-1, 1, 1, -1), (1, -1, 1, -1)))
 
@@ -263,7 +267,7 @@ def dual_compat_defects(h: Cochain):
     complementary axis pairs, over interior cells."""
     if h.degree != 0:
         raise ValueError("needs a degree-0 form")
-    sl = interior(h.domain)
+    sl = h.domain.interior
     out = []
     for (a1, a2), (b1, b2) in SHIFT_PAIRS:
         left = shift_plus(h.domain, shift_plus(h.domain, h.values, a1), a2)
@@ -321,5 +325,5 @@ def sd_component_defects(F: Cochain, anti: bool = False):
     """Norms over interior cells of the (12), (13) and (14) components of
     F -+ dual F: the three componentwise (anti-)self-duality equations,
     read off the signed permutation of the dual map."""
-    R = _sd_field(F, anti).values[interior(F.domain)]
+    R = _sd_field(F, anti).values[F.domain.interior]
     return tuple(float(np.sqrt(np.sum(np.abs(R[..., n, :, :]) ** 2))) for n in _FIRST_AXIS)

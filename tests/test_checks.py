@@ -59,7 +59,7 @@ def _perturbed(monkeypatch, name, eps):
 
     def faulty(f):
         out = real(f)
-        out.values[co.interior(out.domain)][0, 0, 0, 0, 0, 0, 0, 0] += eps
+        out.values[out.domain.interior][0, 0, 0, 0, 0, 0, 0, 0] += eps
         return out
 
     monkeypatch.setattr(ca, name, faulty)

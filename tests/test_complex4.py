@@ -2,6 +2,7 @@
 chain oracles (chain boundary, diagonal chains) in tests/oracles.py."""
 
 import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -169,9 +170,32 @@ class TestResolve:
             Domain((10**6,) * 4, topology)
 
     @pytest.mark.parametrize("topology", ["block", "sphere"])
-    def test_ncells_counts_stored_cells(self, topology):
-        d = Domain((2, 3, 4, 2), topology)
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 4, 2)],
+                             ids=["2", "3", "2342"])
+    def test_storage_facts_are_set_once(self, sizes, topology):
+        d = Domain(sizes, topology)
+        sphere = topology == "sphere"
+        assert d.is_sphere is sphere
+        assert d.ncharts == (2 if sphere else 1)
+        assert d.extents == (sizes if sphere else tuple(n + 2 for n in sizes))
         assert d.ncells == len(d.stored_cells())
+        got = np.zeros((d.ncharts, *d.extents), dtype=bool)
+        got[d.interior] = True
+        want = np.zeros_like(got)
+        for chart, k in d.interior_cells():
+            want[d.storage_index(chart, k)] = True
+        assert np.array_equal(got, want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.ncells = 0
+        # the derived values are attributes, not fields: equality, hashing and
+        # repr read sizes and topology alone
+        assert [f.name for f in dataclasses.fields(Domain)] == ["sizes", "topology"]
+        same = Domain(list(sizes), topology)
+        assert same == d and hash(same) == hash(d)
+        other = dataclasses.replace(d, topology="block" if sphere else "sphere")
+        assert other.is_sphere is not sphere and other.ncharts == 3 - d.ncharts
+        assert other.ncells == len(other.stored_cells())
+        assert other.interior != d.interior
 
 
 class TestBoundary:

@@ -78,7 +78,7 @@ class TestCurvature:
 def _interior_rows(domain):
     """Storage indices of the interior cells, 1 <= k_i <= N_i."""
     rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
-    rows[co.interior(domain)] = True
+    rows[domain.interior] = True
     return np.flatnonzero(rows)
 
 
@@ -426,7 +426,7 @@ class TestSelfDuality:
             r[..., idx[a], :, :] = v[..., idx[a], :, :] - sign * v[..., idx[b], :, :]
             r[..., idx[b], :, :] = v[..., idx[b], :, :] - sign * v[..., idx[a], :, :]
         want = tuple(
-            float(np.sqrt(np.sum(np.abs(r[co.interior(domain)][..., idx[a], :, :]) ** 2)))
+            float(np.sqrt(np.sum(np.abs(r[domain.interior][..., idx[a], :, :]) ** 2)))
             for a, _, _ in equations
         )
         assert ga.sd_component_defects(f, anti=anti) == want

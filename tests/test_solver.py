@@ -475,7 +475,7 @@ class TestKernelAgainstCochainOracle:
         f = ga.curvature(a)
         if objective == "sd_residual":
             f = (co.add if anti else co.sub)(f, ca.dual(f))
-        want = f.values[co.interior(domain)].reshape(-1, 6, 2, 2)
+        want = f.values[domain.interior].reshape(-1, 6, 2, 2)
         nrows = domain.ncharts * int(np.prod(domain.sizes))
         assert r.shape == (4, nrows, 6) == (4, want.shape[0], 6)
         got = alg.quaternion_matrices(r[0], r[1:])
