@@ -113,7 +113,7 @@ def exp_su2(v):
 # squared Frobenius norm 2 (s^2 + |u|^2); the su(2) coefficient vector v is
 # the pure quaternion u = v / 2.  Plane arrays put the component axis first
 # and are C-contiguous, so every component is one contiguous array over the
-# lattice; gauge gathers the stencil operands as such planes (3, ncells + 1, 6).
+# lattice, as in the plane-backed coefficient vectors that gauge gathers from.
 
 
 def plane_dot(x, y):

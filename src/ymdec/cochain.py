@@ -15,6 +15,7 @@ the field exactly.
 
 from __future__ import annotations
 
+import gc
 import json
 import numbers
 import sys
@@ -299,6 +300,18 @@ def is_finite_real(v) -> bool:
 
 
 def deserialize(payload: bytes) -> Cochain:
+    # the parse builds ~10^5 lists, freed as _decode returns: a collection
+    # meanwhile would only walk them.  The caller's GC state is kept.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _decode(payload)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode(payload: bytes) -> Cochain:
     try:
         doc = json.loads(payload)
     except (ValueError, RecursionError) as e:  # RecursionError: nested too deep

@@ -19,12 +19,13 @@ its one index table from tau (shift_plus on cell ids) and states the slot
 order; interior_gather restricts it to the interior rows, the cells the
 solver kernel's objective keeps.  pair_operands gathers pure quaternion
 planes through either table, and interior_scatter, its adjoint on the
-interior rows, sums back by np.bincount.  curvature_stencil forms
-x^i y^j(tau_i) - x^j y^i(tau_j) for pure x, y, and curvature_blocks is F's
-derivative along a direction as per-row 4x3 blocks, one per operand slot,
-whose transpose is its adjoint.  curvature_components and the solver
-kernel build on them; curvature() on the gl(2, C) Cochain calculus is the
-oracle they are checked against.
+interior rows, sums back into plane-backed coefficient vectors (shape
+(charts, k..., 4, 3), a view of a C-contiguous (3, charts, k..., 4)).
+curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for pure x, y,
+and curvature_blocks is F's derivative along a direction as per-row 4x3
+blocks, one per operand slot, whose transpose is its adjoint.
+curvature_components and the solver kernel build on them; curvature() on
+the gl(2, C) Cochain calculus is the oracle they are checked against.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ def interior_gather(domain: Domain) -> np.ndarray:
     shape (4 slots, nrows, 6 pairs).  tau of an interior cell stays inside
     the stored halo, so no row reads the sentinel, and every index is a
     (cell, axis) row of coefficient vectors (charts, k..., 4, 3).  C-contiguous, so
-    np.take reads it at unit stride and interior_scatter ravels it without
-    a copy."""
+    np.take reads it at unit stride; _scatter_index ravels it once."""
     rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
     rows[domain.interior] = True
     out = np.ascontiguousarray(_pair_gather(domain)[:, np.flatnonzero(rows)])
@@ -90,25 +90,36 @@ def interior_gather(domain: Domain) -> np.ndarray:
     return out
 
 
+def plane_backed(vecs: np.ndarray) -> np.ndarray:
+    """Coefficient vectors (..., 3) as a view of a C-contiguous buffer
+    (3, ...), copied only if they are not one already."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(vecs, -1, 0)), 0, -1)
+
+
 def pair_operands(table: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The stencil operands of coefficient vectors (charts, k..., 4, 3)
-    through a plane index table (_pair_gather or interior_gather): stacked
-    planes (3, 4 slots, rows, 6), one np.take along the component planes
-    of vecs, zero-padded by the sentinel cell."""
-    planes = np.zeros((3, vecs.size // 3 + 4))
-    planes[:, :-4] = vecs.reshape(-1, 3).T
-    return np.take(planes, table, axis=1)
+    """The stencil operands of coefficient vectors (..., 3) through a plane
+    index table (_pair_gather, whose sentinel needs four zero rows past the
+    cells, or interior_gather): stacked planes (3, 4 slots, rows, 6), one
+    np.take along vecs.reshape(-1, 3).T, a view if vecs are plane-backed."""
+    return vecs.reshape(-1, 3).T.take(table, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _scatter_index(domain: Domain) -> np.ndarray:
+    """Read-only: entry (c, s, n, p) is interior_gather's (s, n, p) + c 4 ncells."""
+    out = (interior_gather(domain) + 4 * domain.ncells * np.arange(3)[:, None, None, None]).ravel()
+    out.setflags(write=False)
+    return out
 
 
 def interior_scatter(domain: Domain, z: np.ndarray) -> np.ndarray:
     """The adjoint of pair_operands on interior_gather: z (3, 4, nrows, 6)
-    summed into coefficient vectors (charts, k..., 4, 3), one np.bincount
-    per component on the gather table."""
-    index = interior_gather(domain).ravel()
-    out = np.empty((4 * domain.ncells, 3))
-    for c in range(3):
-        out[:, c] = np.bincount(index, weights=z[c].ravel(), minlength=4 * domain.ncells)
-    return out.reshape(domain.ncharts, *domain.extents, 4, 3)
+    summed into plane-backed coefficient vectors by one np.add.at, in index
+    order, as np.bincount sums; np.bincount's extra pass over the index
+    made it ~1.7x slower at sphere 8^4, where K evicts the index."""
+    out = np.zeros((3, 4 * domain.ncells))
+    np.add.at(out.reshape(-1), _scatter_index(domain), z.reshape(-1))
+    return out.T.reshape(domain.ncharts, *domain.extents, 4, 3)
 
 
 def curvature_stencil(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -122,9 +133,11 @@ def curvature_stencil(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     at order t^2.
     """
     out = np.empty((4,) + x.shape[2:])
-    np.subtract(alg.plane_dot(x[:, 1], y[:, 3]), alg.plane_dot(x[:, 0], y[:, 2]), out=out[0])
-    alg.plane_cross(x[:, 0], y[:, 2], out=out[1:])
-    out[1:] -= alg.plane_cross(x[:, 1], y[:, 3])
+    # slots (0, 1) of x meet slots (2, 3) of y: both products in one pass each
+    dots = alg.plane_dot(x[:, :2], y[:, 2:])
+    np.subtract(dots[1], dots[0], out=out[0])
+    cross = alg.plane_cross(x[:, :2], y[:, 2:])
+    np.subtract(cross[:, 0], cross[:, 1], out=out[1:])
     return out
 
 
@@ -145,10 +158,8 @@ def curvature_planes(x: np.ndarray) -> np.ndarray:
 # _DOT[s] b . y to the scalar, _CROSS[s] b x y and _D[s] y to the vector;
 # halved, since y is half of P's coefficients.  Slots are indexed
 # (half, slot in half), so the partner slot is the other half.  The 1/2
-# stays here, not in pair_operands: halving there makes these plain signs
-# but turns each product's gather from a strided copy into a strided
-# multiply (best of 7 on 2 cores: 10.0 -> 12.6 us at sphere 2^4, 49 -> 57 us
-# at block 4^4).
+# stays here: pair_operands reads plane-backed vectors in place, and
+# halving there would add a pass over the direction to each product.
 _DOT, _CROSS, _D = (0.5 * np.array(signs, dtype=float).reshape(2, 2, 1, 1)
                     for signs in ((-1, 1, -1, 1), (-1, 1, 1, -1), (1, -1, 1, -1)))
 
@@ -186,7 +197,10 @@ def curvature_components(A: Cochain) -> Cochain:
     of being projected silently.
     """
     validate_connection(A)
-    F = curvature_planes(pair_operands(_pair_gather(A.domain), 0.5 * alg.project_su2(A.values)))[:, :-1]
+    vecs = alg.project_su2(A.values)
+    planes = np.zeros((3, vecs.size // 3 + 4))  # and the sentinel cell's zero planes
+    np.multiply(vecs.reshape(-1, 3).T, 0.5, out=planes[:, :-4])
+    F = curvature_planes(pair_operands(_pair_gather(A.domain), planes.T))[:, :-1]
     values = alg.quaternion_matrices(F[0], F[1:])
     return Cochain(A.domain, 2, values.reshape(A.values.shape[:-3] + (6, 2, 2)), A.copy)
 

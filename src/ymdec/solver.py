@@ -21,10 +21,11 @@ interior rows' gather table, gauge.pair_operands stacks a point's
 operands through it, and a point holds the per-row blocks K of F's
 derivative, so jvp is L K applied to the gathered operands of P and vjp,
 on the range of r, c K^T scattered back; the gradient is 4 vjp(r) and the
-line's quartic reads jvp.  Every reduction is an einsum, never BLAS, so a
-run does not depend on the BLAS thread count.  The gl(2, C) Cochain
-calculus (gauge.curvature, action) stays the oracle the kernel is tested
-against.
+line's quartic reads jvp; the descent's vectors are plane-backed (see
+gauge), so a product gathers and scatters them in place.  Every reduction
+is an einsum, never BLAS, so a run does not depend on the BLAS thread
+count.  The gl(2, C) Cochain calculus (gauge.curvature, action) stays the
+oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -99,8 +99,8 @@ def action(A: Cochain) -> float:
 
 
 # an iterate, its objective and gradient, its field on the interior rows
-# (L F) and the blocks of F's derivative there
-_Point = namedtuple("_Point", "vecs obj grad field blocks")
+# (L F) and the blocks of F's derivative there, dropped once its line is known
+_Point = make_dataclass("_Point", ["vecs", "obj", "grad", "field", "blocks"])
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -157,9 +157,10 @@ class _Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             r = self._field(gauge.curvature_planes(x))
             at = _Point(vecs, 2.0 * _dot(r, r), None, r, gauge.curvature_blocks(x))
-            grad = self.vjp(at, r)
-            grad *= 4.0
-            return at._replace(grad=grad)
+            # laid out like vecs.reshape(-1, 3).T: plane-backed, or C-contiguous
+            out = np.empty_like(vecs.reshape(-1, 3).T).T.reshape(vecs.shape)
+            at.grad = np.multiply(self.vjp(at, r), 4.0, out=out)
+            return at
 
     def jvp(self, at: _Point, p: np.ndarray) -> np.ndarray:
         """J P = L F1 at the point, for coefficient vectors P: one gather, one contraction."""
@@ -299,6 +300,7 @@ def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, counts: dict):
     t = _line_minimum(kern.line_coefficients(at, p))
     if t is None:
         return None
+    at.blocks = None  # nothing reads them again: at most one point's K is alive
     counts["objective_gradient_evals"] += 1
     new = kern.evaluate(at.vecs + t * p)
     if not np.isfinite(new.obj):
@@ -311,35 +313,38 @@ def _line_step(kern: _Kernel, at: _Point, p: np.ndarray, counts: dict):
 def _gauss_newton_step(kern: _Kernel, at: _Point, counts: dict) -> np.ndarray:
     """p with |J^T (J p + r)| <= ETA |J^T r| by CGLS on min |J p + r| from
     p = 0, or the last iterate when |J d|^2 is not positive and finite.
-    Every residual b = -r - J p is in the range of r, where vjp is exact."""
-    p = np.zeros_like(at.grad)
+    Every residual b = -r - J p is in the range of r, where vjp is exact.
+    CGLS runs on the component planes v.reshape(-1, 3).T: 2-D and
+    C-contiguous, they take numpy's fast path, where a permuted
+    (charts, k..., 4, 3) view costs 1.5-2.5 us more per operation at 2^4."""
+    s = at.grad.reshape(-1, 3).T / -4.0  # J^T b at p = 0
+    p = np.zeros_like(s)
     b = -at.field
-    s = at.grad / -4.0  # J^T b at p = 0
     d, gamma = s, _dot(s, s)
     stop = ETA**2 * gamma
     for _ in range(p.size):
         counts["jacobian_products"] += 1
-        q = kern.jvp(at, d)
+        q = kern.jvp(at, d.T)
         qq = _dot(q, q)
-        if not (np.isfinite(qq) and qq > 0):
+        if not (math.isfinite(qq) and qq > 0):
             break
         alpha = gamma / qq
         p += alpha * d
         b -= alpha * q
         counts["jacobian_products"] += 1
-        s = kern.vjp(at, b)
+        s = kern.vjp(at, b).reshape(-1, 3).T
         gamma, gamma_old = _dot(s, s), gamma
         if gamma <= stop:
             break
         d = s + (gamma / gamma_old) * d
-    return p
+    return p.T.reshape(at.grad.shape)
 
 
 def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
     report = SolverReport(objective_name=kern.objective_name)
     counts = dict(objective_gradient_evals=1, line_coefficient_evals=0, jacobian_products=0)
     with phase(log, "solve"):
-        at = kern.evaluate(vecs)
+        at = kern.evaluate(gauge.plane_backed(vecs))
         if not np.isfinite(at.obj):
             raise SolverAbort(f"objective not finite at start: {at.obj}")
         gmax = grad_max_norm(at.grad)
@@ -361,6 +366,7 @@ def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport
             else:
                 report.reason = "iteration limit reached"
     with phase(log, "diagnostics"):
+        at.blocks = None  # the diagnostics never read K
         report.final = vectors_to_connection(kern.domain, at.vecs)
         F = gauge.curvature(report.final)
         report.diagnostics = {**gauge.connection_scalars(report.final, F), **counts}

@@ -196,3 +196,14 @@ def line_minimum_by_roots(c):
     s = roots.real[(roots.imag == 0) & (roots.real > 0)]
     values = np.polyval((c * tau ** np.arange(5))[::-1], s)
     return float(tau * s[np.argmin(values)]) if s.size else None
+
+
+def scatter_by_component(domain, table, z):
+    """The adjoint of a gather through an interior plane index table
+    (4, nrows, 6): z (3, 4, nrows, 6) summed into C-order coefficient
+    vectors (charts, k..., 4, 3) by one np.bincount per su(2) component."""
+    n = 4 * domain.ncells
+    out = np.empty((n, 3))
+    for c in range(3):
+        out[:, c] = np.bincount(table.ravel(), weights=z[c].ravel(), minlength=n)
+    return out.reshape(domain.ncharts, *domain.extents, 4, 3)

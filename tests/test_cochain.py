@@ -1,5 +1,6 @@
 """Tests for form storage, constructors, and the file format."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -262,6 +263,33 @@ class TestSerialization:
             '"data": [', f'"data": [{deep}, ', 1)
         with pytest.raises(co.MalformedFormError, match="not valid JSON"):
             co.deserialize(payload.encode())
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_the_parse_pauses_the_gc_and_keeps_the_callers_state(self, enabled, monkeypatch):
+        want = _golden_form().values
+        good = co.serialize(_golden_form())
+        payloads = {
+            "good": good,
+            "malformed": good[: len(good) // 2],
+            "bool": good.replace(b"[[", b"[[true, ", 1),
+            "deep": b"[" * 200_000 + b"]" * 200_000,
+        }
+        parsing = []
+        loads = json.loads
+        monkeypatch.setattr(co.json, "loads", lambda text: parsing.append(gc.isenabled()) or loads(text))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for name, payload in payloads.items():
+                if name == "good":
+                    assert np.array_equal(co.deserialize(payload).values, want)
+                else:
+                    with pytest.raises(co.MalformedFormError):
+                        co.deserialize(payload)
+                assert gc.isenabled() is enabled, name
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert parsing == [False] * len(payloads)
 
     def test_truncated_payload(self):
         payload = co.serialize(_golden_form())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import gather_by_resolve
+from oracles import gather_by_resolve, scatter_by_component
 from ymdec import algebra as alg
 from ymdec import calculus as ca
 from ymdec import cochain as co
@@ -101,8 +101,11 @@ class TestPlaneLayout:
         want = [np.stack(planes, axis=-1) for planes in zip(*(
             (a[:, :, i - 1], a[:, :, j - 1], a[:, tau[i - 1], j - 1], a[:, tau[j - 1], i - 1])
             for i, j in ga.DIR_PAIRS))]
-        # every stored cell and the sentinel, as planes (half the coefficients)
-        got = ga.pair_operands(ga._pair_gather(domain), 0.5 * vecs)
+        # every stored cell and the sentinel, as planes (half the coefficients);
+        # the sentinel's zero rows follow the stored cells
+        padded = np.zeros((3, 4 * domain.ncells + 4))
+        padded[:, :-4] = vecs.reshape(-1, 3).T
+        got = ga.pair_operands(ga._pair_gather(domain), 0.5 * padded.T)
         assert got.shape == (3, 4, domain.ncells + 1, 6) and got.flags.c_contiguous
         assert np.array_equal(got, 0.5 * np.stack(want, axis=1))
         # the interior rows, stacked by slot: no row reads the sentinel
@@ -126,6 +129,42 @@ class TestPlaneLayout:
         assert table.flags.c_contiguous
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0
+
+
+def _is_plane_backed(vecs):
+    """True when vecs (..., 3) is a view of a C-contiguous buffer (3, ...)."""
+    planes = vecs.reshape(-1, 3).T
+    return planes.flags.c_contiguous and np.shares_memory(vecs, planes)
+
+
+class TestPlaneBackedVectors:
+    @pytest.mark.parametrize(
+        "domain", [SPHERE, BLOCK, SPHERE_2342, BLOCK_2342, Domain((4, 4, 4, 4), "block")],
+        ids=["sphere", "block", "sphere-2342", "block-2342", "block-4444"],
+    )
+    def test_one_scatter_is_the_per_component_bincount(self, domain):
+        z = np.random.default_rng(48).uniform(-1.0, 1.0, size=(3, 4, _interior_rows(domain).size, 6))
+        got = ga.interior_scatter(domain, z)
+        want = scatter_by_component(domain, ga.interior_gather(domain), z)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert _is_plane_backed(got)
+        index = ga._scatter_index(domain)
+        assert ga._scatter_index(Domain(domain.sizes, domain.topology)) is index
+        with pytest.raises(ValueError):
+            index[0] = 0
+
+    @pytest.mark.parametrize("domain", [SPHERE, BLOCK_2342], ids=["sphere", "block-2342"])
+    def test_plane_backed_copies_only_other_layouts(self, domain):
+        vecs = so.connection_vectors(co.random_connection(domain, 0.5, seed=49))
+        for layout in (vecs, np.ascontiguousarray(vecs)):
+            got = ga.plane_backed(layout)
+            assert _is_plane_backed(got) and not np.shares_memory(got, layout)
+            assert np.array_equal(got, vecs)
+            assert ga.plane_backed(got) is not got and np.shares_memory(ga.plane_backed(got), got)
+            # elementwise results keep the layout; the gather reads it in place
+            assert _is_plane_backed(0.5 * got + got)
+            assert np.array_equal(ga.pair_operands(ga.interior_gather(domain), got),
+                                  ga.pair_operands(ga.interior_gather(domain), layout))
 
 
 class TestCurvatureTangentAndAdjoint:

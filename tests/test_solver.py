@@ -573,6 +573,76 @@ class TestJacobianProducts:
         assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
+def _is_plane_backed(vecs):
+    """True when vecs (..., 3) is a view of a C-contiguous buffer (3, ...)."""
+    planes = vecs.reshape(-1, 3).T
+    return planes.flags.c_contiguous and np.shares_memory(vecs, planes)
+
+
+class TestPlaneBackedVectors:
+    """The descent's coefficient vectors are plane-backed; the kernel gives
+    the same bits for every layout of its inputs."""
+
+    @pytest.mark.parametrize("domain", [SPHERE, NON_CUBIC[1]], ids=["sphere", "block-2342"])
+    @OBJECTIVES
+    def test_products_are_bitwise_equal_on_either_layout(self, domain, objective, anti):
+        kern = so._Kernel(domain, objective, anti=anti)
+        vecs = so.connection_vectors(co.random_connection(domain, 0.5, seed=52))
+        p = np.random.default_rng(53).uniform(-0.5, 0.5, size=vecs.shape)
+        (cv, cp), (pv, pp) = ((f(vecs), f(p)) for f in (np.ascontiguousarray, ga.plane_backed))
+        assert cv.flags.c_contiguous and _is_plane_backed(pv) and _is_plane_backed(pp)
+        c, b = kern.evaluate(cv), kern.evaluate(pv)
+        assert c.obj == b.obj and kern.objective(cv) == kern.objective(pv) == c.obj
+        for name in ("grad", "field", "blocks"):
+            assert np.array_equal(getattr(c, name), getattr(b, name))
+        # the gradient is laid out like the iterate
+        assert c.grad.flags.c_contiguous and _is_plane_backed(b.grad)
+        jv = kern.jvp(c, cp)
+        assert np.array_equal(jv, kern.jvp(b, pp)) and np.array_equal(jv, kern.jvp(b, cp))
+        for w in (c.field, jv):
+            got = kern.vjp(b, w)
+            assert _is_plane_backed(got) and np.array_equal(got, kern.vjp(c, w))
+        assert np.array_equal(kern.line_coefficients(c, cp), kern.line_coefficients(b, pp))
+
+    @pytest.mark.parametrize("solve", [so.minimize, so.solve_self_dual], ids=["relax", "selfdual"])
+    def test_descent_vectors_share_memory_with_their_planes(self, solve, monkeypatch):
+        seen = []
+        gauss_newton_step, line_step = so._gauss_newton_step, so._line_step
+
+        def record_step(kern, at, counts):
+            seen.extend((at.vecs, at.grad))
+            seen.append(gauss_newton_step(kern, at, counts))
+            return seen[-1]
+
+        def record_search(kern, at, p, counts):
+            step = line_step(kern, at, p, counts)
+            assert at.blocks is None  # released before the trial point was evaluated
+            if step is not None:
+                seen.extend((step[1].vecs, step[1].grad))
+            return step
+
+        monkeypatch.setattr(so, "_gauss_newton_step", record_step)
+        monkeypatch.setattr(so, "_line_step", record_search)
+        rep = solve(co.random_connection(SPHERE, 0.3, seed=54), so.SolverConfig(max_iters=5, grad_tol=0.0))
+        assert rep.n_iters == 5 and len(seen) == 25
+        assert all(_is_plane_backed(v) for v in seen)
+
+    @pytest.mark.parametrize("domain", [SPHERE, NON_CUBIC[1]], ids=["sphere", "block-2342"])
+    def test_public_gradients_are_c_contiguous(self, domain):
+        a = co.random_connection(domain, 0.5, seed=55)
+        vecs = so.connection_vectors(a)
+        assert not vecs.flags.c_contiguous
+        want = so.action_gradient(a)
+        assert want.flags.c_contiguous
+        for objective in so.OBJECTIVES:
+            kern = so._Kernel(domain, objective)
+            for layout in (vecs, np.ascontiguousarray(vecs)):
+                got = kern.gradient(layout)
+                assert got.flags.c_contiguous and got.shape == vecs.shape
+                if objective == "action":
+                    assert np.array_equal(got, want)
+
+
 def _trajectory_points(domain, objective, anti):
     """A kernel and its points at the seed-7 amplitude-1.0 start and after 5
     and 20 outer steps: away from the start the inner solve takes several
