@@ -83,12 +83,14 @@ def project_su2(m):
 
     Inverse of embed_su2 on su(2); general matrices are first projected onto
     (m - m^H)/2 minus its trace part.  tr(lam_a lam_b) = -delta_ab / 2, so the
-    coefficients are -2 tr(X lam_a).
+    coefficients are -2 tr(X lam_a), written plane-backed (see gauge): a view
+    of a C-contiguous (3, ...), one contiguous plane per component.
     """
     m = np.asarray(m, dtype=np.complex128)
     ah = (m - conj_transpose(m)) / 2.0
     ah = ah - (trace(ah) / 2.0)[..., None, None] * IDENTITY2
-    return -2.0 * np.real(np.einsum("...ij,aji->...a", ah, LAMBDA))
+    planes = np.einsum("...ij,aji->a...", ah, LAMBDA, order="C")
+    return np.moveaxis(-2.0 * np.real(planes), 0, -1)
 
 
 def exp_su2(v):
@@ -121,11 +123,10 @@ def plane_dot(x, y):
     return np.einsum("c...,c...->...", x, y)
 
 
-def plane_cross(x, y, out=None):
+def plane_cross(x, y):
     """Cross product of vector planes (3, ...) -> (3, ...), one component
     plane at a time, so no temporary is larger than a plane."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
     for c in range(3):
         n, p = (c + 1) % 3, (c + 2) % 3
         np.subtract(x[n] * y[p], x[p] * y[n], out=out[c])

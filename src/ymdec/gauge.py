@@ -17,10 +17,11 @@ H = span_R{I, lam_a}.  This module owns the plane layout, one stacked
 array (3 components, 4 slots, rows, 6 axis pairs): _pair_gather builds
 its one index table from tau (shift_plus on cell ids) and states the slot
 order; interior_gather restricts it to the interior rows, the cells the
-solver kernel's objective keeps.  pair_operands gathers pure quaternion
-planes through either table, and interior_scatter, its adjoint on the
-interior rows, sums back into plane-backed coefficient vectors (shape
-(charts, k..., 4, 3), a view of a C-contiguous (3, charts, k..., 4)).
+solver kernel's objective keeps.  Coefficient vectors (charts, k..., 4, 3)
+are plane-backed, views of a C-contiguous (3, charts, k..., 4), as
+algebra.project_su2 writes them; pair_operands gathers quaternion planes
+from them through either table, and interior_scatter, its adjoint on the
+interior rows, sums back into new plane-backed vectors.
 curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for pure x, y,
 and curvature_blocks is F's derivative along a direction as per-row 4x3
 blocks, one per operand slot, whose transpose is its adjoint.
@@ -90,17 +91,11 @@ def interior_gather(domain: Domain) -> np.ndarray:
     return out
 
 
-def plane_backed(vecs: np.ndarray) -> np.ndarray:
-    """Coefficient vectors (..., 3) as a view of a C-contiguous buffer
-    (3, ...), copied only if they are not one already."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(vecs, -1, 0)), 0, -1)
-
-
 def pair_operands(table: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The stencil operands of coefficient vectors (..., 3) through a plane
     index table (_pair_gather, whose sentinel needs four zero rows past the
     cells, or interior_gather): stacked planes (3, 4 slots, rows, 6), one
-    np.take along vecs.reshape(-1, 3).T, a view if vecs are plane-backed."""
+    np.take along their component planes vecs.reshape(-1, 3).T."""
     return vecs.reshape(-1, 3).T.take(table, axis=1)
 
 

@@ -21,8 +21,9 @@ interior rows' gather table, gauge.pair_operands stacks a point's
 operands through it, and a point holds the per-row blocks K of F's
 derivative, so jvp is L K applied to the gathered operands of P and vjp,
 on the range of r, c K^T scattered back; the gradient is 4 vjp(r) and the
-line's quartic reads jvp; the descent's vectors are plane-backed (see
-gauge), so a product gathers and scatters them in place.  Every reduction
+line's quartic reads jvp.  Coefficient vectors are plane-backed (see
+gauge) from connection_vectors on, and every gradient and vjp is too, so
+a product gathers and scatters them in place.  Every reduction
 is an einsum, never BLAS, so a run does not depend on the BLAS thread
 count.  The gl(2, C) Cochain calculus (gauge.curvature, action) stays the
 oracle the kernel is tested against.
@@ -71,7 +72,6 @@ class SolverConfig:
 
 @dataclass
 class SolverReport:
-    objective_name: str
     iterations: list = field(default_factory=list)  # (objective, grad max-norm, step)
     converged: bool = False
     reason: str = ""
@@ -84,8 +84,9 @@ class SolverReport:
 
 
 def connection_vectors(A: Cochain) -> np.ndarray:
-    """su(2) coefficient array of a connection, shape (..., 4, 3); a form that
-    validate_connection rejects raises ValidationError instead of being projected."""
+    """su(2) coefficient array of a connection, shape (..., 4, 3), plane-backed
+    (see gauge); a form that validate_connection rejects raises
+    ValidationError instead of being projected."""
     return alg.project_su2(validate_connection(A).values)
 
 
@@ -157,9 +158,8 @@ class _Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             r = self._field(gauge.curvature_planes(x))
             at = _Point(vecs, 2.0 * _dot(r, r), None, r, gauge.curvature_blocks(x))
-            # laid out like vecs.reshape(-1, 3).T: plane-backed, or C-contiguous
-            out = np.empty_like(vecs.reshape(-1, 3).T).T.reshape(vecs.shape)
-            at.grad = np.multiply(self.vjp(at, r), 4.0, out=out)
+            at.grad = self.vjp(at, r)
+            at.grad *= 4.0
             return at
 
     def jvp(self, at: _Point, p: np.ndarray) -> np.ndarray:
@@ -272,7 +272,8 @@ def _quadratic_roots(b: float, c: float) -> list:
 
 
 def action_gradient(A: Cochain) -> np.ndarray:
-    """Gradient of the action in the su(2) coefficient basis, shape (..., 4, 3).
+    """Gradient of the action in the su(2) coefficient basis, shape (..., 4, 3),
+    plane-backed (see gauge).
 
     Defining property: for every elementary coefficient direction E,
     grad . E = 2 Re (dE + A u E + E u A, F).
@@ -341,10 +342,10 @@ def _gauss_newton_step(kern: _Kernel, at: _Point, counts: dict) -> np.ndarray:
 
 
 def _descend(vecs: np.ndarray, cfg: SolverConfig, kern: _Kernel) -> SolverReport:
-    report = SolverReport(objective_name=kern.objective_name)
+    report = SolverReport()
     counts = dict(objective_gradient_evals=1, line_coefficient_evals=0, jacobian_products=0)
     with phase(log, "solve"):
-        at = kern.evaluate(gauge.plane_backed(vecs))
+        at = kern.evaluate(vecs)
         if not np.isfinite(at.obj):
             raise SolverAbort(f"objective not finite at start: {at.obj}")
         gmax = grad_max_norm(at.grad)

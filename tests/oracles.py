@@ -9,6 +9,7 @@ and never calls the vectorized implementations it checks.
 
 import numpy as np
 
+from ymdec.algebra import LAMBDA
 from ymdec.calculus import star
 from ymdec.cochain import conj_transpose_form
 from ymdec.complex4 import BASE, MASKS_BY_DEGREE, Cell, OutOfDomain, boundary_cell, degree, star_cell
@@ -207,3 +208,12 @@ def scatter_by_component(domain, table, z):
     for c in range(3):
         out[:, c] = np.bincount(table.ravel(), weights=z[c].ravel(), minlength=n)
     return out.reshape(domain.ncharts, *domain.extents, 4, 3)
+
+
+def project_su2_by_trace(m):
+    """-2 Re tr(X lam_a) for the anti-Hermitian traceless part X of m, by one
+    einsum into C-order coefficient vectors (..., 3)."""
+    m = np.asarray(m, dtype=np.complex128)
+    ah = (m - np.conj(np.swapaxes(m, -1, -2))) / 2.0
+    ah = ah - (np.trace(ah, axis1=-2, axis2=-1) / 2.0)[..., None, None] * np.eye(2, dtype=np.complex128)
+    return -2.0 * np.real(np.einsum("...ij,aji->...a", ah, LAMBDA))

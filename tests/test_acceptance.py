@@ -241,7 +241,7 @@ def test_criterion_8_gradient_against_finite_differences():
         a = co.random_connection(SPHERE, 0.3, seed=11000 + case)
         vecs = so.connection_vectors(a)
         grad = so.action_gradient(a)
-        fd = np.zeros_like(grad)
+        fd = np.zeros(grad.shape)
         flat = vecs.ravel()
         for i in range(flat.size):
             vp, vm = flat.copy(), flat.copy()

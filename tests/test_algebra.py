@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import project_su2_by_trace
 from ymdec import algebra as alg
 from ymdec import cochain as co
 from ymdec.complex4 import Domain
@@ -97,6 +98,29 @@ class TestEmbedProject:
         m = alg.embed_su2(v)
         assert m.shape == (5, 7, 2, 2)
         np.testing.assert_allclose(alg.project_su2(m), v, atol=1e-14)
+
+    def test_project_writes_planes_bitwise_equal_to_the_trace_formula(self):
+        # entry-major Cochain values and C-order gl(2, C) arrays, with zero
+        # entries of either sign, give the reference's bits, signbits included,
+        # in plane-backed vectors: a view of a C-contiguous (3, ...) buffer
+        domain = Domain((2, 3, 4, 2), "block")
+        rng = np.random.default_rng(25)
+        m = rng.uniform(-1, 1, size=(6, 5, 2, 2)) + 1j * rng.uniform(-1, 1, size=(6, 5, 2, 2))
+        m.real[rng.random(m.shape) < 0.3] = 0.0
+        m.imag[rng.random(m.shape) < 0.3] = -0.0
+        for values in (
+            co.random_connection(domain, 0.5, seed=26).values,
+            co.random_form(domain, 2, seed=27).values,
+            co.Cochain.zeros(domain, 1).values,
+            m,
+            -m,
+            alg.IDENTITY2,
+        ):
+            got, want = alg.project_su2(values), project_su2_by_trace(values)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            planes = np.moveaxis(got, -1, 0)
+            assert planes.flags.c_contiguous and np.shares_memory(got, planes)
 
 
 class TestExp:

@@ -153,19 +153,6 @@ class TestPlaneBackedVectors:
         with pytest.raises(ValueError):
             index[0] = 0
 
-    @pytest.mark.parametrize("domain", [SPHERE, BLOCK_2342], ids=["sphere", "block-2342"])
-    def test_plane_backed_copies_only_other_layouts(self, domain):
-        vecs = so.connection_vectors(co.random_connection(domain, 0.5, seed=49))
-        for layout in (vecs, np.ascontiguousarray(vecs)):
-            got = ga.plane_backed(layout)
-            assert _is_plane_backed(got) and not np.shares_memory(got, layout)
-            assert np.array_equal(got, vecs)
-            assert ga.plane_backed(got) is not got and np.shares_memory(ga.plane_backed(got), got)
-            # elementwise results keep the layout; the gather reads it in place
-            assert _is_plane_backed(0.5 * got + got)
-            assert np.array_equal(ga.pair_operands(ga.interior_gather(domain), got),
-                                  ga.pair_operands(ga.interior_gather(domain), layout))
-
 
 class TestCurvatureTangentAndAdjoint:
     """The per-row blocks K of the curvature's derivative on the interior rows."""

@@ -71,7 +71,7 @@ class TestGradient:
         vecs = so.connection_vectors(a)
         grad = so.action_gradient(a)
         h = 1e-4
-        fd = np.zeros_like(grad)
+        fd = np.zeros(grad.shape)
         flat = vecs.ravel()
         for i in range(flat.size):
             vp, vm = flat.copy(), flat.copy()
@@ -194,10 +194,13 @@ class TestMinimize:
             so.minimize(a0, so.SolverConfig())
 
     def test_objective_choice_respected(self):
+        # each run starts from the objective it was asked for
         a0 = co.random_connection(SPHERE, 0.1, seed=13)
         cfg = so.SolverConfig(max_iters=5)
-        assert so.minimize(a0, cfg).objective_name == "action"
-        assert so.solve_self_dual(a0, cfg).objective_name == "sd_residual"
+        action, sd = so.action(a0), ga.sd_residual(ga.curvature(a0)) ** 2
+        assert abs(action - sd) > 1e-3 * action
+        assert so.minimize(a0, cfg).iterations[0][0] == pytest.approx(action, rel=1e-12)
+        assert so.solve_self_dual(a0, cfg).iterations[0][0] == pytest.approx(sd, rel=1e-12)
 
 
 class TestSelfDual:
@@ -494,7 +497,7 @@ class TestKernelAgainstCochainOracle:
         want = _oracle_objective(domain, objective, anti, vecs)
         assert at.obj == pytest.approx(want, rel=1e-12)
         assert kern.objective(vecs) == pytest.approx(want, rel=1e-12)
-        assert at.grad.flags.c_contiguous and at.grad.shape == vecs.shape
+        assert _is_plane_backed(at.grad) and at.grad.shape == vecs.shape
 
         rng = np.random.default_rng(32)
         h = 1e-4
@@ -579,6 +582,11 @@ def _is_plane_backed(vecs):
     return planes.flags.c_contiguous and np.shares_memory(vecs, planes)
 
 
+def _plane_backed_copy(vecs):
+    """A copy of vecs (..., 3) as a view of a new C-contiguous buffer (3, ...)."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(vecs, -1, 0)), 0, -1)
+
+
 class TestPlaneBackedVectors:
     """The descent's coefficient vectors are plane-backed; the kernel gives
     the same bits for every layout of its inputs."""
@@ -589,14 +597,14 @@ class TestPlaneBackedVectors:
         kern = so._Kernel(domain, objective, anti=anti)
         vecs = so.connection_vectors(co.random_connection(domain, 0.5, seed=52))
         p = np.random.default_rng(53).uniform(-0.5, 0.5, size=vecs.shape)
-        (cv, cp), (pv, pp) = ((f(vecs), f(p)) for f in (np.ascontiguousarray, ga.plane_backed))
+        (cv, cp), (pv, pp) = ((f(vecs), f(p)) for f in (np.ascontiguousarray, _plane_backed_copy))
         assert cv.flags.c_contiguous and _is_plane_backed(pv) and _is_plane_backed(pp)
         c, b = kern.evaluate(cv), kern.evaluate(pv)
         assert c.obj == b.obj and kern.objective(cv) == kern.objective(pv) == c.obj
         for name in ("grad", "field", "blocks"):
             assert np.array_equal(getattr(c, name), getattr(b, name))
-        # the gradient is laid out like the iterate
-        assert c.grad.flags.c_contiguous and _is_plane_backed(b.grad)
+        # the gradient is plane-backed whatever the iterate's layout
+        assert _is_plane_backed(c.grad) and _is_plane_backed(b.grad)
         jv = kern.jvp(c, cp)
         assert np.array_equal(jv, kern.jvp(b, pp)) and np.array_equal(jv, kern.jvp(b, cp))
         for w in (c.field, jv):
@@ -627,18 +635,18 @@ class TestPlaneBackedVectors:
         assert rep.n_iters == 5 and len(seen) == 25
         assert all(_is_plane_backed(v) for v in seen)
 
-    @pytest.mark.parametrize("domain", [SPHERE, NON_CUBIC[1]], ids=["sphere", "block-2342"])
-    def test_public_gradients_are_c_contiguous(self, domain):
+    @pytest.mark.parametrize("domain", [SPHERE, *LARGER[1:]], ids=["sphere", "block-2342", "block-4444"])
+    def test_public_vectors_are_plane_backed(self, domain):
         a = co.random_connection(domain, 0.5, seed=55)
         vecs = so.connection_vectors(a)
-        assert not vecs.flags.c_contiguous
+        assert _is_plane_backed(vecs) and vecs.shape == (domain.ncharts, *domain.extents, 4, 3)
         want = so.action_gradient(a)
-        assert want.flags.c_contiguous
+        assert _is_plane_backed(want)
         for objective in so.OBJECTIVES:
             kern = so._Kernel(domain, objective)
             for layout in (vecs, np.ascontiguousarray(vecs)):
                 got = kern.gradient(layout)
-                assert got.flags.c_contiguous and got.shape == vecs.shape
+                assert _is_plane_backed(got) and got.shape == vecs.shape
                 if objective == "action":
                     assert np.array_equal(got, want)
 
