@@ -7,9 +7,10 @@ tensor factors are 1-dimensional.  Direction sets are stored as bitmasks
 (axis i <-> bit i-1).  Each cell additionally carries a copy flag (base
 complex vs its mirror copy), which the star operator toggles.
 
-The boundary of a cell is a plain {cell: coefficient} dict; the boundary
-operator is read once per stored cell into cached integer arrays.  All
-topology arithmetic is exact (no floats).
+The boundary of a cell is a plain {cell: coefficient} dict; its terms are
+read once per direction set and laid over the stored cells, through the
+Domain.resolve neighbours, into cached integer arrays.  All topology
+arithmetic is exact (no floats).
 """
 
 from __future__ import annotations
@@ -211,35 +212,57 @@ def boundary_cell(domain: Domain, cell: Cell) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _neighbours(domain: Domain):
+    """(ncells, 4) storage positions of Domain.resolve(chart, tau_i k) per
+    stored cell (storage order) and axis i, -1 where resolve raises
+    OutOfDomain.  Cached per domain; read-only."""
+    cells = domain.stored_cells()
+    position = {ck: n for n, ck in enumerate(cells)}
+    out = np.full((len(cells), 4), -1, dtype=np.intp)
+    for n, (chart, k) in enumerate(cells):
+        for i in AXES:
+            try:
+                out[n, i - 1] = position[domain.resolve(chart, shift(k, i))]
+            except OutOfDomain:
+                pass
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def boundary_arrays(domain: Domain, p: int):
     """(row, col, coeff): the boundary of the degree-p cells as integer COO.
 
     Rows index flat (stored cell, degree-p direction set), columns flat
     (stored cell, degree-(p-1) direction set), stored cells in storage
-    order, so rows ascend.  Built by one boundary_cell call per stored cell
-    and direction set, so the vectorized shifts these arrays check never
-    enter them.  On the block a cell whose boundary leaves the halo raises
-    OutOfDomain and gets no row.  Cached per domain and degree; read-only.
+    order, so rows ascend; within a row the terms keep boundary_cell's
+    order.  The terms of each direction set (which sit at tau_i k and
+    which at k, their sub-masks and coefficients) are read from one
+    boundary_cell call at the interior cell (1,1,1,1), and laid over every
+    stored cell through the table of Domain.resolve neighbours, so the
+    vectorized shifts these arrays check never enter them.  On the block
+    a cell whose boundary leaves the halo gets no row, as boundary_cell
+    raises OutOfDomain for it.  Cached per domain and degree; read-only.
     """
     if not 1 <= p <= 4:
         raise ValueError("degree out of range")
     masks = MASKS_BY_DEGREE[p]
     sub_index = {m: i for i, m in enumerate(MASKS_BY_DEGREE[p - 1])}
-    cells = domain.stored_cells()
-    position = {ck: n for n, ck in enumerate(cells)}
-    rows, cols, coeffs = [], [], []
-    for n, (chart, k) in enumerate(cells):
-        for d, mask in enumerate(masks):
-            try:
-                terms = boundary_cell(domain, Cell(chart, k, mask)).items()
-            except OutOfDomain:
-                continue
-            for cell, coeff in terms:
-                rows.append(n * len(masks) + d)
-                cols.append(position[cell.chart, cell.k] * len(sub_index) + sub_index[cell.mask])
-                coeffs.append(coeff)
-    out = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-           np.array(coeffs, dtype=np.int64))
+    ref = (1, 1, 1, 1)
+    # column 0 is the cell itself (k), column i its neighbour at tau_i k
+    table = np.column_stack([np.arange(domain.ncells, dtype=np.intp), _neighbours(domain)])
+    column = {domain.resolve(CHART_V, k): j for j, k in enumerate([ref] + [shift(ref, i) for i in AXES])}
+    which = np.empty((len(masks), 2 * p), dtype=np.intp)
+    sub, coeff = np.empty_like(which), np.empty(which.shape, dtype=np.int64)
+    for d, mask in enumerate(masks):
+        for t, (cell, c) in enumerate(boundary_cell(domain, Cell(CHART_V, ref, mask)).items()):
+            which[d, t] = column[cell.chart, cell.k]
+            sub[d, t], coeff[d, t] = sub_index[cell.mask], c
+    pos = table[:, which]                                  # (ncells, masks, terms)
+    keep = (pos >= 0).all(axis=2)                          # no term left the domain
+    rows = np.arange(domain.ncells * len(masks), dtype=np.intp).reshape(keep.shape)
+    out = (np.repeat(rows[keep], 2 * p), (pos * len(sub_index) + sub)[keep].ravel(),
+           np.broadcast_to(coeff, pos.shape)[keep].ravel())
     for a in out:
         a.setflags(write=False)
     return out

@@ -36,6 +36,28 @@ def boundary(domain, chain):
     return out
 
 
+def boundary_arrays_by_cell(domain, p):
+    """(row, col, coeff) of complex4.boundary_arrays, built by one
+    boundary_cell call per stored cell and degree-p direction set, terms in
+    boundary_cell's order; a call that raises OutOfDomain gives no row."""
+    masks, sub = MASKS_BY_DEGREE[p], MASKS_BY_DEGREE[p - 1]
+    cells = domain.stored_cells()
+    position = {ck: n for n, ck in enumerate(cells)}
+    rows, cols, coeffs = [], [], []
+    for n, (chart, k) in enumerate(cells):
+        for d, mask in enumerate(masks):
+            try:
+                terms = boundary_cell(domain, Cell(chart, k, mask)).items()
+            except OutOfDomain:
+                continue
+            for cell, coeff in terms:
+                rows.append(n * len(masks) + d)
+                cols.append(position[cell.chart, cell.k] * len(sub) + sub.index(cell.mask))
+                coeffs.append(coeff)
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(coeffs, dtype=np.int64))
+
+
 def pair_chain(chain, f):
     """Pairing of a chain {cell: coefficient} against a form: the sum of
     coefficient times component over the cells on f's copy and degree."""

@@ -7,6 +7,7 @@ import pytest
 from ymdec import calculus as ca
 from ymdec import checks
 from ymdec import cochain as co
+from ymdec import complex4 as cx
 from ymdec.complex4 import MASKS_BY_DEGREE, Domain
 
 DOMAINS = pytest.mark.parametrize(
@@ -50,6 +51,32 @@ def test_negated_boundary_coefficient_fails_boundary_of_boundary(domain, monkeyp
     monkeypatch.setattr(checks, "boundary_arrays", faulty)
     entry = run_checks(domain)["boundary_of_boundary"]
     assert entry["defect"] > 0
+    assert not entry["pass"]
+
+
+def test_seam_without_chart_toggle_fails_chain_duality(monkeypatch):
+    # boundary_arrays reads its gluing from Domain.resolve, not from the
+    # shifts of calculus: built with a resolve that wraps each axis back into
+    # the same chart, the arrays disagree with shift_plus's gluing
+    domain = Domain((2, 2, 2, 2), "sphere")
+
+    def forgetful(d, chart, k):
+        return chart, tuple(n if ki == 0 else 1 if ki == n + 1 else ki for ki, n in zip(k, d.sizes))
+
+    with monkeypatch.context() as m:
+        m.setattr(Domain, "resolve", forgetful)
+        cx._neighbours.cache_clear()
+        try:
+            arrays = {p: cx.boundary_arrays.__wrapped__(domain, p) for p in range(1, 5)}  # bypass the cache
+        finally:
+            cx._neighbours.cache_clear()
+    assert not np.array_equal(arrays[1][1], cx.boundary_arrays(domain, 1)[1])
+    for module in (ca, checks):
+        monkeypatch.setattr(module, "boundary_arrays", lambda d, p: arrays[p])
+    entries = run_checks(domain)
+    assert entries["boundary_of_boundary"]["pass"]  # a torus gluing is still a complex
+    entry = entries["coboundary_chain_duality"]
+    assert entry["defect"] > 1e-12
     assert not entry["pass"]
 
 

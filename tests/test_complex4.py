@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import boundary, build_Vp, cup_basis, factors, parity_sign
+from oracles import boundary, boundary_arrays_by_cell, build_Vp, cup_basis, factors, parity_sign
 from ymdec import complex4 as cx
 from ymdec.complex4 import (
     CHART_V,
@@ -292,10 +292,27 @@ class TestBoundaryArrays:
         with pytest.raises(ValueError):
             cx.boundary_arrays(BLOCK, p)
 
+    @pytest.mark.parametrize(
+        "domain",
+        [BLOCK, SPHERE, Domain((2, 3, 4, 2), "block"), Domain((2, 3, 4, 2), "sphere"),
+         Domain((3, 2, 4, 2), "sphere")],
+        ids=["block", "sphere", "block-2342", "sphere-2342", "sphere-3242"],
+    )
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_term_order_matches_per_cell_build(self, domain, p):
+        # pair_boundaries sums the terms with np.add.at, so their order, not
+        # only their multiset, fixes its bits
+        got = cx.boundary_arrays(domain, p)
+        want = boundary_arrays_by_cell(domain, p)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
     def test_built_from_boundary_cell_alone(self, domain, monkeypatch):
-        # one boundary_cell call per stored cell and direction set, and no
-        # path into the vectorized shifts the arrays are used to check
+        # the gluing comes from at most one Domain.resolve per stored cell and
+        # axis, the terms from one boundary_cell call per direction set at a
+        # reference cell, and no path leads into the vectorized shifts the
+        # arrays are used to check
         from ymdec import calculus as ca
         from ymdec import gauge as ga
 
@@ -304,14 +321,25 @@ class TestBoundaryArrays:
 
         monkeypatch.setattr(ca, "shift_plus", forbidden)
         monkeypatch.setattr(ga, "_pair_gather", forbidden)
-        calls = []
-        real = cx.boundary_cell
-        monkeypatch.setattr(cx, "boundary_cell", lambda d, c: calls.append(c) or real(d, c))
-        for p in range(1, 5):
-            calls.clear()
-            cx.boundary_arrays.__wrapped__(domain, p)  # bypass the cache
-            assert len(calls) == domain.ncells * len(cx.MASKS_BY_DEGREE[p])
-            assert len(set(calls)) == len(calls)
+        resolves, calls = [], []
+        real_resolve, real_boundary = Domain.resolve, cx.boundary_cell
+        monkeypatch.setattr(Domain, "resolve", lambda d, chart, k: resolves.append(k) or real_resolve(d, chart, k))
+        monkeypatch.setattr(cx, "boundary_cell", lambda d, c: calls.append(c) or real_boundary(d, c))
+        cx._neighbours.cache_clear()  # build the neighbour table under the count
+        try:
+            reference = 0
+            for p in range(1, 5):
+                calls.clear()
+                cx.boundary_arrays.__wrapped__(domain, p)  # bypass the cache
+                assert len(calls) == len(cx.MASKS_BY_DEGREE[p])
+                assert sorted(c.mask for c in calls) == sorted(cx.MASKS_BY_DEGREE[p])
+                assert len({(c.chart, c.k) for c in calls}) == 1
+                # boundary_cell resolves k and each tau_i k; the reference
+                # cell's k and its four tau_i k name the terms' columns
+                reference += len(calls) * (p + 1) + 5
+            assert len(resolves) <= 4 * domain.ncells + reference
+        finally:
+            cx._neighbours.cache_clear()
 
 
 class TestTopology:
