@@ -15,6 +15,7 @@ the field exactly.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import numbers
@@ -73,9 +74,10 @@ class Cochain:
 
     __slots__ = ("domain", "degree", "copy", "values")
 
-    # the (dirs, 2, 2) axes: last in values, first in memory
-    _ENTRY_AXES = (-3, -2, -1)
-    _PLANE_AXES = (0, 1, 2)
+    # the (dirs, 2, 2) axes are last in values and first in memory: the
+    # transposes from values (charts, k1..k4, dirs, 2, 2) to memory and back
+    _TO_PLANES = (5, 6, 7, 0, 1, 2, 3, 4)
+    _TO_VALUES = (3, 4, 5, 6, 7, 0, 1, 2)
 
     def __init__(self, domain: Domain, degree: int, values, copy: int = BASE):
         if not 0 <= degree <= 4:
@@ -87,8 +89,8 @@ class Cochain:
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape}, expected {expected}")
-        planes = np.ascontiguousarray(np.moveaxis(values, self._ENTRY_AXES, self._PLANE_AXES))
-        self.values = np.moveaxis(planes, self._PLANE_AXES, self._ENTRY_AXES)
+        planes = np.ascontiguousarray(values.transpose(self._TO_PLANES))
+        self.values = planes.transpose(self._TO_VALUES)
 
     @staticmethod
     def shape(domain: Domain, degree: int) -> tuple:
@@ -98,7 +100,7 @@ class Cochain:
     def zeros(cls, domain: Domain, degree: int, copy: int = BASE) -> "Cochain":
         shape = cls.shape(domain, degree)
         planes = np.zeros(shape[-3:] + shape[:-3], dtype=np.complex128)
-        return cls(domain, degree, np.moveaxis(planes, cls._PLANE_AXES, cls._ENTRY_AXES), copy)
+        return cls(domain, degree, planes.transpose(cls._TO_VALUES), copy)
 
     def dir_index(self, mask: int) -> int:
         return MASKS_BY_DEGREE[self.degree].index(mask)
@@ -261,20 +263,53 @@ def validate_gauge(f: Cochain) -> Cochain:
     return f
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic GC for the codec; the caller's GC state is kept.
+
+    Reading builds ~10^5 lists and writing a list and a tuple of ~10^5
+    references, all freed as the call returns: a collection meanwhile would
+    only walk them.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# one matrix of the data array: its four entries row-major as [re, im]
+_ROW = "[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"
+
+
 def serialize(f: Cochain) -> bytes:
     """JSON encoding over the normative component order, read from a
     cell-major copy of the values; each matrix is its four entries
-    row-major as [re, im] pairs, which is complex128's memory layout."""
-    data = np.ascontiguousarray(f.values).view(np.float64).reshape(-1, 4, 2).tolist()
-    doc = {
-        "version": FILE_VERSION,
-        "topology": f.domain.topology,
-        "sizes": list(f.domain.sizes),
-        "degree": f.degree,
-        "copy": COPY_NAMES[f.copy],
-        "data": data,
-    }
-    return json.dumps(doc).encode()
+    row-major as [re, im] pairs, which is complex128's memory layout.
+
+    The bytes are json.dumps' bytes of the document with "data" last, but
+    each distinct magnitude is formatted once, by json itself (NaN and
+    Infinity included), and signed where its sign bit is set; json writes
+    NaN unsigned.
+    """
+    with _gc_paused():
+        header = json.dumps({
+            "version": FILE_VERSION,
+            "topology": f.domain.topology,
+            "sizes": list(f.domain.sizes),
+            "degree": f.degree,
+            "copy": COPY_NAMES[f.copy],
+        })
+        flat = np.ascontiguousarray(f.values).view(np.float64).ravel()
+        magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+        text = json.dumps(magnitudes.tolist())[1:-1].split(", ")
+        tokens = np.array(text + ["-" + t for t in text], dtype=object)
+        signed = np.signbit(flat) & ~np.isnan(flat)
+        entries = tokens[inverse + len(text) * signed].tolist()
+        data = ", ".join([_ROW] * (len(flat) // 8)) % tuple(entries)
+    return f'{header[:-1]}, "data": [{data}]}}'.encode()
 
 
 def is_json_int(v) -> bool:
@@ -300,15 +335,8 @@ def is_finite_real(v) -> bool:
 
 
 def deserialize(payload: bytes) -> Cochain:
-    # the parse builds ~10^5 lists, freed as _decode returns: a collection
-    # meanwhile would only walk them.  The caller's GC state is kept.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         return _decode(payload)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _decode(payload: bytes) -> Cochain:

@@ -7,11 +7,13 @@ it here, sparse chains, their boundary and pairing, the diagonal chains),
 and never calls the vectorized implementations it checks.
 """
 
+import json
+
 import numpy as np
 
 from ymdec.algebra import LAMBDA
 from ymdec.calculus import star
-from ymdec.cochain import conj_transpose_form
+from ymdec.cochain import COPY_NAMES, FILE_VERSION, conj_transpose_form
 from ymdec.complex4 import BASE, MASKS_BY_DEGREE, Cell, OutOfDomain, boundary_cell, degree, star_cell
 
 
@@ -239,3 +241,17 @@ def project_su2_by_trace(m):
     ah = (m - np.conj(np.swapaxes(m, -1, -2))) / 2.0
     ah = ah - (np.trace(ah, axis1=-2, axis2=-1) / 2.0)[..., None, None] * np.eye(2, dtype=np.complex128)
     return -2.0 * np.real(np.einsum("...ij,aji->...a", ah, LAMBDA))
+
+
+def serialize_by_json(f):
+    """The form file of f as json.dumps writes the six-key document, its
+    data the nested (rows, 4, 2) list of a cell-major copy of the values."""
+    doc = {
+        "version": FILE_VERSION,
+        "topology": f.domain.topology,
+        "sizes": list(f.domain.sizes),
+        "degree": f.degree,
+        "copy": COPY_NAMES[f.copy],
+        "data": np.ascontiguousarray(f.values).view(np.float64).reshape(-1, 4, 2).tolist(),
+    }
+    return json.dumps(doc).encode()

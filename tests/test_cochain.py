@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import serialize_by_json
 from ymdec import algebra as alg
 from ymdec import cli
 from ymdec import cochain as co
@@ -220,6 +223,49 @@ class TestSerialization:
         assert not strided.values.flags.c_contiguous
         assert co.serialize(strided) == co.serialize(f)
 
+    @pytest.mark.parametrize("copy", [0, 1], ids=["base", "tilde"])
+    @pytest.mark.parametrize("degree", range(5))
+    @pytest.mark.parametrize(
+        "domain",
+        [SPHERE, BLOCK, Domain((2, 3, 4, 2), "sphere"), Domain((2, 3, 4, 2), "block"), Domain((3, 2, 4, 2), "sphere")],
+        ids=["sphere-2222", "block-2222", "sphere-2342", "block-2342", "sphere-3242"],
+    )
+    def test_bytes_are_the_json_writers(self, domain, degree, copy):
+        f = co.random_form(domain, degree, seed=17 + degree, copy=copy)
+        assert co.serialize(f) == serialize_by_json(f)
+        # values held as a strided view, and as a reversed one
+        wide = np.zeros(f.values.shape[:-1] + (4,), dtype=np.complex128)
+        wide[..., ::2] = f.values
+        strided = co.Cochain.zeros(domain, degree, copy)
+        strided.values = wide[..., ::2]
+        assert co.serialize(strided) == serialize_by_json(f)
+        strided.values = f.values[::-1, ..., ::-1, :]
+        assert co.serialize(strided) == serialize_by_json(strided)
+
+    def test_extreme_floats_are_the_json_writers(self):
+        special = [0.0, 5e-324, 1.7976931348623157e308, np.inf, np.nan, 0.1, 1e16, 1e-7]
+        flat = np.array([np.copysign(s, sign) for s in special for sign in (1.0, -1.0)])
+        assert np.signbit(flat[1::2]).all()  # -0.0 and -NaN carry their sign bit
+        for domain in (SPHERE, BLOCK):
+            shape = co.Cochain.shape(domain, 1)
+            # each value once, then random draws: every value beside every other as re/im
+            data = np.random.default_rng(5).choice(flat, np.prod(shape) * 2)
+            data[: flat.size] = flat
+            f = co.Cochain(domain, 1, data.view(np.complex128).reshape(shape))
+            payload = co.serialize(f)
+            assert payload == serialize_by_json(f)
+            assert b"-NaN" not in payload and b"-0.0" in payload and b"-Infinity" in payload
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=8 * 32))
+    def test_any_floats_are_the_json_writers(self, xs):
+        # arbitrary float64 re/im pairs, NaN and infinities included
+        shape = co.Cochain.shape(SPHERE, 0)
+        flat = np.zeros(np.prod(shape) * 2)
+        flat[: len(xs)] = xs
+        f = co.Cochain(SPHERE, 0, flat.view(np.complex128).reshape(shape))
+        assert co.serialize(f) == serialize_by_json(f)
+
     def test_integer_beyond_the_float_range_is_malformed(self):
         doc = json.loads(co.serialize(_golden_form()))
         doc["data"][0][0][0] = 10**400
@@ -290,6 +336,32 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
         assert parsing == [False] * len(payloads)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_the_write_pauses_the_gc_and_keeps_the_callers_state(self, enabled, monkeypatch):
+        want = (DATA / "golden_form.json").read_bytes()
+        writing = []
+        dumps = json.dumps
+
+        def recording(obj, fail=False):
+            writing.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("planted")
+            return dumps(obj)
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(co.json, "dumps", recording)
+            assert co.serialize(_golden_form()) == want
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(co.json, "dumps", lambda obj: recording(obj, fail=True))
+            with pytest.raises(RuntimeError, match="planted"):
+                co.serialize(_golden_form())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert writing and not any(writing)
 
     def test_truncated_payload(self):
         payload = co.serialize(_golden_form())
