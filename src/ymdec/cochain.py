@@ -5,9 +5,9 @@ direction set of degree p).  The file order is normative and cell-major:
 chart-major, then k lexicographic, then direction sets by ascending
 bitmask, then matrix entries row-major; Cochain.values indexes in that
 order.  Memory is entry-major (see Cochain), so each (direction set,
-entry) is one contiguous plane over the cells.  On the block the stored
-range includes the width-1 halo (indices 0 .. N_i + 1); on the sphere it
-is 1 .. N_i over both charts and every read resolves through the gluing.
+entry) is one contiguous plane over the cells.  The stored range is
+Domain's, k_i from 1 - halo to N_i + halo over every chart, and each
+read and write resolves its address through Domain.resolve.
 
 Randomized constructors use numpy's default_rng (PCG64), so a seed pins
 the field exactly.
@@ -155,24 +155,23 @@ def conj_transpose_form(f: Cochain) -> Cochain:
 
 
 def _fill_halo_clamped(domain: Domain, values):
-    """Copy the nearest interior value into the block halo (edge padding)."""
-    if domain.is_sphere:
+    """Edge-pad the halo from the interior; the input itself with no halo."""
+    h = domain.halo
+    if not h:
         return values
-    inner = values[domain.interior]
-    pad = [(0, 0)] + [(1, 1)] * 4 + [(0, 0)] * (values.ndim - 5)
-    return np.pad(inner, pad, mode="edge")
+    pad = [(0, 0)] + [(h, h)] * 4 + [(0, 0)] * (values.ndim - 5)
+    return np.pad(values[domain.interior], pad, mode="edge")
 
 
 def zero_pad(f: Cochain) -> Cochain:
     """Zero every coefficient within one cell of the block boundary.
 
-    Keeps cells with 1 <= k_i <= N_i - 1 only, which makes all composite
-    stencil identities exact on the stored range.  No-op on the sphere.
+    Keeps the storage indices halo .. N_i - 1: the cells 1 <= k_i <= N_i - 1
+    on the block, which makes all composite stencil identities exact on
+    the stored range, and every cell on the sphere.
     """
-    if f.domain.is_sphere:
-        return f.like(f.values.copy(order="K"))
     out = np.zeros_like(f.values)
-    sl = (slice(None),) + tuple(slice(1, n) for n in f.domain.sizes)
+    sl = (slice(None),) + tuple(slice(f.domain.halo, n) for n in f.domain.sizes)
     out[sl] = f.values[sl]
     return f.like(out)
 
@@ -220,13 +219,13 @@ def sum_profile_gauge(domain: Domain, amplitude, seed) -> Cochain:
     """
     rng = np.random.default_rng(seed)
     idx = np.indices(Cochain.shape(domain, 0)[:5])
-    s = idx[1:].sum(axis=0)
+    # storage holds k - 1 + halo, so k1+k2+k3+k4 = s + 4 (1 - halo)
+    s = idx[1:].sum(axis=0) + 4 * (1 - domain.halo)
     if domain.is_sphere:
         n = domain.sizes[0]
         if any(m != n for m in domain.sizes):
             raise ValueError("sum-profile gauge on the sphere needs equal sizes")
-        # sphere storage holds k - 1, so k1+k2+k3+k4 = s + 4
-        s = (s + 4 + idx[0] * n) % (2 * n)
+        s = (s + idx[0] * n) % (2 * n)
         nprofile = 2 * n
     else:
         nprofile = sum(n + 1 for n in domain.sizes) + 1

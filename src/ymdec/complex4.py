@@ -100,19 +100,20 @@ def shift(k: tuple, axis: int) -> tuple:
 class Domain:
     """Lattice sizes plus topology ("block" or "sphere").
 
-    Block: a single chart V; storage carries a width-1 halo, indices
-    0 .. N_i + 1 per axis.  Sphere: two charts V, Vhat glued along their
-    boundaries; storage covers 1 .. N_i and every out-by-one address
-    resolves into the other chart.  Construction is the one check of a
-    valid lattice (four integer sizes >= 2, never coerced, a known
+    Block: a single chart V.  Sphere: two charts V, Vhat glued along their
+    boundaries, so every out-by-one address resolves into the other chart.
+    Both store one rule: per axis, stored k runs from 1 - halo to
+    N_i + halo and sits at array index k - 1 + halo, where the halo width
+    is 1 on the block and 0 on the sphere.  Construction is the one check
+    of a valid lattice (four integer sizes >= 2, never coerced, a known
     topology, the storage limit); it raises TypeError or ValueError.
 
     Construction also sets the storage facts once, as plain attributes
     outside the dataclass fields (so equality and hashing read sizes and
-    topology only): is_sphere, ncharts, extents (stored index count per
-    axis), ncells (stored cells over all charts) and interior (the slices
-    of a stored array (charts, k..., ...) that select the cells
-    1 <= k_i <= N_i, every stored cell on the sphere).
+    topology only): is_sphere, ncharts, halo, extents (stored index count
+    per axis, N_i + 2 halo), ncells (stored cells over all charts) and
+    interior (the slices of a stored array (charts, k..., ...) that select
+    the cells 1 <= k_i <= N_i).
     """
 
     sizes: tuple
@@ -129,14 +130,14 @@ class Domain:
         if self.topology not in ("block", "sphere"):
             raise ValueError(f"unknown topology {self.topology!r}")
         sphere = self.topology == "sphere"
-        extents = self.sizes if sphere else tuple(n + 2 for n in self.sizes)
-        ncharts = 2 if sphere else 1
+        halo = 0 if sphere else 1
         object.__setattr__(self, "is_sphere", sphere)
-        object.__setattr__(self, "ncharts", ncharts)
-        object.__setattr__(self, "extents", extents)
-        object.__setattr__(self, "ncells", ncharts * math.prod(extents))
-        object.__setattr__(self, "interior", (slice(None),) * 5 if sphere else
-                           (slice(None),) + tuple(slice(1, n + 1) for n in self.sizes))
+        object.__setattr__(self, "ncharts", 2 if sphere else 1)
+        object.__setattr__(self, "halo", halo)
+        object.__setattr__(self, "extents", tuple(n + 2 * halo for n in self.sizes))
+        object.__setattr__(self, "ncells", self.ncharts * math.prod(self.extents))
+        object.__setattr__(self, "interior",
+                           (slice(None),) + tuple(slice(halo, n + halo) for n in self.sizes))
         if self.ncells * 6 * 4 * 16 > sys.maxsize:  # 2-form: 6 x 2x2 complex128 per cell
             raise ValueError(f"sizes {given!r} are too large: a 2-form exceeds the largest array")
 
@@ -145,50 +146,45 @@ class Domain:
 
         Sphere gluing, per axis: k_i = 0 lands at N_i in the other chart,
         k_i = N_i + 1 lands at 1 in the other chart; toggles compose by
-        parity across axes.  Block: identity on the halo-extended range.
-        Raises OutOfDomain outside 0 .. N_i + 1 on either topology.
+        parity across axes.  Block: identity on the stored range.  Raises
+        OutOfDomain for a chart outside 0 .. ncharts - 1, a k without four
+        indices, or an index outside 1 - halo .. N_i + halo.
         """
-        if self.is_sphere:
-            kk = list(k)
-            for i, n in enumerate(self.sizes):
-                if kk[i] == 0:
-                    kk[i] = n
-                    chart ^= 1
-                elif kk[i] == n + 1:
-                    kk[i] = 1
-                    chart ^= 1
-                elif not 1 <= kk[i] <= n:
-                    raise OutOfDomain(f"index {tuple(k)} outside sphere range")
-            return chart, tuple(kk)
-        if chart != CHART_V:
-            raise OutOfDomain("block topology has a single chart")
-        for ki, n in zip(k, self.sizes):
-            if not 0 <= ki <= n + 1:
-                raise OutOfDomain(f"index {tuple(k)} outside block halo")
-        return chart, tuple(k)
+        if not (0 <= chart < self.ncharts and len(k) == 4):
+            raise OutOfDomain(f"no stored cell at chart {chart}, k {tuple(k)}")
+        sphere, low, halo = self.is_sphere, 1 - self.halo, self.halo
+        out = k  # copied on the first seam crossing only
+        for i, n in enumerate(self.sizes):
+            ki = k[i]
+            if low <= ki <= n + halo:
+                continue
+            if not (sphere and (ki == 0 or ki == n + 1)):
+                raise OutOfDomain(f"index {tuple(k)} outside the stored range")
+            if out is k:
+                out = list(k)
+            out[i] = n if ki == 0 else 1  # the seam: into the other chart
+            chart ^= 1
+        return chart, tuple(out)
 
     def storage_index(self, chart: int, k: tuple) -> tuple:
         """Array index of a resolved address."""
-        if self.is_sphere:
-            return (chart,) + tuple(ki - 1 for ki in k)
-        return (chart,) + tuple(k)
+        return (chart,) + tuple(ki - 1 + self.halo for ki in k)
 
-    def interior_cells(self):
-        """(chart, k) pairs with 1 <= k_i <= N_i, chart-major, k lexicographic."""
+    def _cells(self, halo: int):
+        """(chart, k) pairs with 1 - halo <= k_i <= N_i + halo, in storage order."""
         return [
             (chart, k)
             for chart in range(self.ncharts)
-            for k in itertools.product(*(range(1, n + 1) for n in self.sizes))
+            for k in itertools.product(*(range(1 - halo, n + 1 + halo) for n in self.sizes))
         ]
 
+    def interior_cells(self):
+        """(chart, k) pairs with 1 <= k_i <= N_i, in storage order."""
+        return self._cells(0)
+
     def stored_cells(self):
-        """(chart, k) pairs over the whole stored range (halo included on block)."""
-        if self.is_sphere:
-            return self.interior_cells()
-        return [
-            (CHART_V, k)
-            for k in itertools.product(*(range(n + 2) for n in self.sizes))
-        ]
+        """(chart, k) pairs over the whole stored range, in storage order."""
+        return self._cells(self.halo)
 
 
 def boundary_cell(domain: Domain, cell: Cell) -> dict:

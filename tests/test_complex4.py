@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import boundary, boundary_arrays_by_cell, build_Vp, cup_basis, factors, parity_sign
+from ymdec import cochain as co
 from ymdec import complex4 as cx
 from ymdec.complex4 import (
     CHART_V,
@@ -102,6 +103,26 @@ class TestResolve:
         with pytest.raises(OutOfDomain):
             BLOCK.resolve(CHART_VHAT, (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    @pytest.mark.parametrize(
+        "chart, k",
+        [(-1, (1, 1, 1, 1)), (-1, (0, 1, 1, 1)), (2, (1, 1, 1, 1)),
+         (CHART_V, (1, 1, 1)), (CHART_V, (1, 1, 1, 1, 1)), (CHART_V, ())],
+        ids=["chart-minus-1", "chart-minus-1-seam", "chart-2", "three-indices", "five-indices", "no-index"],
+    )
+    def test_whole_address_is_checked(self, domain, chart, k):
+        # a chart outside 0 .. ncharts - 1 or a k without four indices names
+        # no stored cell: resolve raises, and get and set read and write nothing
+        with pytest.raises(OutOfDomain):
+            domain.resolve(chart, k)
+        f = co.random_form(domain, 0, seed=1)
+        before = f.values.copy()
+        with pytest.raises(OutOfDomain):
+            f.get(chart, k, 0)
+        with pytest.raises(OutOfDomain):
+            f.set(chart, k, 0, np.eye(2))
+        assert np.array_equal(f.values, before)
+
     def test_idempotent(self):
         for k in itertools.product(range(4), repeat=4):
             try:
@@ -175,18 +196,46 @@ class TestResolve:
     def test_storage_facts_are_set_once(self, sizes, topology):
         d = Domain(sizes, topology)
         sphere = topology == "sphere"
+        halo = 0 if sphere else 1
         assert d.is_sphere is sphere
         assert d.ncharts == (2 if sphere else 1)
-        assert d.extents == (sizes if sphere else tuple(n + 2 for n in sizes))
+        assert d.halo == halo
+        assert d.extents == tuple(n + 2 * halo for n in sizes)
         assert d.ncells == len(d.stored_cells())
+        # the storage rule: stored k runs from 1 - halo to N_i + halo, at array
+        # index k - 1 + halo, chart-major and k lexicographic
+        index = list(np.ndindex(d.ncharts, *d.extents))
+        assert d.stored_cells() == [(c, tuple(i + 1 - halo for i in idx)) for c, *idx in index]
+        assert [d.storage_index(c, k) for c, k in d.stored_cells()] == index
         got = np.zeros((d.ncharts, *d.extents), dtype=bool)
         got[d.interior] = True
         want = np.zeros_like(got)
         for chart, k in d.interior_cells():
             want[d.storage_index(chart, k)] = True
         assert np.array_equal(got, want)
+        # zero_pad keeps 1 <= k_i <= N_i - 1 on the block, every cell on the sphere
+        kept = co.zero_pad(co.Cochain(d, 0, np.ones(co.Cochain.shape(d, 0)))).values[..., 0, 0, 0] != 0
+        want = np.zeros_like(got)
+        for chart, k in d.stored_cells():
+            want[d.storage_index(chart, k)] = sphere or all(1 <= ki <= n - 1 for ki, n in zip(k, sizes))
+        assert np.array_equal(kept, want)
+        # random_form draws the stored range and edge-pads the halo: on the
+        # sphere its values are the draws themselves, bit for bit
+        rng = np.random.default_rng(3)
+        shape = co.Cochain.shape(d, 2)
+        draws = rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)
+        values = co.random_form(d, 2, seed=3).values
+        if sphere:
+            assert values.tobytes() == draws.tobytes()
+            # no halo, no padding pass: the draws are handed on as they are
+            assert co._fill_halo_clamped(d, draws) is draws
+        else:
+            assert np.array_equal(values[d.interior], draws[d.interior])
+            assert not np.array_equal(values, draws)
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.ncells = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.halo = 1 - halo
         # the derived values are attributes, not fields: equality, hashing and
         # repr read sizes and topology alone
         assert [f.name for f in dataclasses.fields(Domain)] == ["sizes", "topology"]
