@@ -113,7 +113,9 @@ class Domain:
     topology only): is_sphere, ncharts, halo, extents (stored index count
     per axis, N_i + 2 halo), ncells (stored cells over all charts) and
     interior (the slices of a stored array (charts, k..., ...) that select
-    the cells 1 <= k_i <= N_i).
+    the cells 1 <= k_i <= N_i).  A Domain states these facts and
+    enumerates no cells; the neighbour table behind boundary_arrays walks
+    the stored cells.
     """
 
     sizes: tuple
@@ -170,22 +172,6 @@ class Domain:
         """Array index of a resolved address."""
         return (chart,) + tuple(ki - 1 + self.halo for ki in k)
 
-    def _cells(self, halo: int):
-        """(chart, k) pairs with 1 - halo <= k_i <= N_i + halo, in storage order."""
-        return [
-            (chart, k)
-            for chart in range(self.ncharts)
-            for k in itertools.product(*(range(1 - halo, n + 1 + halo) for n in self.sizes))
-        ]
-
-    def interior_cells(self):
-        """(chart, k) pairs with 1 <= k_i <= N_i, in storage order."""
-        return self._cells(0)
-
-    def stored_cells(self):
-        """(chart, k) pairs over the whole stored range, in storage order."""
-        return self._cells(self.halo)
-
 
 def boundary_cell(domain: Domain, cell: Cell) -> dict:
     """Boundary of a basis cell as {cell: coefficient}.
@@ -210,9 +196,12 @@ def boundary_cell(domain: Domain, cell: Cell) -> dict:
 @lru_cache(maxsize=None)
 def _neighbours(domain: Domain):
     """(ncells, 4) storage positions of Domain.resolve(chart, tau_i k) per
-    stored cell (storage order) and axis i, -1 where resolve raises
-    OutOfDomain.  Cached per domain; read-only."""
-    cells = domain.stored_cells()
+    stored cell and axis i, -1 where resolve raises OutOfDomain.  This is
+    the package's one walk over the stored cells: per chart, k runs over
+    1 - halo .. N_i + halo in lexicographic order, which is storage order.
+    Cached per domain; read-only."""
+    ranges = [range(1 - domain.halo, n + 1 + domain.halo) for n in domain.sizes]
+    cells = [(chart, k) for chart in range(domain.ncharts) for k in itertools.product(*ranges)]
     position = {ck: n for n, ck in enumerate(cells)}
     out = np.full((len(cells), 4), -1, dtype=np.intp)
     for n, (chart, k) in enumerate(cells):

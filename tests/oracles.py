@@ -4,9 +4,12 @@ Everything here is built straight from the one-dimensional definitions
 (boundary of an interval, the three nonzero 1-D products, the recursive
 sign rule) or from the per-cell chain layer (boundary_cell and, built on
 it here, sparse chains, their boundary and pairing, the diagonal chains),
-and never calls the vectorized implementations it checks.
+and never calls the vectorized implementations it checks.  The walks over
+the stored and the interior cells are stated here from the topology and
+sizes, not read from Domain.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -38,12 +41,29 @@ def boundary(domain, chain):
     return out
 
 
+def stored_cells(domain):
+    """(chart, k) of every stored cell in storage order (chart-major, k
+    lexicographic), from the topology and sizes alone: k_i in 1..N_i on
+    each of the sphere's two charts, 0..N_i + 1 on the block's one chart."""
+    sphere = domain.topology == "sphere"
+    ranges = [range(1, n + 1) if sphere else range(0, n + 2) for n in domain.sizes]
+    return [(chart, k) for chart in range(2 if sphere else 1) for k in itertools.product(*ranges)]
+
+
+def interior_cells(domain):
+    """(chart, k) with 1 <= k_i <= N_i in storage order, from the topology
+    and sizes alone."""
+    ranges = [range(1, n + 1) for n in domain.sizes]
+    charts = range(2 if domain.topology == "sphere" else 1)
+    return [(chart, k) for chart in charts for k in itertools.product(*ranges)]
+
+
 def boundary_arrays_by_cell(domain, p):
     """(row, col, coeff) of complex4.boundary_arrays, built by one
     boundary_cell call per stored cell and degree-p direction set, terms in
     boundary_cell's order; a call that raises OutOfDomain gives no row."""
     masks, sub = MASKS_BY_DEGREE[p], MASKS_BY_DEGREE[p - 1]
-    cells = domain.stored_cells()
+    cells = stored_cells(domain)
     position = {ck: n for n, ck in enumerate(cells)}
     rows, cols, coeffs = [], [], []
     for n, (chart, k) in enumerate(cells):
@@ -81,7 +101,7 @@ def build_Vp(domain, p):
     if not 0 <= p <= 4:
         raise ValueError("degree out of range")
     out = []
-    for chart, k in domain.interior_cells():
+    for chart, k in interior_cells(domain):
         for mask in MASKS_BY_DEGREE[p]:
             cell = Cell(chart, k, mask, BASE)
             sign, mirrored = star_cell(cell)

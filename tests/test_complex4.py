@@ -8,7 +8,17 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import boundary, boundary_arrays_by_cell, build_Vp, cup_basis, factors, parity_sign
+from oracles import (
+    boundary,
+    boundary_arrays_by_cell,
+    build_Vp,
+    cup_basis,
+    factors,
+    gather_by_resolve,
+    interior_cells,
+    parity_sign,
+    stored_cells,
+)
 from ymdec import cochain as co
 from ymdec import complex4 as cx
 from ymdec.complex4 import (
@@ -201,22 +211,22 @@ class TestResolve:
         assert d.ncharts == (2 if sphere else 1)
         assert d.halo == halo
         assert d.extents == tuple(n + 2 * halo for n in sizes)
-        assert d.ncells == len(d.stored_cells())
+        assert d.ncells == len(stored_cells(d))
         # the storage rule: stored k runs from 1 - halo to N_i + halo, at array
         # index k - 1 + halo, chart-major and k lexicographic
         index = list(np.ndindex(d.ncharts, *d.extents))
-        assert d.stored_cells() == [(c, tuple(i + 1 - halo for i in idx)) for c, *idx in index]
-        assert [d.storage_index(c, k) for c, k in d.stored_cells()] == index
+        assert stored_cells(d) == [(c, tuple(i + 1 - halo for i in idx)) for c, *idx in index]
+        assert [d.storage_index(c, k) for c, k in stored_cells(d)] == index
         got = np.zeros((d.ncharts, *d.extents), dtype=bool)
         got[d.interior] = True
         want = np.zeros_like(got)
-        for chart, k in d.interior_cells():
+        for chart, k in interior_cells(d):
             want[d.storage_index(chart, k)] = True
         assert np.array_equal(got, want)
         # zero_pad keeps 1 <= k_i <= N_i - 1 on the block, every cell on the sphere
         kept = co.zero_pad(co.Cochain(d, 0, np.ones(co.Cochain.shape(d, 0)))).values[..., 0, 0, 0] != 0
         want = np.zeros_like(got)
-        for chart, k in d.stored_cells():
+        for chart, k in stored_cells(d):
             want[d.storage_index(chart, k)] = sphere or all(1 <= ki <= n - 1 for ki, n in zip(k, sizes))
         assert np.array_equal(kept, want)
         # random_form draws the stored range and edge-pads the halo: on the
@@ -243,7 +253,7 @@ class TestResolve:
         assert same == d and hash(same) == hash(d)
         other = dataclasses.replace(d, topology="block" if sphere else "sphere")
         assert other.is_sphere is not sphere and other.ncharts == 3 - d.ncharts
-        assert other.ncells == len(other.stored_cells())
+        assert other.ncells == len(stored_cells(other))
         assert other.interior != d.interior
 
 
@@ -269,7 +279,7 @@ class TestBoundary:
     def test_boundary_squared_is_zero(self, domain):
         # every stored cell whose boundary is defined (top halo shifts leave
         # the block and raise)
-        for chart, k in domain.stored_cells():
+        for chart, k in stored_cells(domain):
             for mask in range(16):
                 try:
                     chain = cx.boundary_cell(domain, Cell(chart, k, mask))
@@ -303,7 +313,7 @@ def _boundary_by_cell(domain, p):
     shape = (domain.ncharts, *domain.extents)
     masks, sub = cx.MASKS_BY_DEGREE[p], cx.MASKS_BY_DEGREE[p - 1]
     terms, raising = collections.Counter(), set()
-    for chart, k in domain.stored_cells():
+    for chart, k in stored_cells(domain):
         n = np.ravel_multi_index(domain.storage_index(chart, k), shape)
         for d, mask in enumerate(masks):
             row = n * len(masks) + d
@@ -316,6 +326,30 @@ def _boundary_by_cell(domain, p):
                 m = np.ravel_multi_index(domain.storage_index(cell.chart, cell.k), shape)
                 terms[(row, m * len(sub) + sub.index(cell.mask), coeff)] += 1
     return terms, raising
+
+
+class TestNeighbours:
+    @pytest.mark.parametrize(
+        "domain",
+        [Domain(sizes, topology) for sizes in [(2,) * 4, (3,) * 4, (2, 3, 4, 2)]
+         for topology in ["block", "sphere"]] + [Domain((3, 2, 4, 2), "sphere")],
+        ids=["block-2", "sphere-2", "block-3", "sphere-3", "block-2342", "sphere-2342", "sphere-3242"],
+    )
+    def test_matches_gather_by_resolve(self, domain):
+        # column i - 1 is the flat position of resolve(chart, tau_i k) per
+        # stored cell, the oracle's sentinel ncells read as -1
+        table = cx._neighbours(domain)
+        assert table.shape == (domain.ncells, 4) and table.dtype == np.intp
+        for i in cx.AXES:
+            want = gather_by_resolve(domain, i, +1)[:-1]
+            assert np.array_equal(table[:, i - 1], np.where(want == domain.ncells, -1, want))
+        assert (table == -1).any() == (not domain.is_sphere)
+
+    def test_read_only_and_cached(self):
+        table = cx._neighbours(BLOCK)
+        assert cx._neighbours(BLOCK) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
 
 
 class TestBoundaryArrays:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import line_minimum_by_roots
+from oracles import interior_cells, line_minimum_by_roots
 from ymdec import algebra as alg
 from ymdec import calculus as ca
 from ymdec import cochain as co
@@ -31,7 +31,7 @@ class TestAction:
         a = co.random_connection(SPHERE, 0.6, seed=3)
         f = ga.curvature(a)
         total = 0.0
-        for chart, k in SPHERE.interior_cells():
+        for chart, k in interior_cells(SPHERE):
             for mask in MASKS_BY_DEGREE[2]:
                 m = f.get(chart, k, mask)
                 total += float(np.trace(m @ m.conj().T).real)
