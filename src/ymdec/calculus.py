@@ -9,9 +9,9 @@ Component conventions (direction sets written as ascending axis tuples):
   copy_swap    identical components, copy flag toggled
   codifferential on a p-form: -star(coboundary(star(f)))
 
-Coefficients multiply as matrices in operand order.  On the block, reads
-one past the stored halo yield zero; identities are therefore asserted on
-interior cells (the inner product already restricts to 1 <= k_i <= N_i),
+Coefficients multiply as matrices in operand order.  Shifts apply
+Domain.step_copies, read off Domain.resolve; past the block halo they read
+zero, so identities hold on interior cells (where the inner product sums)
 and exactly everywhere for forms vanishing near the boundary.
 """
 
@@ -36,27 +36,13 @@ from .complex4 import (
 
 
 def shift_plus(domain: Domain, vals: np.ndarray, axis: int) -> np.ndarray:
-    """Gather values at tau_axis(k): one step forward along a lattice axis.
-
-    Sphere: the last slot wraps into the other chart (gluing).  Block: the
-    slot one past the halo reads zero.
-    """
-    nd = vals.ndim
+    """Gather values at tau_axis(k): one step forward along a lattice axis,
+    by the copies of domain.step_copies, which are read off Domain.resolve
+    (the other chart's first slot past the sphere's seam, zero past the
+    block halo)."""
     out = np.empty_like(vals)
-    dst = [slice(None)] * nd
-    src = [slice(None)] * nd
-    dst[axis] = slice(0, -1)
-    src[axis] = slice(1, None)
-    out[tuple(dst)] = vals[tuple(src)]
-    last = [slice(None)] * nd
-    last[axis] = -1
-    if domain.is_sphere:
-        first = [slice(None)] * nd
-        first[axis] = 0
-        first[0] = slice(None, None, -1)
-        out[tuple(last)] = vals[tuple(first)]
-    else:
-        out[tuple(last)] = 0
+    for dst, src in domain.step_copies[axis - 1]:
+        out[dst] = 0 if src is None else vals[src]
     return out
 
 

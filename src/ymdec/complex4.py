@@ -111,11 +111,13 @@ class Domain:
     Construction also sets the storage facts once, as plain attributes
     outside the dataclass fields (so equality and hashing read sizes and
     topology only): is_sphere, ncharts, halo, extents (stored index count
-    per axis, N_i + 2 halo), ncells (stored cells over all charts) and
+    per axis, N_i + 2 halo), ncells (stored cells over all charts),
     interior (the slices of a stored array (charts, k..., ...) that select
-    the cells 1 <= k_i <= N_i).  A Domain states these facts and
-    enumerates no cells; the neighbour table behind boundary_arrays walks
-    the stored cells.
+    the cells 1 <= k_i <= N_i) and step_copies (per axis, the (destination,
+    source) indices of shift_plus's step: the bulk slab copy, then each
+    chart's last slot, read off resolve one past it, None (zero) where it
+    raises).  A Domain states these facts and enumerates no cells; the
+    neighbour table behind boundary_arrays walks the stored cells.
     """
 
     sizes: tuple
@@ -142,6 +144,20 @@ class Domain:
                            (slice(None),) + tuple(slice(halo, n + halo) for n in self.sizes))
         if self.ncells * 6 * 4 * 16 > sys.maxsize:  # 2-form: 6 x 2x2 complex128 per cell
             raise ValueError(f"sizes {given!r} are too large: a 2-form exceeds the largest array")
+        steps = []
+        for axis in AXES:
+            lead = (slice(None),) * axis
+            copies = [(lead + (slice(0, -1),), lead + (slice(1, None),))]
+            for chart in range(self.ncharts):  # its last slot: resolve one past it
+                past = tuple(n + halo + 1 if i == axis else 1 for i, n in zip(AXES, self.sizes))
+                try:
+                    at = self.storage_index(*self.resolve(chart, past))
+                    src = (at[0],) + lead[1:] + (at[axis],)
+                except OutOfDomain:  # past the block halo: zero
+                    src = None
+                copies.append(((chart,) + lead[1:] + (-1,), src))
+            steps.append(tuple(copies))
+        object.__setattr__(self, "step_copies", tuple(steps))
 
     def resolve(self, chart: int, k: tuple):
         """Resolve an address to its stored representative.

@@ -62,9 +62,9 @@ def _pair_gather(domain: Domain) -> np.ndarray:
       x^i, x^j, x^j(tau_i n), x^i(tau_j n)
     as flat indices 4 m + a - 1 into vector planes (3, 4 (ncells + 1)), for
     (m, a) = (n, i), (n, j), (tau_i n, j), (tau_j n, i).  tau shifts cell
-    ids, so the gluing keeps its one array definition in shift_plus.  Row
-    ncells is a sentinel cell with zero planes: a step past the block halo
-    points there, and it points at itself."""
+    ids by shift_plus, which applies Domain.step_copies, read off resolve.
+    Row ncells is a sentinel cell with zero planes: a step past the block
+    halo points there, and it points at itself."""
     ncells = domain.ncells
     ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
     steps = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)], axis=1)

@@ -502,20 +502,25 @@ class TestEntryMajorLayout:
 
 class TestGatherTable:
     @pytest.mark.parametrize("topology", ["sphere", "block"])
-    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 4, 2)], ids=["2222", "2342"])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 4, 2), (3, 2, 4, 2)], ids=["2222", "2342", "3242"])
     def test_reproduces_the_shifts(self, topology, sizes):
-        # the scalar gluing of Domain.resolve is the oracle of both array
-        # statements of it: shift_plus and the plane tables built from it
+        # the scalar gluing of Domain.resolve is the oracle of the array
+        # gluing read off it once, Domain.step_copies: of shift_plus, which
+        # applies them, and of the plane tables built from shift_plus
         domain = Domain(sizes, topology)
         shape = (domain.ncharts, *domain.extents)
         ncells = int(np.prod(shape))
-        vals = np.random.default_rng(5).normal(size=shape + (3,))
-        flat = np.concatenate([vals.reshape(ncells, 3), np.zeros((1, 3))])
         tau = np.stack([gather_by_resolve(domain, axis, +1) for axis in (1, 2, 3, 4)])
         sigma = np.stack([gather_by_resolve(domain, axis, -1) for axis in (1, 2, 3, 4)])
-        for axis in (1, 2, 3, 4):
-            # a read past the block halo gives zero, as the sentinel row does
-            assert np.array_equal(ca.shift_plus(domain, vals, axis), flat[tau[axis - 1]][:-1].reshape(vals.shape))
+        # a contiguous operand, and the strided entry-major plane that
+        # coboundary and cup pass
+        for vals in (np.random.default_rng(5).normal(size=shape + (3,)),
+                     co.random_form(domain, 2, seed=5).values[..., 3, :, :]):
+            rows = vals.reshape(ncells, -1)
+            flat = np.concatenate([rows, np.zeros_like(rows[:1])])
+            for axis in (1, 2, 3, 4):
+                # a read past the block halo gives zero, as the sentinel row does
+                assert np.array_equal(ca.shift_plus(domain, vals, axis), flat[tau[axis - 1]][:-1].reshape(vals.shape))
         # operands 4 tau + axis per pair (i, j)
         n = np.arange(ncells + 1)[:, None]
         i, j = ga.PAIR_I, ga.PAIR_J

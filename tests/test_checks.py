@@ -8,6 +8,7 @@ from ymdec import calculus as ca
 from ymdec import checks
 from ymdec import cochain as co
 from ymdec import complex4 as cx
+from ymdec import gauge as ga
 from ymdec.complex4 import MASKS_BY_DEGREE, Domain
 
 DOMAINS = pytest.mark.parametrize(
@@ -54,15 +55,21 @@ def test_negated_boundary_coefficient_fails_boundary_of_boundary(domain, monkeyp
     assert not entry["pass"]
 
 
+def forgetful(d, chart, k):
+    """Domain.resolve with a torus seam: each axis wraps back into the same chart."""
+    return chart, tuple(n if ki == 0 else 1 if ki == n + 1 else ki for ki, n in zip(k, d.sizes))
+
+
+# the caches keyed by Domain, which hashes by sizes and topology alone
+PER_DOMAIN_CACHES = (cx._neighbours, cx.boundary_arrays, ga._pair_gather, ga.interior_gather, ga._scatter_index)
+
+
 def test_seam_without_chart_toggle_fails_chain_duality(monkeypatch):
     # boundary_arrays reads its gluing from Domain.resolve, not from the
     # shifts of calculus: built with a resolve that wraps each axis back into
-    # the same chart, the arrays disagree with shift_plus's gluing
+    # the same chart, the arrays disagree with the gluing shift_plus applies,
+    # the Domain.step_copies read off the sound resolve at construction
     domain = Domain((2, 2, 2, 2), "sphere")
-
-    def forgetful(d, chart, k):
-        return chart, tuple(n if ki == 0 else 1 if ki == n + 1 else ki for ki, n in zip(k, d.sizes))
-
     with monkeypatch.context() as m:
         m.setattr(Domain, "resolve", forgetful)
         cx._neighbours.cache_clear()
@@ -75,6 +82,28 @@ def test_seam_without_chart_toggle_fails_chain_duality(monkeypatch):
         monkeypatch.setattr(module, "boundary_arrays", lambda d, p: arrays[p])
     entries = run_checks(domain)
     assert entries["boundary_of_boundary"]["pass"]  # a torus gluing is still a complex
+    entry = entries["coboundary_chain_duality"]
+    assert entry["defect"] > 1e-12
+    assert not entry["pass"]
+
+
+def test_step_copies_without_chart_toggle_fail_chain_duality(monkeypatch):
+    # the converse fault: step_copies read off a resolve that wraps each axis
+    # back into the same chart give every shift a torus seam, while the
+    # per-cell neighbours of the restored resolve keep the sphere's
+    with monkeypatch.context() as m:
+        m.setattr(Domain, "resolve", forgetful)
+        domain = Domain((2, 2, 2, 2), "sphere")
+    assert domain.step_copies != Domain((2, 2, 2, 2), "sphere").step_copies
+    # the faulty domain equals the sound one: no table may pass between them
+    for cache in PER_DOMAIN_CACHES:
+        cache.cache_clear()
+    try:
+        entries = run_checks(domain)
+    finally:
+        for cache in PER_DOMAIN_CACHES:
+            cache.cache_clear()
+    assert entries["boundary_of_boundary"]["pass"]
     entry = entries["coboundary_chain_duality"]
     assert entry["defect"] > 1e-12
     assert not entry["pass"]

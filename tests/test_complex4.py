@@ -246,6 +246,8 @@ class TestResolve:
             d.ncells = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.halo = 1 - halo
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.step_copies = ()
         # the derived values are attributes, not fields: equality, hashing and
         # repr read sizes and topology alone
         assert [f.name for f in dataclasses.fields(Domain)] == ["sizes", "topology"]
