@@ -138,10 +138,6 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
     gauge_form, the configured gauge, is exercised against the cup-dual
     lemma: a compatible gauge gates the identity, a violating one is
     recorded as an expected failure with its counterexample norm.
-
-    The checks built on sum-profile gauges need one to exist, which on the
-    sphere takes equal sizes; elsewhere they are skipped and listed under
-    the scalar "skipped_checks".
     """
     rng_base = int(seed)
     checks = _TimedChecks()
@@ -192,7 +188,7 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
         worst = max(worst, _rel(abs(lhs - rhs - bt), abs(lhs) + abs(bt)))
         sphere_bt = max(sphere_bt, abs(bt))
     checks.append(_check("green_identity", worst, 1e-10))
-    key = "green_boundary_magnitude_sphere" if domain.is_sphere else "green_boundary_magnitude"
+    key = "green_boundary_magnitude" if domain.halo else "green_boundary_magnitude_sphere"
     scalars[key] = float(sphere_bt)
 
     f = co.random_form(domain, 2, seed=rng_base + 80)
@@ -266,29 +262,19 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
         )
     )
 
-    try:
-        hs1 = co.sum_profile_gauge(domain, amplitude=1.0, seed=rng_base + 112)
-        hs2 = co.sum_profile_gauge(domain, amplitude=0.7, seed=rng_base + 113)
-    except ValueError:
-        hs1 = hs2 = None
-        scalars["skipped_checks"] = [
-            "gauge_group_closure", "right_cup_dual_compatible", "ym_residual_gauge_invariance"
-        ]
-    if hs1 is not None:
-        hs12 = ca.cup(hs1, hs2)
-        closure = max(
-            max(ga.dual_compat_defects(hs12)),
-            max(ga.dual_compat_defects(ga.gauge_inverse(hs1))),
-            alg.su2_group_deviation(hs12.values),
-        )
-        checks.append(_check("gauge_group_closure", closure, 1e-12))
+    hs1 = co.sum_profile_gauge(domain, amplitude=1.0, seed=rng_base + 112)
+    hs2 = co.sum_profile_gauge(domain, amplitude=0.7, seed=rng_base + 113)
+    hs12 = ca.cup(hs1, hs2)
+    closure = max(
+        max(ga.dual_compat_defects(hs12)),
+        max(ga.dual_compat_defects(ga.gauge_inverse(hs1))),
+        alg.su2_group_deviation(hs12.values),
+    )
+    checks.append(_check("gauge_group_closure", closure, 1e-12))
 
     f2 = co.random_form(domain, 2, seed=rng_base + 120)
     checks.append(_check("left_cup_dual_identity", ga.left_cup_dual_defect(h, f2), 1e-12))
-    if hs1 is not None:
-        checks.append(
-            _check("right_cup_dual_compatible", ga.right_cup_dual_defect(hs1, f2), 1e-12)
-        )
+    checks.append(_check("right_cup_dual_compatible", ga.right_cup_dual_defect(hs1, f2), 1e-12))
     checks.append(
         _counterexample(
             "right_cup_dual_violation_detected", ga.right_cup_dual_defect(h, f2), 1e-6
@@ -296,18 +282,17 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
     )
 
     n0 = ga.yang_mills_residual_norm(a)
-    if hs1 is not None:
-        n1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, hs1))
-        if domain.is_sphere:
-            checks.append(_check("ym_residual_gauge_invariance", _rel(abs(n0 - n1), n0), 1e-9))
-        else:
-            # exact only on the closed sphere; the block keeps a boundary defect
-            scalars["ym_gauge_invariance_boundary_defect"] = float(_rel(abs(n0 - n1), n0))
+    n1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, hs1))
+    if domain.halo:
+        # exact only on the closed sphere; the block keeps a boundary defect
+        scalars["ym_gauge_invariance_boundary_defect"] = float(_rel(abs(n0 - n1), n0))
+    else:
+        checks.append(_check("ym_residual_gauge_invariance", _rel(abs(n0 - n1), n0), 1e-9))
 
     defect = ga.right_cup_dual_defect(gauge_form, f2)
     if ga.is_dual_compatible(gauge_form):
         checks.append(_check("configured_gauge_right_cup_dual", defect, 1e-12))
-        if domain.is_sphere:
+        if not domain.halo:
             m1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, gauge_form))
             checks.append(_check("configured_gauge_ym_invariance", _rel(abs(n0 - m1), n0), 1e-9))
     else:

@@ -206,10 +206,7 @@ def build_input(job, field) -> co.Cochain:
     with phase(log, "load"):
         if src.startswith("file:"):
             return _load_form(src[len("file:"):], job.domain, source.degree, field, source.validate)
-        try:
-            return source.named[src](job.domain, job.config)
-        except ValueError as e:  # no sum-profile gauge on a non-cubic sphere
-            raise ConfigError(str(e)) from e
+        return source.named[src](job.domain, job.config)
 
 
 def cmd_verify(job, report):

@@ -29,6 +29,7 @@ from .complex4 import (
     MASKS_BY_DEGREE,
     TILDE,
     Domain,
+    sum_classes,
 )
 
 FILE_VERSION = 1
@@ -209,28 +210,19 @@ def random_gauge(domain: Domain, seed) -> Cochain:
 
 
 def sum_profile_gauge(domain: Domain, amplitude, seed) -> Cochain:
-    """SU(2) gauge whose coefficient depends only on k1+k2+k3+k4.
+    """SU(2) gauge whose coefficient depends only on complex4.sum_classes,
+    the class of k1+k2+k3+k4 that the gluing allows.
 
     Such gauges satisfy the three paired-double-shift conditions
     h(tau_12 k) = h(tau_34 k), h(tau_13 k) = h(tau_24 k), h(tau_14 k) =
-    h(tau_23 k) at every cell.  On the sphere the gluing additionally
-    forces the profile to be 2N-periodic with an N-offset between charts,
-    which requires all sizes equal.
+    h(tau_23 k) at every cell.  The class is the sum itself on the block; on
+    the sphere, the sum plus N_1 on the second chart modulo the gcd of all
+    N_i + N_j: 2N at equal sizes N, 1 (a constant gauge) on (2, 3, 4, 2).
     """
+    classes, count = sum_classes(domain)
     rng = np.random.default_rng(seed)
-    idx = np.indices(Cochain.shape(domain, 0)[:5])
-    # storage holds k - 1 + halo, so k1+k2+k3+k4 = s + 4 (1 - halo)
-    s = idx[1:].sum(axis=0) + 4 * (1 - domain.halo)
-    if domain.is_sphere:
-        n = domain.sizes[0]
-        if any(m != n for m in domain.sizes):
-            raise ValueError("sum-profile gauge on the sphere needs equal sizes")
-        s = (s + idx[0] * n) % (2 * n)
-        nprofile = 2 * n
-    else:
-        nprofile = sum(n + 1 for n in domain.sizes) + 1
-    table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(nprofile, 3)))
-    return Cochain(domain, 0, table[s][..., None, :, :], BASE)
+    table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(count, 3)))
+    return Cochain(domain, 0, table[classes].reshape(Cochain.shape(domain, 0)), BASE)
 
 
 def _require_finite(f: Cochain):

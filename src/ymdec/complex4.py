@@ -231,6 +231,32 @@ def _neighbours(domain: Domain):
 
 
 @lru_cache(maxsize=None)
+def sum_classes(domain: Domain):
+    """(classes, count): per stored cell, in storage order, the class of
+    k1+k2+k3+k4 modulo the period that the gluing allows, and that period.
+
+    A numpy frontier walks forward from storage cell 0 through the neighbour
+    table, labelling each cell with its step count from that cell's sum,
+    4 (1 - halo).  count is the gcd of label + 1 minus the neighbour's label
+    over every stored step; on the block, where that is 0, it is one past
+    the largest label.  Cached per domain; read-only.
+    """
+    table = _neighbours(domain)
+    label = np.full(domain.ncells, -1, dtype=np.intp)
+    frontier, step = np.zeros(1, dtype=np.intp), 4 * (1 - domain.halo)
+    while frontier.size:
+        label[frontier] = step
+        ahead = np.zeros(domain.ncells + 1, dtype=bool)
+        ahead[table[frontier]] = True  # -1, no neighbour, marks the spare last slot
+        frontier, step = np.flatnonzero(ahead[:-1] & (label < 0)), step + 1
+    cell, axis = np.nonzero(table >= 0)
+    count = int(np.gcd.reduce(label[cell] + 1 - label[table[cell, axis]])) or int(label.max()) + 1
+    classes = label % count
+    classes.setflags(write=False)
+    return classes, count
+
+
+@lru_cache(maxsize=None)
 def boundary_arrays(domain: Domain, p: int):
     """(row, col, coeff): the boundary of the degree-p cells as integer COO.
 

@@ -257,7 +257,7 @@ def connection_scalars(A: Cochain, F: Cochain) -> dict:
         "sd_residual": float(sd_residual(F)),
         "bianchi_defect": float(norm(covariant_d(A, F))),
     }
-    if not A.domain.is_sphere:
+    if A.domain.halo:
         out["ym_residual_norm_deep"] = float(norm(zero_pad(ym)))
     return out
 

@@ -61,7 +61,8 @@ def forgetful(d, chart, k):
 
 
 # the caches keyed by Domain, which hashes by sizes and topology alone
-PER_DOMAIN_CACHES = (cx._neighbours, cx.boundary_arrays, ga._pair_gather, ga.interior_gather, ga._scatter_index)
+PER_DOMAIN_CACHES = (cx._neighbours, cx.sum_classes, cx.boundary_arrays, ga._pair_gather, ga.interior_gather,
+                     ga._scatter_index)
 
 
 def test_seam_without_chart_toggle_fails_chain_duality(monkeypatch):

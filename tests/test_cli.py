@@ -32,6 +32,10 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+# the checks that verify builds on sum-profile gauges
+SUM_PROFILE_CHECKS = {"gauge_group_closure", "right_cup_dual_compatible", "ym_residual_gauge_invariance"}
+
+
 class TestConfig:
     def test_defaults_validate(self, tmp_path, capsys):
         cfg = cli.load_config("relax").config
@@ -393,17 +397,22 @@ class TestBoundary:
         assert run(["verify", "--config", path, "--output", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads(out.read_text())
-        skipped = report["scalars"]["skipped_checks"]
-        assert set(skipped) == {
-            "gauge_group_closure", "right_cup_dual_compatible", "ym_residual_gauge_invariance"
-        }
+        assert "skipped_checks" not in report["scalars"]
         names = {c["name"] for c in report["checks"]}
-        assert not names & set(skipped) and "bianchi_identity" in names
+        assert SUM_PROFILE_CHECKS <= names and "bianchi_identity" in names
         assert all(c["pass"] for c in report["checks"])
 
-    def test_sum_profile_gauge_on_non_cubic_sphere_is_config_error(self, tmp_path):
-        path = write_config(tmp_path, sizes=[2, 3, 4, 2], gauge="sum_profile")
-        assert run(["verify", "--config", path]) == 2
+    @pytest.mark.parametrize("sizes", [[2, 3, 4, 2], [4, 4, 4, 2]], ids=["2342", "4442"])
+    def test_sum_profile_gauge_on_non_cubic_sphere(self, tmp_path, sizes):
+        # the sum-profile period there is 1 and 2: every check runs and passes
+        path = write_config(tmp_path, sizes=sizes, gauge="sum_profile")
+        out = tmp_path / "report.json"
+        assert run(["verify", "--config", path, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert "skipped_checks" not in report["scalars"]
+        passed = {c["name"] for c in report["checks"] if c["pass"]}
+        assert SUM_PROFILE_CHECKS | {"configured_gauge_right_cup_dual"} <= passed
+        assert all(c["pass"] for c in report["checks"])
 
     def test_relax_report_counts_evaluations_and_is_byte_stable(self, tmp_path):
         out = tmp_path / "final.form.json"

@@ -112,7 +112,11 @@ class TestConstructors:
         with pytest.raises(co.ValidationError):
             co.validate_gauge(h)
 
-    @pytest.mark.parametrize("domain", [BLOCK, SPHERE], ids=["block", "sphere"])
+    @pytest.mark.parametrize(
+        "domain",
+        [BLOCK, SPHERE] + [Domain(s, "sphere") for s in [(4, 4, 4, 2), (3, 5, 7, 3), (2, 3, 4, 2)]],
+        ids=["block", "sphere", "sphere-4442", "sphere-3573", "sphere-2342"],
+    )
     def test_sum_profile_gauge_paired_shifts(self, domain):
         h = co.sum_profile_gauge(domain, amplitude=1.0, seed=9)
         co.validate_gauge(h)
@@ -125,16 +129,13 @@ class TestConstructors:
 
     @pytest.mark.parametrize(
         "domain",
-        [SPHERE, Domain((3, 3, 3, 3), "sphere"), Domain((2, 3, 4, 2), "block")],
-        ids=["sphere-2222", "sphere-3333", "block-2342"],
+        [SPHERE, Domain((3, 3, 3, 3), "sphere"), Domain((4, 4, 4, 4), "sphere"), BLOCK,
+         Domain((2, 3, 4, 2), "block")],
+        ids=["sphere-2222", "sphere-3333", "sphere-4444", "block-2222", "block-2342"],
     )
     def test_sum_profile_gauge_matches_the_cell_formula(self, domain):
         want = _sum_profile_by_cell(domain, amplitude=0.8, seed=3)
         assert np.array_equal(co.sum_profile_gauge(domain, amplitude=0.8, seed=3).values, want)
-
-    def test_sum_profile_gauge_rejects_uneven_sphere(self):
-        with pytest.raises(ValueError):
-            co.sum_profile_gauge(Domain((2, 3, 2, 2), "sphere"), amplitude=1.0, seed=0)
 
     def test_zero_pad_support(self):
         f = co.random_form(Domain((3, 3, 3, 3), "block"), 1, seed=10)

@@ -4,6 +4,7 @@ chain oracles (chain boundary, diagonal chains) in tests/oracles.py."""
 import collections
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -352,6 +353,38 @@ class TestNeighbours:
         assert cx._neighbours(BLOCK) is table
         with pytest.raises(ValueError):
             table[0, 0] = 0
+
+
+UNEVEN_SPHERES = [(4, 4, 4, 2), (2, 4, 6, 2), (3, 5, 7, 3), (6, 4, 4, 4), (2, 3, 4, 2), (2, 3, 2, 2)]
+
+
+class TestSumClasses:
+    @pytest.mark.parametrize("sizes", [(2,) * 4, (3,) * 4, (5,) * 4] + UNEVEN_SPHERES,
+                             ids=lambda s: "".join(map(str, s)))
+    def test_sphere_period_is_the_gcd_of_pair_sums(self, sizes):
+        # N_i steps up axis i reach the same k on the other chart, so N_i + N_j
+        # steps up i, then j, close a cycle (2 N_i for i = j); the period is the
+        # largest that divides every such cycle
+        _, count = cx.sum_classes(Domain(sizes, "sphere"))
+        assert count == math.gcd(*(a + b for a in sizes for b in sizes))
+
+    @pytest.mark.parametrize(
+        "domain",
+        [BLOCK, Domain((2, 3, 4, 2), "block")] + [Domain(s, "sphere") for s in [(2,) * 4] + UNEVEN_SPHERES],
+        ids=lambda d: f"{d.topology}-{''.join(map(str, d.sizes))}",
+    )
+    def test_each_step_adds_one(self, domain):
+        classes, count = cx.sum_classes(domain)
+        table = cx._neighbours(domain)
+        cell, axis = np.nonzero(table >= 0)
+        assert np.array_equal(classes[table[cell, axis]], (classes[cell] + 1) % count)
+        assert classes.shape == (domain.ncells,)
+
+    def test_read_only_and_cached(self):
+        classes, count = cx.sum_classes(SPHERE)
+        assert cx.sum_classes(SPHERE)[0] is classes
+        with pytest.raises(ValueError):
+            classes[0] = 0
 
 
 class TestBoundaryArrays:
