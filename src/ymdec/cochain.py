@@ -194,7 +194,8 @@ def random_connection(domain: Domain, amplitude: float, seed) -> Cochain:
     amplitude = abs(amplitude)
     rng = np.random.default_rng(seed)
     shape = (domain.ncharts, *domain.extents, 4, 3)
-    vecs = rng.uniform(-amplitude, amplitude, size=shape)
+    # uniform(-a, a) bit for bit at every normal a, but with a finite width up to a = max
+    vecs = 2 * rng.uniform(-amplitude / 2, amplitude / 2, size=shape)
     vecs = _fill_halo_clamped(domain, vecs)
     return Cochain(domain, 1, alg.embed_su2(vecs), BASE)
 
@@ -258,9 +259,9 @@ def validate_gauge(f: Cochain) -> Cochain:
 def _gc_paused():
     """Pause the cyclic GC for the codec; the caller's GC state is kept.
 
-    Reading builds ~10^5 lists and writing a list and a tuple of ~10^5
-    references, all freed as the call returns: a collection meanwhile would
-    only walk them.
+    Each run of rows builds ~10^4 lists when read and a list and a tuple
+    of ~10^4 references when written, all freed before the next run: a
+    collection meanwhile would only walk them.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -273,6 +274,10 @@ def _gc_paused():
 
 # one matrix of the data array: its four entries row-major as [re, im]
 _ROW = "[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"
+# the data rows follow _DATA_KEY in serialize's layout; the codec reads and writes
+# ~_CHUNK bytes of them at a time, so its transient objects are bounded
+_DATA_KEY = b', "data": ['
+_CHUNK = 1 << 18
 
 
 def serialize(f: Cochain) -> bytes:
@@ -280,10 +285,10 @@ def serialize(f: Cochain) -> bytes:
     cell-major copy of the values; each matrix is its four entries
     row-major as [re, im] pairs, which is complex128's memory layout.
 
-    The bytes are json.dumps' bytes of the document with "data" last, but
-    each distinct magnitude is formatted once, by json itself (NaN and
-    Infinity included), and signed where its sign bit is set; json writes
-    NaN unsigned.
+    The bytes are json.dumps' bytes of the document with "data" last.  The
+    rows are written a run at a time; in each run, each distinct magnitude
+    is formatted once, by json itself (NaN and Infinity included), and
+    signed where its sign bit is set; json writes NaN unsigned.
     """
     with _gc_paused():
         header = json.dumps({
@@ -294,13 +299,19 @@ def serialize(f: Cochain) -> bytes:
             "copy": COPY_NAMES[f.copy],
         })
         flat = np.ascontiguousarray(f.values).view(np.float64).ravel()
-        magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
-        text = json.dumps(magnitudes.tolist())[1:-1].split(", ")
-        tokens = np.array(text + ["-" + t for t in text], dtype=object)
-        signed = np.signbit(flat) & ~np.isnan(flat)
-        entries = tokens[inverse + len(text) * signed].tolist()
-        data = ", ".join([_ROW] * (len(flat) // 8)) % tuple(entries)
-    return f'{header[:-1]}, "data": [{data}]}}'.encode()
+        step = 8 * (_CHUNK // 150 + 1)  # a row of full-precision doubles is ~150 bytes
+        data = b", ".join(_format_rows(flat[s:s + step]) for s in range(0, flat.size, step))
+    return b"".join((header[:-1].encode(), _DATA_KEY, data, b"]}"))
+
+
+def _format_rows(flat) -> bytes:
+    """The data text of whole rows, given as their flat float64 entries."""
+    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    text = json.dumps(magnitudes.tolist())[1:-1].split(", ")
+    tokens = np.array(text + ["-" + t for t in text], dtype=object)
+    signed = np.signbit(flat) & ~np.isnan(flat)
+    entries = tokens[inverse + len(text) * signed].tolist()
+    return (", ".join([_ROW] * (flat.size // 8)) % tuple(entries)).encode()
 
 
 def is_json_int(v) -> bool:
@@ -330,11 +341,44 @@ def deserialize(payload: bytes) -> Cochain:
         return _decode(payload)
 
 
-def _decode(payload: bytes) -> Cochain:
+def _read_rows(payload):
+    """The document of a payload in serialize's layout (a header object,
+    _DATA_KEY, rows split by "]], [[", then "]]]}" and JSON whitespace), its
+    data read a run at a time as a float64 (rows, 4, 2) array; else None.
+    When the header parses as a non-empty object and each run as rows, JSON's
+    grammar makes the payload that object with "data" the rows."""
+    if not isinstance(payload, bytes) or _may_hold_bool(payload):
+        return None
+    i, stop = payload.find(_DATA_KEY), len(payload.rstrip(b" \t\n\r")) - 2
+    if i < 0 or not payload.endswith(b"]]]}", 0, stop + 2):
+        return None
+    start, runs = i + len(_DATA_KEY), []
     try:
-        doc = json.loads(payload)
-    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
-        raise MalformedFormError(f"not valid JSON: {e}") from e
+        doc = json.loads(payload[:i] + b"}")
+        # an empty header leaves "{, " (no JSON); a "data" key in it is a duplicate
+        if not isinstance(doc, dict) or not doc or "data" in doc:
+            return None
+        while start < stop:
+            cut = payload.find(b"]], [[", start + _CHUNK, stop)
+            cut = stop if cut < 0 else cut + 2
+            rows = np.asarray(json.loads(b"[" + payload[start:cut] + b"]"))
+            if rows.dtype != np.float64 or rows.shape[1:] != (4, 2):
+                return None
+            runs.append(rows)
+            start = cut + 2
+        doc["data"] = np.concatenate(runs)
+    except (ValueError, RecursionError):
+        return None
+    return doc
+
+
+def _decode(payload: bytes) -> Cochain:
+    doc = _read_rows(payload)
+    if doc is None:
+        try:
+            doc = json.loads(payload)
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
+            raise MalformedFormError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise MalformedFormError("top-level value must be an object")
     for key in ("version", "topology", "sizes", "degree", "copy", "data"):

@@ -565,11 +565,13 @@ class TestBoundaryRegressions:
 
     @pytest.mark.parametrize("command", ["action", "verify"])
     def test_numerical_abort_prints_one_stderr_line(self, tmp_path, command):
-        # numpy's overflow warnings stay off stderr; the abort names the non-finite value
-        proc = self._subprocess(command, tmp_path, 1e200)
-        assert proc.returncode == 3
-        [line] = proc.stderr.splitlines()
-        assert line.startswith("numerical abort:") and "not finite" in line
+        # numpy's overflow warnings stay off stderr; the abort names the non-finite value,
+        # also at 1e308, where the connection draw's interval width once overflowed
+        for amplitude in (1e200, 1e308):
+            proc = self._subprocess(command, tmp_path, amplitude)
+            assert proc.returncode == 3
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("numerical abort:") and "not finite" in line
 
     def test_verify_aborts_past_its_amplitude_range(self, tmp_path):
         # the Yang-Mills residual is cubic in A: its squared norm overflows from amplitude ~1e52

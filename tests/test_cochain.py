@@ -1,8 +1,12 @@
 """Tests for form storage, constructors, and the file format."""
 
+import codecs
+import contextlib
 import gc
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +141,15 @@ class TestConstructors:
         want = _sum_profile_by_cell(domain, amplitude=0.8, seed=3)
         assert np.array_equal(co.sum_profile_gauge(domain, amplitude=0.8, seed=3).values, want)
 
+    @pytest.mark.parametrize("amplitude", [0.1, 0.5, 1.0, 3.7, 1e-300, 1e300])
+    def test_connection_draw_is_the_box_draw(self, amplitude):
+        # the draw before the 2 * uniform(-a / 2, a / 2) form, whose interval
+        # width overflowed from a ~ 9e307
+        domain = Domain((4, 4, 4, 4), "sphere")
+        vecs = np.random.default_rng(7).uniform(-amplitude, amplitude, size=(domain.ncharts, *domain.extents, 4, 3))
+        want = co.Cochain(domain, 1, alg.embed_su2(vecs)).values
+        assert co.random_connection(domain, amplitude, seed=7).values.tobytes() == want.tobytes()
+
     def test_zero_pad_support(self):
         f = co.random_form(Domain((3, 3, 3, 3), "block"), 1, seed=10)
         g = co.zero_pad(f)
@@ -176,7 +189,71 @@ def _golden_form():
     return f
 
 
+def _with_row(doc, row):
+    doc["data"][3] = row
+    return json.dumps(doc).encode()
+
+
+# payloads off or at the edge of serialize's layout: the payload from the
+# golden form's bytes and document, the error it raises or None, and whether
+# the row path reads it
+_KEY = b', "data": ['
+_BAD = co.MalformedFormError
+_OFF_LAYOUT = {
+    "indent": (lambda good, doc: json.dumps(doc, indent=1).encode(), None, False),
+    "compact-rows": (lambda good, doc: good.replace(b"]], [[", b"]],[["), None, True),
+    "trailing-newline": (lambda good, doc: good + b"\n", None, True),
+    "trailing-whitespace": (lambda good, doc: good + b" \t\r\n ", None, True),
+    "data-first": (lambda good, doc: json.dumps({"data": doc.pop("data"), **doc}).encode(), None, False),
+    "data-not-last": (lambda good, doc: json.dumps({**doc, "note": 1}).encode(), None, False),
+    "data-duplicated": (lambda good, doc: good.replace(_KEY, _KEY + b"[[1.0, 2.0]]], " + _KEY[2:]), None, False),
+    "data-in-the-header": (lambda good, doc: b'{"data": 5, ' + good[1:], None, False),
+    "empty-header": (lambda good, doc: b"{" + good[good.index(_KEY) :], _BAD, False),
+    "key-escaped-in-a-string": (lambda good, doc: json.dumps({"note": _KEY.decode(), **doc}).encode(), None, True),
+    "key-across-a-string-end": (lambda good, doc: good.replace(b'"base"' + _KEY, b'"base' + _KEY), _BAD, False),
+    "utf-16": (lambda good, doc: good.decode().encode("utf-16"), None, False),
+    "utf-8-bom": (lambda good, doc: codecs.BOM_UTF8 + good, None, True),
+    "infinity": (lambda good, doc: _with_row(doc, [[np.inf, 0.0]] * 4), None, False),
+    "nan": (lambda good, doc: _with_row(doc, [[np.nan, 0.0]] * 4), None, True),
+    "integers": (lambda good, doc: json.dumps({**doc, "data": [[[1, 0]] * 4] * len(doc["data"])}).encode(),
+                 None, False),
+    "integers-in-one-row": (lambda good, doc: _with_row(doc, [[1, 0]] * 4), None, True),
+    "ragged-row": (lambda good, doc: _with_row(doc, [[1.0, 0.0]] * 3), _BAD, False),
+}
+
+
 class TestSerialization:
+    @pytest.fixture(autouse=True)
+    def _row_path_agrees_with_the_document_parse(self, monkeypatch):
+        """Every payload this class reads is read at the default _CHUNK and
+        at one row per run, each outcome the whole-document parse's: the
+        same values bit for bit, or the same error and message.  Every form
+        it writes is written the same both ways."""
+        deserialize, serialize = co.deserialize, co.serialize
+
+        def outcome(payload, patch):
+            with patch:
+                try:
+                    g = deserialize(payload)
+                except ValueError as e:
+                    return type(e), str(e)
+            return g.domain, g.degree, g.copy, g.values.tobytes()
+
+        def read(payload):
+            want = outcome(payload, mock.patch.object(co, "_read_rows", lambda payload: None))
+            assert outcome(payload, contextlib.nullcontext()) == want
+            assert outcome(payload, mock.patch.object(co, "_CHUNK", 1)) == want
+            return deserialize(payload)
+
+        def write(f):
+            payload = serialize(f)
+            with mock.patch.object(co, "_CHUNK", 1):
+                assert serialize(f) == payload
+            return payload
+
+        monkeypatch.setattr(co, "deserialize", read)
+        monkeypatch.setattr(co, "serialize", write)
+
     @pytest.mark.parametrize(
         "domain,degree,copy",
         [(SPHERE, 3, 0), (SPHERE, 0, 1), (BLOCK, 2, 0), (BLOCK, 4, 1)],
@@ -313,6 +390,29 @@ class TestSerialization:
         with pytest.raises(co.MalformedFormError, match="not valid JSON"):
             co.deserialize(payload.encode())
 
+    @pytest.mark.parametrize("chunk", [1, 1 << 12, co._CHUNK], ids=["row", "4K", "default"])
+    def test_the_row_path_reads_serialized_forms(self, chunk, monkeypatch):
+        f = co.random_form(Domain((3, 2, 4, 2), "sphere"), 2, seed=5)
+        payload = co.serialize(f)
+        monkeypatch.setattr(co, "_CHUNK", chunk)
+        doc = co._read_rows(payload)
+        assert doc is not None and doc["data"].tobytes() == np.ascontiguousarray(f.values).tobytes()
+
+    @pytest.mark.parametrize("variant", list(_OFF_LAYOUT))
+    def test_payloads_off_the_layout_read_as_the_whole_document(self, variant):
+        # the class fixture compares each read with the whole-document parse
+        make, error, rows = _OFF_LAYOUT[variant]
+        good = co.serialize(_golden_form())
+        payload = make(good, json.loads(good))
+        assert (co._read_rows(payload) is not None) is rows
+        if error is None:
+            want = np.asarray(json.loads(payload)["data"], dtype=np.float64)
+            got = co.deserialize(payload).values
+            assert np.ascontiguousarray(got).view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(error):
+                co.deserialize(payload)
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_the_parse_pauses_the_gc_and_keeps_the_callers_state(self, enabled, monkeypatch):
         want = _golden_form().values
@@ -323,9 +423,10 @@ class TestSerialization:
             "bool": good.replace(b"[[", b"[[true, ", 1),
             "deep": b"[" * 200_000 + b"]" * 200_000,
         }
+        # the payload being read and the GC state at each json.loads call
         parsing = []
         loads = json.loads
-        monkeypatch.setattr(co.json, "loads", lambda text: parsing.append(gc.isenabled()) or loads(text))
+        monkeypatch.setattr(co.json, "loads", lambda text: parsing.append((name, gc.isenabled())) or loads(text))
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
@@ -338,7 +439,8 @@ class TestSerialization:
                 assert gc.isenabled() is enabled, name
         finally:
             (gc.enable if was else gc.disable)()
-        assert parsing == [False] * len(payloads)
+        assert {name for name, _ in parsing} == set(payloads)
+        assert not any(on for _, on in parsing)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_the_write_pauses_the_gc_and_keeps_the_callers_state(self, enabled, monkeypatch):
@@ -429,3 +531,28 @@ class TestSerialization:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"connection": f"file:{form}"}))
         assert cli.main(["action", "--config", str(config)]) == 2
+
+
+def test_the_codec_holds_a_bounded_multiple_of_the_values(monkeypatch):
+    # a read holds the rows twice (its runs, then their concatenation) and a
+    # write the text twice (its runs, then their join) beside a copy of the
+    # values: ~2x and ~6x values.nbytes.  The whole-document parse and a
+    # one-run write hold every entry as a Python object at once: ~13x.
+    f = co.random_connection(Domain((8, 8, 8, 8), "block"), 0.5, seed=3)
+    payload = co.serialize(f)
+    bound = 8 * f.values.nbytes
+
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(co.serialize, f) < bound
+    assert peak(co.deserialize, payload) < bound
+    monkeypatch.setattr(co, "_CHUNK", 1 << 62)
+    assert peak(co.serialize, f) > bound
+    monkeypatch.setattr(co, "_read_rows", lambda payload: None)
+    assert peak(co.deserialize, payload) > bound
