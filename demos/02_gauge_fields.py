@@ -59,10 +59,10 @@ print("=" * 72)
 print("3. Gauges compatible with the dual map")
 print("=" * 72)
 
-good = co.sum_profile_gauge(sphere, amplitude=1.0, seed=3)
+good = co.dual_compatible_gauge(sphere, amplitude=1.0, seed=3)
 bad = co.random_gauge(sphere, seed=4)
 f2form = co.random_form(sphere, 2, seed=5)
-print("  paired-shift defects of a sum-profile gauge:", ga.dual_compat_defects(good))
+print("  paired-shift defects of a dual-compatible gauge:", ga.dual_compat_defects(good))
 print("  left cup-dual identity (any gauge):   ", ga.left_cup_dual_defect(bad, f2form))
 print("  right cup-dual, compatible gauge:     ", ga.right_cup_dual_defect(good, f2form))
 print("  right cup-dual, violating gauge:      ", ga.right_cup_dual_defect(bad, f2form))

@@ -32,13 +32,13 @@ from .cochain import (
     add,
     conj_transpose_form,
     deserialize,
+    dual_compatible_gauge,
     random_connection,
     random_form,
     random_gauge,
     scale,
     serialize,
     sub,
-    sum_profile_gauge,
     validate_connection,
     validate_gauge,
     zero_pad,

@@ -262,8 +262,8 @@ def run_verify_checks(domain: Domain, seed: int, amplitude: float, gauge_form: c
         )
     )
 
-    hs1 = co.sum_profile_gauge(domain, amplitude=1.0, seed=rng_base + 112)
-    hs2 = co.sum_profile_gauge(domain, amplitude=0.7, seed=rng_base + 113)
+    hs1 = co.dual_compatible_gauge(domain, amplitude=1.0, seed=rng_base + 112)
+    hs2 = co.dual_compatible_gauge(domain, amplitude=0.7, seed=rng_base + 113)
     hs12 = ca.cup(hs1, hs2)
     closure = max(
         max(ga.dual_compat_defects(hs12)),

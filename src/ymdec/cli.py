@@ -5,7 +5,7 @@ Every command reads "topology" ("sphere" | "block"), "sizes" ([N1, N2,
 N3, N4]), "seed", "amplitude" and "output" (null | "<path>"); COMMANDS
 names the fields each one reads beyond them:
 
-    verify     "gauge": "identity" | "random" | "sum_profile" | "file:<path>"
+    verify     "gauge": "identity" | "random" | "dual_compatible" | "file:<path>"
     action     "connection": "zero" | "random" | "file:<path>"
     relax      "connection", "solver": {"max_iters": ..., "grad_tol": ...}
     selfdual   "connection", "solver": {"max_iters", "grad_tol", "anti"}
@@ -68,7 +68,7 @@ DEFAULT_CONFIG = {
     "seed": 7,
     "amplitude": 0.1,
     "connection": "random",
-    "gauge": "sum_profile",
+    "gauge": "dual_compatible",
     "solver": {**dataclasses.asdict(so.SolverConfig()), "anti": False},
     "output": None,
 }
@@ -195,7 +195,7 @@ SOURCES = {
     "gauge": Source(0, co.validate_gauge, {
         "identity": _identity_gauge,
         "random": lambda domain, cfg: co.random_gauge(domain, cfg["seed"] + 1),
-        "sum_profile": lambda domain, cfg: co.sum_profile_gauge(domain, amplitude=1.0, seed=cfg["seed"] + 1),
+        "dual_compatible": lambda domain, cfg: co.dual_compatible_gauge(domain, amplitude=1.0, seed=cfg["seed"] + 1),
     }),
 }
 

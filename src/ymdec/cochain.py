@@ -29,7 +29,7 @@ from .complex4 import (
     MASKS_BY_DEGREE,
     TILDE,
     Domain,
-    sum_classes,
+    gauge_classes,
 )
 
 FILE_VERSION = 1
@@ -210,17 +210,10 @@ def random_gauge(domain: Domain, seed) -> Cochain:
     return Cochain(domain, 0, alg.exp_su2(vecs), BASE)
 
 
-def sum_profile_gauge(domain: Domain, amplitude, seed) -> Cochain:
-    """SU(2) gauge whose coefficient depends only on complex4.sum_classes,
-    the class of k1+k2+k3+k4 that the gluing allows.
-
-    Such gauges satisfy the three paired-double-shift conditions
-    h(tau_12 k) = h(tau_34 k), h(tau_13 k) = h(tau_24 k), h(tau_14 k) =
-    h(tau_23 k) at every cell.  The class is the sum itself on the block; on
-    the sphere, the sum plus N_1 on the second chart modulo the gcd of all
-    N_i + N_j: 2N at equal sizes N, 1 (a constant gauge) on (2, 3, 4, 2).
-    """
-    classes, count = sum_classes(domain)
+def dual_compatible_gauge(domain: Domain, amplitude, seed) -> Cochain:
+    """SU(2) gauge drawn as one row per class of complex4.gauge_classes, so it
+    meets the three paired-shift conditions of complex4.SHIFT_PAIRS."""
+    classes, count = gauge_classes(domain)
     rng = np.random.default_rng(seed)
     table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(count, 3)))
     return Cochain(domain, 0, table[classes].reshape(Cochain.shape(domain, 0)), BASE)

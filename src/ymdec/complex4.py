@@ -60,6 +60,11 @@ MASKS_BY_DEGREE = tuple(
     tuple(m for m in range(16) if degree(m) == p) for p in range(5)
 )
 
+# the axis pairs through axis 1 and their complements: a gauge commutes with
+# the dual under right cup multiplication iff h(tau_a tau_b k) = h(tau_c tau_d k)
+# for each ((a, b), (c, d)) at every interior cell k
+SHIFT_PAIRS = tuple((mask_axes(m), mask_axes(FULL_MASK ^ m)) for m in MASKS_BY_DEGREE[2] if m & 1)
+
 
 def cup_sign(pmask: int, qmask: int) -> int:
     """Sign (-1)^m, m = #{(i, j): i in P, j in Q, j < i}.
@@ -231,29 +236,31 @@ def _neighbours(domain: Domain):
 
 
 @lru_cache(maxsize=None)
-def sum_classes(domain: Domain):
-    """(classes, count): per stored cell, in storage order, the class of
-    k1+k2+k3+k4 modulo the period that the gluing allows, and that period.
+def gauge_classes(domain: Domain):
+    """(classes, count): per stored cell, in storage order, its class under
+    the equalities h(tau_a tau_b k) = h(tau_c tau_d k) of SHIFT_PAIRS at every
+    interior cell k, and the number of classes.  A 0-form meets the three
+    conditions iff it is constant on each class; a stored cell that no
+    equality reaches is a class of its own.
 
-    A numpy frontier walks forward from storage cell 0 through the neighbour
-    table, labelling each cell with its step count from that cell's sum,
-    4 (1 - halo).  count is the gcd of label + 1 minus the neighbour's label
-    over every stored step; on the block, where that is 0, it is one past
-    the largest label.  Cached per domain; read-only.
+    The classes are the connected components of those equalities, read off
+    the neighbour table (two steps from an interior cell stay stored), by
+    min-label propagation with pointer jumping, and numbered by their first
+    stored cell.  Cached per domain; read-only.
     """
     table = _neighbours(domain)
-    label = np.full(domain.ncells, -1, dtype=np.intp)
-    frontier, step = np.zeros(1, dtype=np.intp), 4 * (1 - domain.halo)
-    while frontier.size:
-        label[frontier] = step
-        ahead = np.zeros(domain.ncells + 1, dtype=bool)
-        ahead[table[frontier]] = True  # -1, no neighbour, marks the spare last slot
-        frontier, step = np.flatnonzero(ahead[:-1] & (label < 0)), step + 1
-    cell, axis = np.nonzero(table >= 0)
-    count = int(np.gcd.reduce(label[cell] + 1 - label[table[cell, axis]])) or int(label.max()) + 1
-    classes = label % count
+    inner = np.arange(domain.ncells).reshape(domain.ncharts, *domain.extents)[domain.interior].ravel()
+    # the two ends of each equality: tau_a tau_b k and tau_c tau_d k, pair by pair
+    u, v = (np.concatenate([table[table[inner, a - 1], b - 1] for a, b in side]) for side in zip(*SHIFT_PAIRS))
+    label = np.arange(domain.ncells)
+    while not np.array_equal(label[u], label[v]):
+        low = np.minimum(label[u], label[v])
+        np.minimum.at(label, u, low)
+        np.minimum.at(label, v, low)
+        label = label[label]  # each label is a cell of the same class, at or before it
+    roots, classes = np.unique(label, return_inverse=True)
     classes.setflags(write=False)
-    return classes, count
+    return classes, len(roots)
 
 
 @lru_cache(maxsize=None)

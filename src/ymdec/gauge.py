@@ -38,7 +38,7 @@ import numpy as np
 from . import algebra as alg
 from .calculus import coboundary, cup, dual, norm, norm_sq, shift_plus
 from .cochain import Cochain, add, scale, sub, validate_connection, zero_pad
-from .complex4 import FULL_MASK, MASKS_BY_DEGREE, Domain, mask_axes
+from .complex4 import MASKS_BY_DEGREE, SHIFT_PAIRS, Domain, mask_axes
 
 # ordered axis pairs matching the degree-2 direction sets (ascending masks)
 DIR_PAIRS = tuple(mask_axes(m) for m in MASKS_BY_DEGREE[2])
@@ -264,16 +264,12 @@ def connection_scalars(A: Cochain, F: Cochain) -> dict:
 
 # the degree-2 direction sets through axis 1, (12), (13), (14): one per
 # complementary pair, so one per componentwise self-duality equation
-_FIRST_AXIS = tuple(n for n, m in enumerate(MASKS_BY_DEGREE[2]) if m & 1)
-
-# axis-pair partners: the three paired double shifts whose agreement makes a
-# gauge commute with the dual under right cup multiplication
-SHIFT_PAIRS = tuple((mask_axes(m), mask_axes(FULL_MASK ^ m)) for m in MASKS_BY_DEGREE[2] if m & 1)
+_FIRST_AXIS = tuple(DIR_PAIRS.index(p) for p, _ in SHIFT_PAIRS)
 
 
 def dual_compat_defects(h: Cochain):
-    """Max coefficient mismatch of h(tau_a k) vs h(tau_b k) for the three
-    complementary axis pairs, over interior cells."""
+    """Max coefficient mismatch of h(tau_a tau_b k) vs h(tau_c tau_d k) for
+    the three pairs of SHIFT_PAIRS, over interior cells."""
     if h.degree != 0:
         raise ValueError("needs a degree-0 form")
     sl = h.domain.interior

@@ -16,7 +16,7 @@ import numpy as np
 
 from ymdec.algebra import LAMBDA
 from ymdec.calculus import star
-from ymdec.cochain import COPY_NAMES, FILE_VERSION, conj_transpose_form
+from ymdec.cochain import COPY_NAMES, FILE_VERSION, Cochain, conj_transpose_form
 from ymdec.complex4 import BASE, MASKS_BY_DEGREE, Cell, OutOfDomain, boundary_cell, degree, star_cell
 
 
@@ -56,6 +56,45 @@ def interior_cells(domain):
     ranges = [range(1, n + 1) for n in domain.sizes]
     charts = range(2 if domain.topology == "sphere" else 1)
     return [(chart, k) for chart in charts for k in itertools.product(*ranges)]
+
+
+def gauge_classes_by_union_find(domain):
+    """Per stored cell, in storage order, a representative of its class under
+    h(tau_a tau_b k) = h(tau_c tau_d k) for the complementary axis pairs
+    ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)) at every interior
+    cell k: a scalar union-find over Domain.resolve double shifts."""
+    cells = stored_cells(domain)
+    position = {ck: n for n, ck in enumerate(cells)}
+    parent = list(range(len(cells)))
+
+    def find(n):
+        while parent[n] != n:
+            parent[n] = n = parent[parent[n]]
+        return n
+
+    def step(chart, k, axis):
+        k = list(k)
+        k[axis - 1] += 1
+        return domain.resolve(chart, tuple(k))
+
+    for chart, k in interior_cells(domain):
+        for (a, b), (c, d) in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))):
+            left = position[step(*step(chart, k, a), b)]
+            right = position[step(*step(chart, k, c), d)]
+            parent[find(left)] = find(right)
+    return np.array([find(n) for n in range(len(cells))])
+
+
+def abelian_connection(domain, B, s):
+    """The abelian solution A = a lam_3 with a^1 = -B k_2, a^3 = -s B k_4 and
+    a^2 = a^4 = 0 at every stored k.  Its curvature is B lam_3 on (12) and
+    s B lam_3 on (34), zero elsewhere: self-dual for s = +1, anti-self-dual
+    for s = -1, with action B^2 prod N_i on the block."""
+    k = np.indices(domain.extents) + 1 - domain.halo
+    a = np.zeros((domain.ncharts, *domain.extents, 4))
+    a[..., 0] = -B * k[1]
+    a[..., 2] = -s * B * k[3]
+    return Cochain(domain, 1, a[..., None, None] * LAMBDA[2])
 
 
 def boundary_arrays_by_cell(domain, p):

@@ -194,7 +194,7 @@ def test_criterion_6_gauge_covariance_and_invariance():
         covariance = max(
             covariance, ca.norm(co.sub(fprime, want)) / (1 + ca.norm(f))
         )
-        hs = co.sum_profile_gauge(SPHERE, amplitude=1.0, seed=9200 + case)
+        hs = co.dual_compatible_gauge(SPHERE, amplitude=1.0, seed=9200 + case)
         n0 = ga.yang_mills_residual_norm(a)
         n1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, hs))
         invariance = max(invariance, abs(n0 - n1) / (1 + n0))

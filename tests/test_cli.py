@@ -32,8 +32,8 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
-# the checks that verify builds on sum-profile gauges
-SUM_PROFILE_CHECKS = {"gauge_group_closure", "right_cup_dual_compatible", "ym_residual_gauge_invariance"}
+# the checks that verify builds on dual-compatible gauges
+DUAL_COMPATIBLE_CHECKS = {"gauge_group_closure", "right_cup_dual_compatible", "ym_residual_gauge_invariance"}
 
 
 class TestConfig:
@@ -133,7 +133,7 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert "ym_gauge_invariance_boundary_defect" in report["scalars"]
 
-    @pytest.mark.parametrize("gauge", ["sum_profile", "random"])
+    @pytest.mark.parametrize("gauge", ["dual_compatible", "random"])
     def test_non_cubic_block_topology_passes(self, tmp_path, gauge):
         path = write_config(tmp_path, topology="block", sizes=[2, 3, 4, 2], gauge=gauge)
         out = tmp_path / "report.json"
@@ -229,7 +229,7 @@ class TestVerifyAtFour:
         assert "skipped_checks" not in report["scalars"]
         return report
 
-    def test_sphere_sum_profile_gauge(self, tmp_path):
+    def test_sphere_dual_compatible_gauge(self, tmp_path):
         self._report(tmp_path)
 
     def test_block_random_gauge(self, tmp_path):
@@ -399,19 +399,19 @@ class TestBoundary:
         report = json.loads(out.read_text())
         assert "skipped_checks" not in report["scalars"]
         names = {c["name"] for c in report["checks"]}
-        assert SUM_PROFILE_CHECKS <= names and "bianchi_identity" in names
+        assert DUAL_COMPATIBLE_CHECKS <= names and "bianchi_identity" in names
         assert all(c["pass"] for c in report["checks"])
 
     @pytest.mark.parametrize("sizes", [[2, 3, 4, 2], [4, 4, 4, 2]], ids=["2342", "4442"])
-    def test_sum_profile_gauge_on_non_cubic_sphere(self, tmp_path, sizes):
-        # the sum-profile period there is 1 and 2: every check runs and passes
-        path = write_config(tmp_path, sizes=sizes, gauge="sum_profile")
+    def test_dual_compatible_gauge_on_non_cubic_sphere(self, tmp_path, sizes):
+        # 4 and 8 gauge classes there: every check runs and passes
+        path = write_config(tmp_path, sizes=sizes, gauge="dual_compatible")
         out = tmp_path / "report.json"
         assert run(["verify", "--config", path, "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert "skipped_checks" not in report["scalars"]
         passed = {c["name"] for c in report["checks"] if c["pass"]}
-        assert SUM_PROFILE_CHECKS | {"configured_gauge_right_cup_dual"} <= passed
+        assert DUAL_COMPATIBLE_CHECKS | {"configured_gauge_right_cup_dual"} <= passed
         assert all(c["pass"] for c in report["checks"])
 
     def test_relax_report_counts_evaluations_and_is_byte_stable(self, tmp_path):
@@ -504,7 +504,7 @@ _CONFIG = st.fixed_dictionaries(
             _JUNK.filter(lambda v: not (isinstance(v, str) and v.startswith("file:"))),
         ),
         "gauge": st.one_of(
-            st.sampled_from(["identity", "random", "sum_profile"]),
+            st.sampled_from(["identity", "random", "dual_compatible"]),
             _JUNK.filter(lambda v: not (isinstance(v, str) and v.startswith("file:"))),
         ),
         "output": st.one_of(st.none(), st.just(_MISSING_DIR_OUTPUT), st.just(""), _NON_STRING_JUNK),
@@ -761,6 +761,11 @@ class TestCommandTable:
         # unknown-field check; these reach the source check itself
         assert run([command, "--config", write_config(tmp_path, **{field: 5})]) == 2
         assert f"{field} must be one of" in capsys.readouterr().err
+
+    def test_the_retired_gauge_name_is_a_config_error(self, tmp_path, capsys):
+        # dual_compatible replaced it with no alias
+        assert run(["verify", "--config", write_config(tmp_path, gauge="sum_profile")]) == 2
+        assert "gauge must be one of" in capsys.readouterr().err
 
     def test_selfdual_checks_the_anti_type(self, tmp_path, capsys):
         path = write_config(tmp_path, solver={"anti": "yes"})

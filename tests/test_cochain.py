@@ -121,8 +121,8 @@ class TestConstructors:
         [BLOCK, SPHERE] + [Domain(s, "sphere") for s in [(4, 4, 4, 2), (3, 5, 7, 3), (2, 3, 4, 2)]],
         ids=["block", "sphere", "sphere-4442", "sphere-3573", "sphere-2342"],
     )
-    def test_sum_profile_gauge_paired_shifts(self, domain):
-        h = co.sum_profile_gauge(domain, amplitude=1.0, seed=9)
+    def test_dual_compatible_gauge_paired_shifts(self, domain):
+        h = co.dual_compatible_gauge(domain, amplitude=1.0, seed=9)
         co.validate_gauge(h)
         pairs = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
         for chart, k in interior_cells(domain):
@@ -130,16 +130,6 @@ class TestConstructors:
                 a = h.get(chart, shift(shift(k, left[0]), left[1]), 0)
                 b = h.get(chart, shift(shift(k, right[0]), right[1]), 0)
                 np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize(
-        "domain",
-        [SPHERE, Domain((3, 3, 3, 3), "sphere"), Domain((4, 4, 4, 4), "sphere"), BLOCK,
-         Domain((2, 3, 4, 2), "block")],
-        ids=["sphere-2222", "sphere-3333", "sphere-4444", "block-2222", "block-2342"],
-    )
-    def test_sum_profile_gauge_matches_the_cell_formula(self, domain):
-        want = _sum_profile_by_cell(domain, amplitude=0.8, seed=3)
-        assert np.array_equal(co.sum_profile_gauge(domain, amplitude=0.8, seed=3).values, want)
 
     @pytest.mark.parametrize("amplitude", [0.1, 0.5, 1.0, 3.7, 1e-300, 1e300])
     def test_connection_draw_is_the_box_draw(self, amplitude):
@@ -156,23 +146,6 @@ class TestConstructors:
         assert np.abs(g.values[:, 3:]).max() == 0
         assert np.abs(g.values[:, 0]).max() == 0
         np.testing.assert_array_equal(g.values[:, 1:3, 1:3, 1:3, 1:3], f.values[:, 1:3, 1:3, 1:3, 1:3])
-
-
-def _sum_profile_by_cell(domain, amplitude, seed):
-    """The sum-profile coefficients set cell by cell from k1+k2+k3+k4, with
-    the table drawn as sum_profile_gauge draws it."""
-    rng = np.random.default_rng(seed)
-    vals = np.zeros(co.Cochain.shape(domain, 0), dtype=np.complex128)
-    if domain.is_sphere:
-        n = domain.sizes[0]
-        table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(2 * n, 3)))
-        for chart, k in interior_cells(domain):
-            vals[domain.storage_index(chart, k) + (0,)] = table[(sum(k) + chart * n) % (2 * n)]
-    else:
-        table = alg.exp_su2(rng.uniform(-amplitude, amplitude, size=(sum(n + 1 for n in domain.sizes) + 1, 3)))
-        for _, k in stored_cells(domain):
-            vals[domain.storage_index(0, k) + (0,)] = table[sum(k)]
-    return vals
 
 
 def _golden_form():

@@ -4,7 +4,6 @@ chain oracles (chain boundary, diagonal chains) in tests/oracles.py."""
 import collections
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -16,12 +15,15 @@ from oracles import (
     cup_basis,
     factors,
     gather_by_resolve,
+    gauge_classes_by_union_find,
     interior_cells,
     parity_sign,
     stored_cells,
 )
+from ymdec import algebra as alg
 from ymdec import cochain as co
 from ymdec import complex4 as cx
+from ymdec import gauge as ga
 from ymdec.complex4 import (
     CHART_V,
     CHART_VHAT,
@@ -355,34 +357,59 @@ class TestNeighbours:
             table[0, 0] = 0
 
 
-UNEVEN_SPHERES = [(4, 4, 4, 2), (2, 4, 6, 2), (3, 5, 7, 3), (6, 4, 4, 4), (2, 3, 4, 2), (2, 3, 2, 2)]
+# class counts of complex4.gauge_classes; on the block every stored cell that
+# no equality reaches is a class of its own
+GAUGE_CLASS_COUNTS = {
+    ("sphere", (2, 2, 2, 2)): 16, ("sphere", (3, 3, 3, 3)): 6, ("sphere", (4, 4, 4, 4)): 32,
+    ("sphere", (8, 8, 8, 8)): 64, ("sphere", (4, 4, 4, 2)): 8, ("sphere", (2, 4, 6, 2)): 8,
+    ("sphere", (3, 5, 7, 3)): 2, ("sphere", (6, 4, 4, 4)): 8, ("sphere", (2, 3, 4, 2)): 4,
+    ("sphere", (2, 3, 2, 2)): 4, ("block", (2, 2, 2, 2)): 211, ("block", (2, 3, 4, 2)): 354,
+    ("block", (4, 4, 4, 4)): 755, ("block", (8, 8, 8, 8)): 3619,
+}
 
 
-class TestSumClasses:
-    @pytest.mark.parametrize("sizes", [(2,) * 4, (3,) * 4, (5,) * 4] + UNEVEN_SPHERES,
-                             ids=lambda s: "".join(map(str, s)))
-    def test_sphere_period_is_the_gcd_of_pair_sums(self, sizes):
-        # N_i steps up axis i reach the same k on the other chart, so N_i + N_j
-        # steps up i, then j, close a cycle (2 N_i for i = j); the period is the
-        # largest that divides every such cycle
-        _, count = cx.sum_classes(Domain(sizes, "sphere"))
-        assert count == math.gcd(*(a + b for a in sizes for b in sizes))
+def same_partition(x, y):
+    """True iff two labellings of the same cells differ only by relabelling."""
+    pairs = set(zip(x.tolist(), y.tolist()))
+    return len(pairs) == len(set(x.tolist())) == len(set(y.tolist()))
 
-    @pytest.mark.parametrize(
-        "domain",
-        [BLOCK, Domain((2, 3, 4, 2), "block")] + [Domain(s, "sphere") for s in [(2,) * 4] + UNEVEN_SPHERES],
-        ids=lambda d: f"{d.topology}-{''.join(map(str, d.sizes))}",
-    )
-    def test_each_step_adds_one(self, domain):
-        classes, count = cx.sum_classes(domain)
-        table = cx._neighbours(domain)
-        cell, axis = np.nonzero(table >= 0)
-        assert np.array_equal(classes[table[cell, axis]], (classes[cell] + 1) % count)
+
+class TestGaugeClasses:
+    @pytest.mark.parametrize("topology, sizes", list(GAUGE_CLASS_COUNTS),
+                             ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_partition_matches_union_find(self, topology, sizes):
+        domain = Domain(sizes, topology)
+        classes, count = cx.gauge_classes(domain)
         assert classes.shape == (domain.ncells,)
+        assert count == GAUGE_CLASS_COUNTS[topology, sizes] == len(set(classes.tolist()))
+        assert same_partition(classes, gauge_classes_by_union_find(domain))
+        _, first = np.unique(classes, return_index=True)  # numbered by their first stored cell
+        assert np.all(np.diff(first) > 0)
+
+    def test_block_interior_meets_13_classes(self):
+        # block 2^4: 211 stored classes, of which 13 meet the interior
+        classes, _ = cx.gauge_classes(BLOCK)
+        assert np.unique(classes.reshape(BLOCK.ncharts, *BLOCK.extents)[BLOCK.interior]).size == 13
+
+    @pytest.mark.parametrize("domain", [Domain((4, 4, 4, 4), "sphere"), Domain((2, 3, 4, 2), "block")],
+                             ids=["sphere-4444", "block-2342"])
+    @pytest.mark.parametrize("dropped", range(3))
+    def test_a_dropped_pair_is_caught(self, monkeypatch, domain, dropped):
+        # built without one of the three conditions, the classes are finer than
+        # the union-find's, and a gauge drawn on them breaks that condition
+        pairs = cx.SHIFT_PAIRS
+        monkeypatch.setattr(cx, "SHIFT_PAIRS", pairs[:dropped] + pairs[dropped + 1:])
+        classes, count = cx.gauge_classes.__wrapped__(domain)  # bypass the cache
+        assert not same_partition(classes, gauge_classes_by_union_find(domain))
+        table = alg.exp_su2(np.random.default_rng(3).uniform(-1.0, 1.0, size=(count, 3)))
+        h = co.Cochain(domain, 0, table[classes].reshape(co.Cochain.shape(domain, 0)))
+        defects = ga.dual_compat_defects(h)
+        assert defects[dropped] > 0.01
+        assert max(d for n, d in enumerate(defects) if n != dropped) == 0
 
     def test_read_only_and_cached(self):
-        classes, count = cx.sum_classes(SPHERE)
-        assert cx.sum_classes(SPHERE)[0] is classes
+        classes, count = cx.gauge_classes(SPHERE)
+        assert cx.gauge_classes(SPHERE)[0] is classes
         with pytest.raises(ValueError):
             classes[0] = 0
 

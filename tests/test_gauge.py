@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import gather_by_resolve, interior_cells, scatter_by_component
+from oracles import abelian_connection, gather_by_resolve, interior_cells, scatter_by_component
 from ymdec import algebra as alg
 from ymdec import calculus as ca
 from ymdec import cochain as co
@@ -326,9 +326,9 @@ class TestGaugeTransform:
 
 
 class TestDualCompatibleGauges:
-    def test_sum_profile_is_compatible(self):
+    def test_dual_compatible_gauge_is_compatible(self):
         for domain in (BLOCK, SPHERE):
-            h = co.sum_profile_gauge(domain, amplitude=1.0, seed=18)
+            h = co.dual_compatible_gauge(domain, amplitude=1.0, seed=18)
             assert ga.is_dual_compatible(h)
 
     def test_random_gauge_is_not(self):
@@ -344,18 +344,56 @@ class TestDualCompatibleGauges:
 
     def test_right_cup_dual_iff(self):
         f = co.random_form(SPHERE, 2, seed=21)
-        good = co.sum_profile_gauge(SPHERE, amplitude=1.0, seed=22)
+        good = co.dual_compatible_gauge(SPHERE, amplitude=1.0, seed=22)
         bad = co.random_gauge(SPHERE, seed=23)
         assert ga.right_cup_dual_defect(good, f) <= 1e-12
         assert ga.right_cup_dual_defect(bad, f) > 1e-3
 
     def test_compatible_gauges_form_group(self):
-        h1 = co.sum_profile_gauge(SPHERE, amplitude=0.8, seed=24)
-        h2 = co.sum_profile_gauge(SPHERE, amplitude=1.2, seed=25)
+        h1 = co.dual_compatible_gauge(SPHERE, amplitude=0.8, seed=24)
+        h2 = co.dual_compatible_gauge(SPHERE, amplitude=1.2, seed=25)
         prod = ca.cup(h1, h2)
         assert ga.is_dual_compatible(prod)
         assert alg.su2_group_deviation(prod.values) <= 1e-12
         assert ga.is_dual_compatible(ga.gauge_inverse(h1))
+
+
+ABELIAN = pytest.mark.parametrize("sizes, action", [((2, 2, 2, 2), 1.44), ((2, 3, 4, 2), 4.32)],
+                                  ids=["block-2222", "block-2342"])
+SIGNS = pytest.mark.parametrize("s", [1, -1], ids=["sd", "anti"])
+
+
+class TestAbelianSolution:
+    # oracles.abelian_connection at B = 0.3: a non-flat solution with action
+    # B^2 prod N_i, self-dual for s = +1 and anti-self-dual for s = -1
+
+    @ABELIAN
+    @SIGNS
+    def test_pinned_scalars(self, sizes, action, s):
+        a = abelian_connection(Domain(sizes, "block"), 0.3, s)
+        f = ga.curvature(a)
+        scalars = ga.connection_scalars(a, f)
+        assert scalars["action"] == pytest.approx(action, rel=1e-14)
+        assert ga.sd_residual(f, anti=s < 0) <= 1e-15
+        assert ga.sd_residual(f, anti=s > 0) > 1
+        assert scalars["bianchi_defect"] == 0
+        assert scalars["ym_residual_norm_deep"] <= 1e-15
+
+    @ABELIAN
+    @SIGNS
+    def test_a_dual_compatible_gauge_keeps_it_a_solution(self, sizes, action, s):
+        domain = Domain(sizes, "block")
+        a = abelian_connection(domain, 0.3, s)
+        a2 = ga.gauge_transform(a, co.dual_compatible_gauge(domain, amplitude=1.0, seed=60))
+        f2 = ga.curvature(a2)
+        assert ca.norm_sq(f2) == pytest.approx(action, rel=1e-12)
+        assert ga.sd_residual(f2, anti=s < 0) <= 1e-13
+        # the rotated connection leaves su(2), so no form file can carry it
+        with pytest.raises(ValidationError):
+            co.validate_connection(a2)
+        f3 = ga.curvature(ga.gauge_transform(a, co.random_gauge(domain, seed=61)))
+        assert ca.norm_sq(f3) == pytest.approx(action, rel=1e-12)
+        assert ga.sd_residual(f3, anti=s < 0) > 0.1
 
 
 class TestYangMillsResidual:
@@ -369,7 +407,7 @@ class TestYangMillsResidual:
 
     def test_gauge_invariance_under_compatible_gauge(self):
         a = co.random_connection(SPHERE, 0.5, seed=27)
-        h = co.sum_profile_gauge(SPHERE, amplitude=1.0, seed=28)
+        h = co.dual_compatible_gauge(SPHERE, amplitude=1.0, seed=28)
         n0 = ga.yang_mills_residual_norm(a)
         n1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, h))
         assert abs(n0 - n1) <= 1e-9 * (1 + n0)
@@ -383,7 +421,7 @@ class TestYangMillsResidual:
         # zero-extension past the halo, so the invariance picks up a
         # boundary contribution; it is exact only on the closed sphere
         a = co.random_connection(BLOCK, 0.5, seed=27)
-        h = co.sum_profile_gauge(BLOCK, amplitude=1.0, seed=28)
+        h = co.dual_compatible_gauge(BLOCK, amplitude=1.0, seed=28)
         n0 = ga.yang_mills_residual_norm(a)
         n1 = ga.yang_mills_residual_norm(ga.gauge_transform(a, h))
         assert abs(n0 - n1) > 1e-6 * (1 + n0)
