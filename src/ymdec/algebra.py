@@ -81,15 +81,13 @@ def embed_su2(v):
 def project_su2(m):
     """Coefficients of the anti-Hermitian traceless part of m in the lam basis.
 
-    Inverse of embed_su2 on su(2); general matrices are first projected onto
-    (m - m^H)/2 minus its trace part.  tr(lam_a lam_b) = -delta_ab / 2, so the
-    coefficients are -2 tr(X lam_a), written plane-backed (see gauge): a view
-    of a C-contiguous (3, ...), one contiguous plane per component.
+    Inverse of embed_su2 on su(2).  tr(lam_a lam_b) = -delta_ab / 2, so the
+    coefficients are -2 Re tr(m lam_a): the real part drops the Hermitian
+    and trace parts of a general m, as tr lam_a = 0 and
+    tr(m^H lam_a) = -conj tr(m lam_a).  Written plane-backed (see gauge): a
+    view of a C-contiguous (3, ...), one contiguous plane per component.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    ah = (m - conj_transpose(m)) / 2.0
-    ah = ah - (trace(ah) / 2.0)[..., None, None] * IDENTITY2
-    planes = np.einsum("...ij,aji->a...", ah, LAMBDA, order="C")
+    planes = np.einsum("...ij,aji->a...", np.asarray(m, dtype=np.complex128), LAMBDA, order="C")
     return np.moveaxis(-2.0 * np.real(planes), 0, -1)
 
 

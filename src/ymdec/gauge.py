@@ -14,14 +14,16 @@ deviation instead of assuming membership.
 The curvature stencil has one implementation, on real quaternion planes
 (see algebra): F is the product of su(2) elements, so it lies in
 H = span_R{I, lam_a}.  This module owns the plane layout, one stacked
-array (3 components, 4 slots, rows, 6 axis pairs): _pair_gather builds
-its one index table from tau (shift_plus on cell ids) and states the slot
-order; interior_gather restricts it to the interior rows, the cells the
-solver kernel's objective keeps.  Coefficient vectors (charts, k..., 4, 3)
-are plane-backed, views of a C-contiguous (3, charts, k..., 4), as
+array (3 components, 4 slots, rows, 6 axis pairs), and states the slot
+order once, as the tables _SLOT_SHIFT and _SLOT_AXIS.  interior_gather
+reads them on cell ids shifted by shift_plus, into the one index table:
+the interior rows, the cells the solver kernel's objective keeps;
+curvature_components reads them on shifted coefficient vectors, over
+every stored cell.  Coefficient vectors (charts, k..., 4, 3) are
+plane-backed, views of a C-contiguous (3, charts, k..., 4), as
 algebra.project_su2 writes them; pair_operands gathers quaternion planes
-from them through either table, and interior_scatter, its adjoint on the
-interior rows, sums back into new plane-backed vectors.
+from them through the table, and interior_scatter, its adjoint, sums back
+into new plane-backed vectors.
 curvature_stencil forms x^i y^j(tau_i) - x^j y^i(tau_j) for pure x, y,
 and curvature_blocks is F's derivative along a direction as per-row 4x3
 blocks, one per operand slot, whose transpose is its adjoint.
@@ -54,48 +56,40 @@ def curvature(A: Cochain) -> Cochain:
     return add(coboundary(A), cup(A, A))
 
 
-@lru_cache(maxsize=None)
-def _pair_gather(domain: Domain) -> np.ndarray:
-    """The plane index table of the curvature stencil, read-only, shape
-    (4 slots, ncells + 1, 6 pairs).  For cell n and pair (i, j) its slots
-    hold, in this order, the operands
-      x^i, x^j, x^j(tau_i n), x^i(tau_j n)
-    as flat indices 4 m + a - 1 into vector planes (3, 4 (ncells + 1)), for
-    (m, a) = (n, i), (n, j), (tau_i n, j), (tau_j n, i).  tau shifts cell
-    ids by shift_plus, which applies Domain.step_copies, read off resolve.
-    Row ncells is a sentinel cell with zero planes: a step past the block
-    halo points there, and it points at itself."""
-    ncells = domain.ncells
-    ids = np.arange(1, ncells + 1).reshape(domain.ncharts, *domain.extents)
-    steps = np.stack([shift_plus(domain, ids, axis).ravel() for axis in (1, 2, 3, 4)], axis=1)
-    # shift_plus reads id 0 past the halo: id - 1 mod ncells + 1 is the sentinel
-    tau = (np.pad(steps, ((0, 1), (0, 0))) - 1) % (ncells + 1)
-    n = np.arange(ncells + 1)[:, None]
-    out = np.stack((4 * n + PAIR_I, 4 * n + PAIR_J, 4 * tau[:, PAIR_I] + PAIR_J, 4 * tau[:, PAIR_J] + PAIR_I))
-    out.setflags(write=False)
-    return out
+# The stencil's slots x^i, x^j, x^j(tau_i n), x^i(tau_j n), per pair (i, j):
+# the axis each operand is shifted up (0 for none) and the 0-based axis of
+# the coefficient it reads, both (4 slots, 6 pairs).
+_SLOT_SHIFT = np.stack((0 * PAIR_I, 0 * PAIR_J, PAIR_I + 1, PAIR_J + 1))
+_SLOT_AXIS = np.stack((PAIR_I, PAIR_J, PAIR_J, PAIR_I))
+
+
+def _steps(domain: Domain, vals: np.ndarray) -> np.ndarray:
+    """vals and its shift_plus along axes 1..4, stacked: entry s is vals at
+    tau_s, s = 0 unshifted, as _SLOT_SHIFT counts."""
+    return np.stack([vals] + [shift_plus(domain, vals, axis) for axis in (1, 2, 3, 4)])
 
 
 @lru_cache(maxsize=None)
 def interior_gather(domain: Domain) -> np.ndarray:
-    """_pair_gather restricted to the interior rows, the cells
-    1 <= k_i <= N_i in storage order (every stored cell on the sphere),
-    shape (4 slots, nrows, 6 pairs).  tau of an interior cell stays inside
-    the stored halo, so no row reads the sentinel, and every index is a
-    (cell, axis) row of coefficient vectors (charts, k..., 4, 3).  C-contiguous, so
-    np.take reads it at unit stride; _scatter_index ravels it once."""
-    rows = np.zeros((domain.ncharts, *domain.extents), dtype=bool)
-    rows[domain.interior] = True
-    out = np.ascontiguousarray(_pair_gather(domain)[:, np.flatnonzero(rows)])
+    """The plane index table of the curvature stencil on the interior rows,
+    the cells 1 <= k_i <= N_i in storage order (every stored cell on the
+    sphere), read-only, shape (4 slots, nrows, 6 pairs): flat indices
+    4 m + a into the (cell, axis) rows of coefficient vectors
+    (charts, k..., 4, 3), m the cell id shifted by _SLOT_SHIFT through
+    shift_plus (so by Domain.step_copies, read off resolve) and a the axis
+    _SLOT_AXIS.  tau of an interior cell is always stored.  C-contiguous,
+    so np.take reads it at unit stride; _scatter_index ravels it once."""
+    ids = np.arange(domain.ncells).reshape(domain.ncharts, *domain.extents)
+    tau = _steps(domain, ids)[(slice(None),) + domain.interior].reshape(5, -1)
+    out = np.ascontiguousarray(np.moveaxis(4 * tau[_SLOT_SHIFT] + _SLOT_AXIS[..., None], 1, 2))
     out.setflags(write=False)
     return out
 
 
 def pair_operands(table: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The stencil operands of coefficient vectors (..., 3) through a plane
-    index table (_pair_gather, whose sentinel needs four zero rows past the
-    cells, or interior_gather): stacked planes (3, 4 slots, rows, 6), one
-    np.take along their component planes vecs.reshape(-1, 3).T."""
+    """The stencil operands of coefficient vectors (..., 3) through the
+    plane index table interior_gather: stacked planes (3, 4 slots, rows, 6),
+    one np.take along their component planes vecs.reshape(-1, 3).T."""
     return vecs.reshape(-1, 3).T.take(table, axis=1)
 
 
@@ -192,10 +186,9 @@ def curvature_components(A: Cochain) -> Cochain:
     of being projected silently.
     """
     validate_connection(A)
-    vecs = alg.project_su2(A.values)
-    planes = np.zeros((3, vecs.size // 3 + 4))  # and the sentinel cell's zero planes
-    np.multiply(vecs.reshape(-1, 3).T, 0.5, out=planes[:, :-4])
-    F = curvature_planes(pair_operands(_pair_gather(A.domain), planes.T))[:, :-1]
+    # (4 slots, 6 pairs, charts, k..., 3): the advanced indices lead
+    x = _steps(A.domain, 0.5 * alg.project_su2(A.values))[_SLOT_SHIFT, ..., _SLOT_AXIS, :]
+    F = curvature_planes(np.ascontiguousarray(np.moveaxis(x, (-1, 1), (0, -1))).reshape(3, 4, -1, 6))
     values = alg.quaternion_matrices(F[0], F[1:])
     return Cochain(A.domain, 2, values.reshape(A.values.shape[:-3] + (6, 2, 2)), A.copy)
 

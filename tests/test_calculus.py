@@ -519,24 +519,26 @@ class TestGatherTable:
             rows = vals.reshape(ncells, -1)
             flat = np.concatenate([rows, np.zeros_like(rows[:1])])
             for axis in (1, 2, 3, 4):
-                # a read past the block halo gives zero, as the sentinel row does
+                # a read past the block halo gives zero: the oracle's index
+                # ncells reads the zero row appended to the cells
                 assert np.array_equal(ca.shift_plus(domain, vals, axis), flat[tau[axis - 1]][:-1].reshape(vals.shape))
+        # the interior rows, from the oracle's walks over the cells; tau of an
+        # interior cell is always stored
+        position = {cell: n for n, cell in enumerate(stored_cells(domain))}
+        rows = np.array([position[cell] for cell in interior_cells(domain)])
+        assert (tau[:, rows] < ncells).all()
         # operands 4 tau + axis per pair (i, j)
-        n = np.arange(ncells + 1)[:, None]
+        n = rows[:, None]
         i, j = ga.PAIR_I, ga.PAIR_J
-        want = (4 * n + i, 4 * n + j, 4 * tau[i].T + j, 4 * tau[j].T + i)
-        tables = ga._pair_gather(domain)
-        assert np.array_equal(tables, np.stack(want))
-        # the sentinel row maps to itself
-        assert (tau[:, -1] == ncells).all() and (sigma[:, -1] == ncells).all()
-        # sphere shifts are permutations, inverse to each other; none reads the sentinel
+        want = (4 * n + i, 4 * n + j, 4 * tau[i][:, rows].T + j, 4 * tau[j][:, rows].T + i)
+        assert np.array_equal(ga.interior_gather(domain), np.stack(want))
+        # sphere shifts are permutations of the stored cells, inverse to each other
         if domain.is_sphere:
             for axis in range(4):
-                assert np.array_equal(sigma[axis][tau[axis]], np.arange(ncells + 1))
-                assert (tau[axis][:-1] < ncells).all()
+                assert np.array_equal(sigma[axis][tau[axis][:-1]], np.arange(ncells))
 
     def test_cached_and_read_only(self):
-        tables = ga._pair_gather(SPHERE)
-        assert ga._pair_gather(Domain((2, 2, 2, 2), "sphere")) is tables
+        table = ga.interior_gather(SPHERE)
+        assert ga.interior_gather(Domain((2, 2, 2, 2), "sphere")) is table
         with pytest.raises(ValueError):
-            tables[0, 0, 0] = 0
+            table[0, 0, 0] = 0

@@ -1,14 +1,19 @@
 """Planted faults: each must make its verify check fail, so that a broken
 boundary, coboundary or codifferential never passes quietly."""
 
+import functools
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ymdec
 from ymdec import calculus as ca
 from ymdec import checks
 from ymdec import cochain as co
 from ymdec import complex4 as cx
-from ymdec import gauge as ga
 from ymdec.complex4 import MASKS_BY_DEGREE, Domain
 
 DOMAINS = pytest.mark.parametrize(
@@ -60,9 +65,19 @@ def forgetful(d, chart, k):
     return chart, tuple(n if ki == 0 else 1 if ki == n + 1 else ki for ki, n in zip(k, d.sizes))
 
 
-# the caches keyed by Domain, which hashes by sizes and topology alone
-PER_DOMAIN_CACHES = (cx._neighbours, cx.gauge_classes, cx.boundary_arrays, ga._pair_gather, ga.interior_gather,
-                     ga._scatter_index)
+# every lru_cache of the package: those keyed by Domain hash by sizes and
+# topology alone, so a cache added later cannot keep a stale table
+PER_DOMAIN_CACHES = tuple({
+    value: None
+    for info in pkgutil.iter_modules(ymdec.__path__) if info.name != "__main__"
+    for value in vars(importlib.import_module(f"ymdec.{info.name}")).values()
+    if isinstance(value, functools._lru_cache_wrapper)
+})
+
+
+def test_cache_list_holds_every_cache_of_the_package():
+    source = "".join(path.read_text() for path in Path(ymdec.__file__).parent.glob("*.py"))
+    assert len(PER_DOMAIN_CACHES) == source.count("@lru_cache(") > 0
 
 
 def test_seam_without_chart_toggle_fails_chain_duality(monkeypatch):

@@ -465,7 +465,7 @@ class TestBoundaryArrays:
             raise AssertionError("boundary_arrays reached the vectorized shifts")
 
         monkeypatch.setattr(ca, "shift_plus", forbidden)
-        monkeypatch.setattr(ga, "_pair_gather", forbidden)
+        monkeypatch.setattr(ga, "interior_gather", forbidden)
         resolves, calls = [], []
         real_resolve, real_boundary = Domain.resolve, cx.boundary_cell
         monkeypatch.setattr(Domain, "resolve", lambda d, chart, k: resolves.append(k) or real_resolve(d, chart, k))

@@ -101,19 +101,30 @@ class TestPlaneLayout:
         want = [np.stack(planes, axis=-1) for planes in zip(*(
             (a[:, :, i - 1], a[:, :, j - 1], a[:, tau[i - 1], j - 1], a[:, tau[j - 1], i - 1])
             for i, j in ga.DIR_PAIRS))]
-        # every stored cell and the sentinel, as planes (half the coefficients);
-        # the sentinel's zero rows follow the stored cells
-        padded = np.zeros((3, 4 * domain.ncells + 4))
-        padded[:, :-4] = vecs.reshape(-1, 3).T
-        got = ga.pair_operands(ga._pair_gather(domain), 0.5 * padded.T)
-        assert got.shape == (3, 4, domain.ncells + 1, 6) and got.flags.c_contiguous
-        assert np.array_equal(got, 0.5 * np.stack(want, axis=1))
-        # the interior rows, stacked by slot: no row reads the sentinel
+        # the interior rows, stacked by slot, of plane-backed vectors halved as
+        # the kernel reads them (the planes are half the coefficients)
         rows = _interior_rows(domain)
+        backed = np.moveaxis(np.ascontiguousarray(np.moveaxis(vecs, -1, 0)), 0, -1)
+        got = ga.pair_operands(ga.interior_gather(domain), 0.5 * backed)
+        assert got.shape == (3, 4, rows.size, 6) and got.flags.c_contiguous
+        assert np.array_equal(got, 0.5 * np.stack([ref[:, rows] for ref in want], axis=1))
+        # and of cell-major vectors
         got = ga.pair_operands(ga.interior_gather(domain), vecs)
         assert got.shape == (3, 4, rows.size, 6) and got.flags.c_contiguous
         assert np.array_equal(got, np.stack([ref[:, rows] for ref in want], axis=1))
         assert ga.interior_gather(domain).max() < 4 * domain.ncells
+
+    @pytest.mark.parametrize(
+        "domain", [SPHERE, BLOCK, SPHERE_2342, BLOCK_2342, Domain((4, 4, 4, 4), "block")],
+        ids=["sphere", "block", "sphere-2342", "block-2342", "block-4444"],
+    )
+    def test_kernel_table_is_the_shift_route(self, domain):
+        # the solver kernel's route, the gather through interior_gather, gives
+        # curvature_components' values, read off shift_plus, bit for bit
+        a = co.random_connection(domain, 0.8, seed=49)
+        F = ga.curvature_planes(ga.pair_operands(ga.interior_gather(domain), alg.project_su2(a.values) / 2))
+        want = ga.curvature_components(a).values[domain.interior]
+        assert np.array_equal(alg.quaternion_matrices(F[0], F[1:]).reshape(want.shape), want)
 
     @pytest.mark.parametrize("domain", [SPHERE, BLOCK_2342], ids=["sphere", "block-2342"])
     def test_scatter_is_the_adjoint_of_the_gather(self, domain):
