@@ -2,12 +2,17 @@
 
 Component conventions (direction sets written as ascending axis tuples):
 
-  coboundary   (df)^R_k   = sum_{i in R} (-1)^{#(R before i)} (f^{R\\i}_{tau_i k} - f^{R\\i}_k)
   cup          (f u g)^R_k = sum_{P disjoint-union Q = R, |P| = p}
                              cup_sign(P, Q) * f^P_k  g^Q_{k + 1_P}
-  star         (*f)^{P^c}_k = perm_sign(P) * f^P_k,   copy flag toggled
+  coboundary   (df)^R_k   = sum_{i in R} cup_sign({i}, R\\i) (f^{R\\i}_{tau_i k} - f^{R\\i}_k),
+               where cup_sign({i}, R\\i) = (-1)^{#(R before i)}
+  star         (*f)^{P^c}_k = cup_sign(P, P^c) * f^P_k,   copy flag toggled
   copy_swap    identical components, copy flag toggled
   codifferential on a p-form: -star(coboundary(star(f)))
+
+Each sign is the sign of splitting R into P and Q, so the module has one
+sign table, the cup product's plan _cup_plan(p, q): the coboundary reads
+its (1, p) case and star its (p, 4 - p) case (star_plan).
 
 Coefficients multiply as matrices in operand order.  Shifts apply
 Domain.step_copies, read off Domain.resolve; past the block halo they read
@@ -25,9 +30,7 @@ from .algebra import mat_mul
 from .cochain import Cochain, conj_transpose_form
 from .complex4 import (
     BASE,
-    FULL_MASK,
     MASKS_BY_DEGREE,
-    PERM_SIGN,
     Domain,
     boundary_arrays,
     cup_sign,
@@ -43,34 +46,6 @@ def shift_plus(domain: Domain, vals: np.ndarray, axis: int) -> np.ndarray:
     out = np.empty_like(vals)
     for dst, src in domain.step_copies[axis - 1]:
         out[dst] = 0 if src is None else vals[src]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _coboundary_plan(p: int):
-    """(out_index, axis, sign, in_index) quadruples for degree p -> p + 1."""
-    plan = []
-    for r_idx, rmask in enumerate(MASKS_BY_DEGREE[p + 1]):
-        axes = mask_axes(rmask)
-        for pos, i in enumerate(axes):
-            sub = rmask & ~(1 << (i - 1))
-            plan.append((r_idx, i, -1 if pos & 1 else 1, MASKS_BY_DEGREE[p].index(sub)))
-    return tuple(plan)
-
-
-def coboundary(f: Cochain) -> Cochain:
-    """Forward-difference exterior derivative; preserves the copy flag.
-
-    The top degree has no room to grow: a 4-form maps to the zero 4-form.
-    """
-    if f.degree == 4:
-        return Cochain.zeros(f.domain, 4, f.copy)
-    out = Cochain.zeros(f.domain, f.degree + 1, f.copy)
-    for r_idx, axis, sign, s_idx in _coboundary_plan(f.degree):
-        comp = f.values[..., s_idx, :, :]
-        out.values[..., r_idx, :, :] += sign * (
-            shift_plus(f.domain, comp, axis) - comp
-        )
     return out
 
 
@@ -95,6 +70,23 @@ def _cup_plan(p: int, q: int):
     return tuple(plan)
 
 
+def coboundary(f: Cochain) -> Cochain:
+    """Forward-difference exterior derivative; preserves the copy flag.
+
+    The top degree has no room to grow: a 4-form maps to the zero 4-form.
+    """
+    if f.degree == 4:
+        return Cochain.zeros(f.domain, 4, f.copy)
+    out = Cochain.zeros(f.domain, f.degree + 1, f.copy)
+    # the (1, p) cup table: the difference along axis i takes the place of f^{i}
+    for r_idx, (axis,), sign, _, s_idx in _cup_plan(1, f.degree):
+        comp = f.values[..., s_idx, :, :]
+        out.values[..., r_idx, :, :] += sign * (
+            shift_plus(f.domain, comp, axis) - comp
+        )
+    return out
+
+
 def cup(f: Cochain, g: Cochain) -> Cochain:
     """Degree-adding product; the right factor is read shifted across the
     left factor's direction axes, coefficients multiply as matrices."""
@@ -113,15 +105,12 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     return out
 
 
-@lru_cache(maxsize=None)
 def star_plan(p: int):
-    """(out_index, sign, in_index) for degree p -> 4 - p: the signed
-    permutation of star, and at p = 2 of the dual on the solver's pair planes."""
-    plan = []
-    for d_idx, pmask in enumerate(MASKS_BY_DEGREE[p]):
-        comp = FULL_MASK ^ pmask
-        plan.append((MASKS_BY_DEGREE[4 - p].index(comp), PERM_SIGN[pmask], d_idx))
-    return tuple(plan)
+    """(out_index, sign, in_index) for degree p -> 4 - p: the cup product's
+    (p, 4 - p) sign table, whose one term per P is cup_sign(P, P^c); the
+    signed permutation of star, and at p = 2 of the dual on the solver's
+    pair planes."""
+    return tuple((g_idx, sign, f_idx) for _, _, sign, f_idx, g_idx in _cup_plan(p, 4 - p))
 
 
 def star(f: Cochain) -> Cochain:
@@ -139,8 +128,9 @@ def copy_swap(f: Cochain) -> Cochain:
 
 
 def dual(f: Cochain) -> Cochain:
-    """copy_swap(star(f)): the degree-complementing map staying on one copy."""
-    return copy_swap(star(f))
+    """copy_swap(star(f)), wrapping star's fresh buffer on f's copy: the
+    degree-complementing map staying on one copy."""
+    return Cochain(f.domain, 4 - f.degree, star(f).values, f.copy)
 
 
 def codifferential(f: Cochain) -> Cochain:

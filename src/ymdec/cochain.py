@@ -83,6 +83,8 @@ class Cochain:
     def __init__(self, domain: Domain, degree: int, values, copy: int = BASE):
         if not 0 <= degree <= 4:
             raise ValueError("degree must be 0..4")
+        if copy not in (BASE, TILDE):
+            raise ValueError(f"copy must be BASE or TILDE, got {copy!r}")
         self.domain = domain
         self.degree = degree
         self.copy = copy
@@ -156,11 +158,8 @@ def conj_transpose_form(f: Cochain) -> Cochain:
 
 
 def _fill_halo_clamped(domain: Domain, values):
-    """Edge-pad the halo from the interior; the input itself with no halo."""
-    h = domain.halo
-    if not h:
-        return values
-    pad = [(0, 0)] + [(h, h)] * 4 + [(0, 0)] * (values.ndim - 5)
+    """Edge-pad the halo from the interior (a fresh equal copy with no halo)."""
+    pad = [(0, 0)] + [(domain.halo,) * 2] * 4 + [(0, 0)] * (values.ndim - 5)
     return np.pad(values[domain.interior], pad, mode="edge")
 
 

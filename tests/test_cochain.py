@@ -38,6 +38,15 @@ class TestAccess:
         f.set(CHART_VHAT, (2, 1, 1, 1), axes_mask([1]), m)
         np.testing.assert_array_equal(f.get(CHART_V, (0, 1, 1, 1), axes_mask([1])), m)
 
+    @pytest.mark.parametrize("copy", [2, -1, 3])
+    def test_copy_flag_outside_base_and_tilde_raises(self, copy):
+        # as a degree outside 0..4 does; such a form once named no copy
+        # in repr or serialize and went to copy ^ 1 under star
+        with pytest.raises(ValueError, match="copy must be BASE or TILDE"):
+            co.Cochain(SPHERE, 0, np.zeros(co.Cochain.shape(SPHERE, 0)), copy)
+        with pytest.raises(ValueError, match="copy must be BASE or TILDE"):
+            co.Cochain.zeros(SPHERE, 2, copy)
+
     def test_block_halo_is_stored_data(self):
         f = co.Cochain.zeros(BLOCK, 0)
         m = np.eye(2, dtype=complex) * 7
@@ -139,6 +148,15 @@ class TestConstructors:
         vecs = np.random.default_rng(7).uniform(-amplitude, amplitude, size=(domain.ncharts, *domain.extents, 4, 3))
         want = co.Cochain(domain, 1, alg.embed_su2(vecs)).values
         assert co.random_connection(domain, amplitude, seed=7).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_sphere_form_draw_is_the_box_draw(self, degree):
+        # no halo: the edge pad is empty and keeps the draws bit for bit
+        domain = Domain((2, 3, 4, 2), "sphere")
+        rng = np.random.default_rng(8)
+        shape = co.Cochain.shape(domain, degree)
+        want = rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)
+        assert co.random_form(domain, degree, seed=8).values.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_zero_pad_support(self):
         f = co.random_form(Domain((3, 3, 3, 3), "block"), 1, seed=10)

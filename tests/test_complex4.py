@@ -240,8 +240,9 @@ class TestResolve:
         values = co.random_form(d, 2, seed=3).values
         if sphere:
             assert values.tobytes() == draws.tobytes()
-            # no halo, no padding pass: the draws are handed on as they are
-            assert co._fill_halo_clamped(d, draws) is draws
+            # no halo: the pad widths are zero, and the edge pad is a fresh equal copy
+            padded = co._fill_halo_clamped(d, draws)
+            assert padded is not draws and padded.tobytes() == draws.tobytes()
         else:
             assert np.array_equal(values[d.interior], draws[d.interior])
             assert not np.array_equal(values, draws)

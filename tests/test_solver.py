@@ -576,6 +576,54 @@ class TestJacobianProducts:
         assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
+def _dense_jacobian(kern, vecs, columns):
+    """J of the residual map at vecs on the given flat unknowns, one jvp per
+    column; rows are the residual's (4, nrows, 6) entries."""
+    at = kern.evaluate(vecs)
+    basis = np.zeros((len(columns), vecs.size))
+    basis[np.arange(len(columns)), columns] = 1.0
+    return np.stack([kern.jvp(at, e.reshape(vecs.shape)).ravel() for e in basis], axis=1)
+
+
+class TestBlockProblem:
+    """Which problem a block solve solves: every stored edge is an unknown,
+    the halo included, and the self-dual residual on the interior rows
+    constrains fewer of them than it reads (block 2^4)."""
+
+    def test_the_residual_reads_the_gathered_edges_with_full_row_rank(self):
+        kern = so._Kernel(BLOCK, "sd_residual")
+        vecs = so.connection_vectors(co.random_connection(BLOCK, 0.5, seed=7))
+        J = _dense_jacobian(kern, vecs, np.arange(vecs.size))
+        read = np.flatnonzero(np.abs(J).max(axis=0))
+        # the unknowns are the (cell, axis) rows of the vectors times 3 components
+        rows = np.unique(ga.interior_gather(BLOCK))
+        assert (vecs.size, rows.size) == (3072, 160)
+        assert np.array_equal(read, (3 * rows[:, None] + np.arange(3)).ravel())
+        # 192 independent equations: (I - dual) pairs the six planes into three
+        assert np.linalg.matrix_rank(J[:, read]) == 192 == 3 * 4 * 16
+
+    def test_at_zero_the_gauge_directions_and_the_scalar_part_drop_out(self):
+        kern = so._Kernel(BLOCK, "sd_residual")
+        shape = (BLOCK.ncharts, *BLOCK.extents, 4, 3)
+        cells = np.arange(BLOCK.ncells).reshape(BLOCK.ncharts, *BLOCK.extents)[BLOCK.interior].ravel()
+        edges = (12 * cells[:, None] + np.arange(12)).ravel()
+        J = _dense_jacobian(kern, np.zeros(shape), edges)
+        assert J.shape == (384, 192)
+        # rank 9 N^4 of the 12 N^4 interior edges
+        assert np.linalg.matrix_rank(J) == 144 == 9 * 2**4
+        # the scalar part of F - dual F is out of the range
+        assert not J.reshape(4, -1, 192)[0].any()
+        # J d phi = 0 exactly for each phi on one interior cell and component
+        at = kern.evaluate(np.zeros(shape))
+        for cell in cells:
+            for c in range(3):
+                vec = np.zeros((BLOCK.ncells, 3))
+                vec[cell, c] = 1.0
+                phi = co.Cochain(BLOCK, 0, alg.embed_su2(vec.reshape(shape[:-2] + (1, 3))))
+                dphi = alg.project_su2(ca.coboundary(phi).values)
+                assert dphi.any() and not kern.jvp(at, dphi).any()
+
+
 def _is_plane_backed(vecs):
     """True when vecs (..., 3) is a view of a C-contiguous buffer (3, ...)."""
     planes = vecs.reshape(-1, 3).T
