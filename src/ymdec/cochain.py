@@ -22,6 +22,7 @@ import numbers
 import sys
 
 import numpy as np
+import orjson
 
 from . import algebra as alg
 from .complex4 import (
@@ -270,6 +271,9 @@ _ROW = "[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"
 # ~_CHUNK bytes of them at a time, so its transient objects are bounded
 _DATA_KEY = b', "data": ['
 _CHUNK = 1 << 18
+# a run of rows less the bytes of its numbers and separators is one _SKELETON per row
+_NUMBER_BYTES = b"0123456789.eE+-, \t\n\r"
+_SKELETON = b"[[][][][]]"
 
 
 def serialize(f: Cochain) -> bytes:
@@ -338,8 +342,14 @@ def _read_rows(payload):
     _DATA_KEY, rows split by "]], [[", then "]]]}" and JSON whitespace), its
     data read a run at a time as a float64 (rows, 4, 2) array; else None.
     When the header parses as a non-empty object and each run as rows, JSON's
-    grammar makes the payload that object with "data" the rows."""
-    if not isinstance(payload, bytes) or _may_hold_bool(payload):
+    grammar makes the payload that object with "data" the rows.
+
+    orjson parses a run only when it is row skeletons once its number and
+    separator bytes are gone: no literal, string or object, and nothing
+    nested deeper than a row, on which orjson 3.8 overflows the C stack.  It
+    reads each number of such a run to json's float, and rejects one past
+    the float range, which leaves the payload to the whole-document parse."""
+    if not isinstance(payload, bytes):
         return None
     i, stop = payload.find(_DATA_KEY), len(payload.rstrip(b" \t\n\r")) - 2
     if i < 0 or not payload.endswith(b"]]]}", 0, stop + 2):
@@ -353,7 +363,11 @@ def _read_rows(payload):
         while start < stop:
             cut = payload.find(b"]], [[", start + _CHUNK, stop)
             cut = stop if cut < 0 else cut + 2
-            rows = np.asarray(json.loads(b"[" + payload[start:cut] + b"]"))
+            run = payload[start:cut]
+            skeleton = run.translate(None, _NUMBER_BYTES)
+            if skeleton != _SKELETON * (len(skeleton) // len(_SKELETON)):
+                return None
+            rows = np.asarray(orjson.loads(b"[" + run + b"]"))
             if rows.dtype != np.float64 or rows.shape[1:] != (4, 2):
                 return None
             runs.append(rows)
@@ -390,9 +404,10 @@ def _decode(payload: bytes) -> Cochain:
     shape = Cochain.shape(domain, degree)
     try:
         pairs = np.asarray(doc["data"])
-        # numpy folds a bool among numbers into a numeric array, so the
-        # entries are read one by one when the text may hold one
-        if pairs.dtype.kind in "iuf" and _may_hold_bool(payload):
+        # numpy folds a bool among numbers into a numeric array, so the entries
+        # of the whole-document parse are read one by one when the text may
+        # hold one; the row path's guard admits no literal
+        if isinstance(doc["data"], list) and pairs.dtype.kind in "iuf" and _may_hold_bool(payload):
             pairs = np.asarray(doc["data"], dtype=object)
         # JSON numbers only: a float64 conversion reads "0" as 0.0, null as
         # NaN and true as 1.0

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import abelian_connection
 from ymdec import cli
 from ymdec import cochain as co
 from ymdec import gauge as ga
@@ -281,6 +282,24 @@ class TestSolverCommands:
         report = json.loads((tmp_path / "asd.form.json.report.json").read_text())
         objective = report["trace"][-1][0]
         assert report["scalars"]["asd_residual"] ** 2 == pytest.approx(objective, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1, -1], ids=["self-dual", "anti-self-dual"])
+    def test_the_abelian_solution_from_a_form_file_takes_no_step(self, tmp_path, s):
+        # the exact solution of tests/oracles.py on block 2^4 at B = 0.3, read
+        # through the form reader: a stop before the first step, at action
+        # B^2 N^4 = 1.44 and the minimized residual at rounding level
+        form = tmp_path / "abelian.form.json"
+        form.write_bytes(co.serialize(abelian_connection(Domain((2, 2, 2, 2), "block"), 0.3, s)))
+        out = tmp_path / "sd.form.json"
+        path = write_config(tmp_path, topology="block", connection=f"file:{form}",
+                            solver={"anti": s < 0}, output=str(out))
+        assert run(["selfdual", "--config", path]) == 0
+        scalars = json.loads((tmp_path / "sd.form.json.report.json").read_text())["scalars"]
+        assert scalars["iterations"] == 0 and scalars["converged"] is True
+        assert scalars["action"] == pytest.approx(1.44, rel=1e-12)
+        assert scalars["asd_residual" if s < 0 else "sd_residual"] <= 1e-15
+        # the same values: the round trip through su(2) vectors turns some -0.0 into 0.0
+        assert np.array_equal(co.deserialize(out.read_bytes()).values, co.deserialize(form.read_bytes()).values)
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # block 3^4 relax at amplitude 0.5 is the run that moves with rounding:

@@ -4,6 +4,9 @@ import codecs
 import contextlib
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -185,10 +188,17 @@ def _with_row(doc, row):
     return json.dumps(doc).encode()
 
 
+def _with_entry(good, text):
+    """The golden form's payload with its first data entry written as text."""
+    return good.replace(b'"data": [[[0.0', b'"data": [[[' + text.encode(), 1)
+
+
 # payloads off or at the edge of serialize's layout: the payload from the
 # golden form's bytes and document, the error it raises or None, and whether
 # the row path reads it
 _KEY = b', "data": ['
+# 1 + 2**-53, exactly halfway between 1.0 and the next double
+_HALFWAY = "1.00000000000000011102230246251565404236316680908203125"
 _BAD = co.MalformedFormError
 _OFF_LAYOUT = {
     "indent": (lambda good, doc: json.dumps(doc, indent=1).encode(), None, False),
@@ -199,18 +209,55 @@ _OFF_LAYOUT = {
     "data-not-last": (lambda good, doc: json.dumps({**doc, "note": 1}).encode(), None, False),
     "data-duplicated": (lambda good, doc: good.replace(_KEY, _KEY + b"[[1.0, 2.0]]], " + _KEY[2:]), None, False),
     "data-in-the-header": (lambda good, doc: b'{"data": 5, ' + good[1:], None, False),
+    "u-and-f-in-the-header": (lambda good, doc: b'{"note": "full", ' + good[1:], None, True),
     "empty-header": (lambda good, doc: b"{" + good[good.index(_KEY) :], _BAD, False),
     "key-escaped-in-a-string": (lambda good, doc: json.dumps({"note": _KEY.decode(), **doc}).encode(), None, True),
     "key-across-a-string-end": (lambda good, doc: good.replace(b'"base"' + _KEY, b'"base' + _KEY), _BAD, False),
     "utf-16": (lambda good, doc: good.decode().encode("utf-16"), None, False),
     "utf-8-bom": (lambda good, doc: codecs.BOM_UTF8 + good, None, True),
     "infinity": (lambda good, doc: _with_row(doc, [[np.inf, 0.0]] * 4), None, False),
-    "nan": (lambda good, doc: _with_row(doc, [[np.nan, 0.0]] * 4), None, True),
+    "nan": (lambda good, doc: _with_row(doc, [[np.nan, 0.0]] * 4), None, False),
     "integers": (lambda good, doc: json.dumps({**doc, "data": [[[1, 0]] * 4] * len(doc["data"])}).encode(),
                  None, False),
     "integers-in-one-row": (lambda good, doc: _with_row(doc, [[1, 0]] * 4), None, True),
     "ragged-row": (lambda good, doc: _with_row(doc, [[1.0, 0.0]] * 3), _BAD, False),
+    # entries the writer never emits: orjson rejects a number past the float
+    # range, and its run goes to the whole-document parse
+    "entry-upper-exponent": (lambda good, doc: _with_entry(good, "1E5"), None, True),
+    "entry-signed-exponent": (lambda good, doc: _with_entry(good, "1e+5"), None, True),
+    "entry-negative-zero-integer": (lambda good, doc: _with_entry(good, "-0"), None, True),
+    "entry-20-digits": (lambda good, doc: _with_entry(good, "0.30000000000000004441"), None, True),
+    "entry-40-digits": (lambda good, doc: _with_entry(good, "3.141592653589793238462643383279502884197"), None, True),
+    "entry-halfway-to-even": (lambda good, doc: _with_entry(good, _HALFWAY), None, True),
+    "entry-above-halfway": (lambda good, doc: _with_entry(good, _HALFWAY[:-1] + "6"), None, True),
+    "entry-halfway-past-2**53": (lambda good, doc: _with_entry(good, "9007199254740993.0"), None, True),
+    "entry-min-normal-edge": (lambda good, doc: _with_entry(good, "2.2250738585072011e-308"), None, True),
+    "entry-above-half-min-subnormal": (lambda good, doc: _with_entry(good, "2.4703282292062328e-324"), None, True),
+    "entry-rounds-to-infinity": (lambda good, doc: _with_entry(good, "1.7976931348623159e308"), None, False),
+    "entry-2**63": (lambda good, doc: _with_entry(good, str(2**63)), None, True),
+    "entry-2**64-1": (lambda good, doc: _with_entry(good, str(2**64 - 1)), None, True),
+    "entry-2**64": (lambda good, doc: _with_entry(good, str(2**64)), None, True),
+    "entry-2**70": (lambda good, doc: _with_entry(good, str(2**70)), None, True),
+    "entry-10**400": (lambda good, doc: _with_entry(good, str(10**400)), _BAD, False),
 }
+
+# reads a payload from stdin as TestSerialization's fixture does (the
+# whole-document parse, then the default run length and one row per run)
+# and prints each outcome
+_READ_IN_A_CHILD = """
+import json, sys
+from unittest import mock
+from ymdec import cochain as co
+payload, outcomes = sys.stdin.buffer.read(), []
+for name, value in (("_read_rows", lambda payload: None), ("_CHUNK", co._CHUNK), ("_CHUNK", 1)):
+    with mock.patch.object(co, name, value):
+        try:
+            co.deserialize(payload)
+            outcomes.append(None)
+        except ValueError as e:
+            outcomes.append([type(e).__name__, str(e)])
+print(json.dumps(outcomes))
+"""
 
 
 class TestSerialization:
@@ -373,13 +420,36 @@ class TestSerialization:
         doc["data"] = [[[1, 0]] * 4 for _ in doc["data"]]
         assert (co.deserialize(json.dumps(doc).encode()).values == 1).all()
 
-    @pytest.mark.parametrize("where", ["document", "data"])
+    @pytest.mark.parametrize("where", ["document", "data", "data-objects"])
     def test_deeply_nested_json_is_malformed(self, where):
+        # read in a child process: orjson 3.8 overflows the C stack on such
+        # nesting, which would end this process instead of failing the test
         deep = "[" * 200_000 + "]" * 200_000
+        if where == "data-objects":
+            deep = '{"a": ' * 200_000 + "0" + "}" * 200_000
         payload = deep if where == "document" else co.serialize(_golden_form()).decode().replace(
             '"data": [', f'"data": [{deep}, ', 1)
-        with pytest.raises(co.MalformedFormError, match="not valid JSON"):
-            co.deserialize(payload.encode())
+        env = dict(os.environ, PYTHONPATH=str(Path(co.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _READ_IN_A_CHILD], input=payload.encode(),
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr.decode())
+        outcomes = json.loads(proc.stdout)
+        assert outcomes[0][0] == "MalformedFormError" and outcomes[0][1].startswith("not valid JSON")
+        assert outcomes == [outcomes[0]] * 3
+
+    def test_random_bit_patterns_take_the_row_path_bit_for_bit(self):
+        # > 10^5 doubles drawn as uniform 64-bit patterns, the non-finite ones
+        # made finite by clearing the exponent's top bit
+        domain = Domain((5, 5, 5, 5), "block")
+        shape = co.Cochain.shape(domain, 2)
+        bits = np.random.default_rng(29).integers(0, 1 << 64, size=np.prod(shape) * 2, dtype=np.uint64)
+        bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)
+        assert bits.size >= 10**5
+        f = co.Cochain(domain, 2, bits.view(np.complex128).reshape(shape))
+        payload = co.serialize(f)
+        doc = co._read_rows(payload)
+        assert doc is not None and doc["data"].tobytes() == bits.tobytes()
+        assert np.ascontiguousarray(co.deserialize(payload).values).tobytes() == bits.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 1 << 12, co._CHUNK], ids=["row", "4K", "default"])
     def test_the_row_path_reads_serialized_forms(self, chunk, monkeypatch):
@@ -414,10 +484,12 @@ class TestSerialization:
             "bool": good.replace(b"[[", b"[[true, ", 1),
             "deep": b"[" * 200_000 + b"]" * 200_000,
         }
-        # the payload being read and the GC state at each json.loads call
+        # the parser, the payload being read and the GC state at each json.loads
+        # and orjson.loads call
         parsing = []
-        loads = json.loads
-        monkeypatch.setattr(co.json, "loads", lambda text: parsing.append((name, gc.isenabled())) or loads(text))
+        for parser in (co.json, co.orjson):
+            monkeypatch.setattr(parser, "loads", lambda text, parser=parser, loads=parser.loads: parsing.append(
+                (parser.__name__, name, gc.isenabled())) or loads(text))
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
@@ -430,8 +502,10 @@ class TestSerialization:
                 assert gc.isenabled() is enabled, name
         finally:
             (gc.enable if was else gc.disable)()
-        assert {name for name, _ in parsing} == set(payloads)
-        assert not any(on for _, on in parsing)
+        assert {name for _, name, _ in parsing} == set(payloads)
+        assert not any(on for _, _, on in parsing)
+        # orjson reads the runs of rows alone: a run holding true is json's
+        assert {name for parser, name, _ in parsing if parser == "orjson"} == {"good"}
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_the_write_pauses_the_gc_and_keeps_the_callers_state(self, enabled, monkeypatch):
