@@ -15,7 +15,6 @@ the field exactly.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import json
 import numbers
@@ -248,32 +247,16 @@ def validate_gauge(f: Cochain) -> Cochain:
     return f
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic GC for the codec; the caller's GC state is kept.
-
-    Each run of rows builds ~10^4 lists when read and a list and a tuple
-    of ~10^4 references when written, all freed before the next run: a
-    collection meanwhile would only walk them.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 # one matrix of the data array: its four entries row-major as [re, im]
 _ROW = "[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"
 # the data rows follow _DATA_KEY in serialize's layout; the codec reads and writes
 # ~_CHUNK bytes of them at a time, so its transient objects are bounded
 _DATA_KEY = b', "data": ['
 _CHUNK = 1 << 18
-# a run of rows less the bytes of its numbers and separators is one _SKELETON per row
-_NUMBER_BYTES = b"0123456789.eE+-, \t\n\r"
-_SKELETON = b"[[][][][]]"
+# a run of rows less its number bytes and JSON whitespace, and followed by one
+# comma, is one _SKELETON per row: _ROW less its slots and spaces, then a comma
+_NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
+_SKELETON = _ROW.replace("%s", "").replace(" ", "").encode() + b","
 
 
 def serialize(f: Cochain) -> bytes:
@@ -286,17 +269,16 @@ def serialize(f: Cochain) -> bytes:
     is formatted once, by json itself (NaN and Infinity included), and
     signed where its sign bit is set; json writes NaN unsigned.
     """
-    with _gc_paused():
-        header = json.dumps({
-            "version": FILE_VERSION,
-            "topology": f.domain.topology,
-            "sizes": list(f.domain.sizes),
-            "degree": f.degree,
-            "copy": COPY_NAMES[f.copy],
-        })
-        flat = np.ascontiguousarray(f.values).view(np.float64).ravel()
-        step = 8 * (_CHUNK // 150 + 1)  # a row of full-precision doubles is ~150 bytes
-        data = b", ".join(_format_rows(flat[s:s + step]) for s in range(0, flat.size, step))
+    header = json.dumps({
+        "version": FILE_VERSION,
+        "topology": f.domain.topology,
+        "sizes": list(f.domain.sizes),
+        "degree": f.degree,
+        "copy": COPY_NAMES[f.copy],
+    })
+    flat = np.ascontiguousarray(f.values).view(np.float64).ravel()
+    step = 8 * (_CHUNK // 150 + 1)  # a row of full-precision doubles is ~150 bytes
+    data = b", ".join(_format_rows(flat[s:s + step]) for s in range(0, flat.size, step))
     return b"".join((header[:-1].encode(), _DATA_KEY, data, b"]}"))
 
 
@@ -332,11 +314,6 @@ def is_finite_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def deserialize(payload: bytes) -> Cochain:
-    with _gc_paused():
-        return _decode(payload)
-
-
 def _read_rows(payload):
     """The document of a payload in serialize's layout (a header object,
     _DATA_KEY, rows split by "]], [[", then "]]]}" and JSON whitespace), its
@@ -344,11 +321,11 @@ def _read_rows(payload):
     When the header parses as a non-empty object and each run as rows, JSON's
     grammar makes the payload that object with "data" the rows.
 
-    orjson parses a run only when it is row skeletons once its number and
-    separator bytes are gone: no literal, string or object, and nothing
-    nested deeper than a row, on which orjson 3.8 overflows the C stack.  It
-    reads each number of such a run to json's float, and rejects one past
-    the float range, which leaves the payload to the whole-document parse."""
+    A run is rows when, less its number bytes and whitespace and with a comma
+    appended, it is one _SKELETON per row.  orjson parses it less its brackets
+    as one flat list (no literal, string or nesting, on which orjson 3.8
+    overflows the C stack); it rejects an empty slot, two numbers in one and
+    a number past the float range, and reads every other one to json's float."""
     if not isinstance(payload, bytes):
         return None
     i, stop = payload.find(_DATA_KEY), len(payload.rstrip(b" \t\n\r")) - 2
@@ -364,27 +341,35 @@ def _read_rows(payload):
             cut = payload.find(b"]], [[", start + _CHUNK, stop)
             cut = stop if cut < 0 else cut + 2
             run = payload[start:cut]
-            skeleton = run.translate(None, _NUMBER_BYTES)
+            skeleton = run.translate(None, _NUMBER_BYTES) + b","
             if skeleton != _SKELETON * (len(skeleton) // len(_SKELETON)):
                 return None
-            rows = np.asarray(orjson.loads(b"[" + run + b"]"))
-            if rows.dtype != np.float64 or rows.shape[1:] != (4, 2):
-                return None
-            runs.append(rows)
+            runs.append(np.array(orjson.loads(b"[" + run.translate(None, b"[]") + b"]"), dtype=np.float64))
             start = cut + 2
-        doc["data"] = np.concatenate(runs)
+        doc["data"] = np.concatenate(runs).reshape(-1, 4, 2)
     except (ValueError, RecursionError):
         return None
     return doc
 
 
-def _decode(payload: bytes) -> Cochain:
+def deserialize(payload: bytes) -> Cochain:
+    """The form in a form file's bytes or text: read by _read_rows when in
+    serialize's layout, else by one json.loads of the whole document, the
+    reference, with the cyclic GC paused over its five lists per row and left
+    as the caller had it.  Raises MalformedFormError for text that is not a
+    form file's JSON, FormVersionError for a version other than FILE_VERSION
+    and FormShapeError for a header or data count that fits no form."""
     doc = _read_rows(payload)
     if doc is None:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             doc = json.loads(payload)
         except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
             raise MalformedFormError(f"not valid JSON: {e}") from e
+        finally:
+            if enabled:
+                gc.enable()
     if not isinstance(doc, dict):
         raise MalformedFormError("top-level value must be an object")
     for key in ("version", "topology", "sizes", "degree", "copy", "data"):
