@@ -253,9 +253,7 @@ _ROW = "[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"
 # ~_CHUNK bytes of them at a time, so its transient objects are bounded
 _DATA_KEY = b', "data": ['
 _CHUNK = 1 << 18
-# a run of rows less its number bytes and JSON whitespace, and followed by one
-# comma, is one _SKELETON per row: _ROW less its slots and spaces, then a comma
-_NUMBER_BYTES = b"0123456789.eE+- \t\n\r"
+_AS_ZERO = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)
 _SKELETON = _ROW.replace("%s", "").replace(" ", "").encode() + b","
 
 
@@ -321,11 +319,13 @@ def _read_rows(payload):
     When the header parses as a non-empty object and each run as rows, JSON's
     grammar makes the payload that object with "data" the rows.
 
-    A run is rows when, less its number bytes and whitespace and with a comma
-    appended, it is one _SKELETON per row.  orjson parses it less its brackets
-    as one flat list (no literal, string or nesting, on which orjson 3.8
-    overflows the C stack); it rejects an empty slot, two numbers in one and
-    a number past the float range, and reads every other one to json's float."""
+    A run is rows when, less its whitespace and with number bytes read as 0s
+    (_AS_ZERO), it holds no "]0" or "0[", where a number would fuse with its
+    neighbour, and less its 0s is one _SKELETON per row bar the last comma.
+    orjson parses it less its brackets as one flat list (no literal, string or
+    nesting, on which orjson 3.8 overflows the C stack); it rejects an empty
+    slot, two numbers in one and a number past the float range, and reads
+    every other one to json's float."""
     if not isinstance(payload, bytes):
         return None
     i, stop = payload.find(_DATA_KEY), len(payload.rstrip(b" \t\n\r")) - 2
@@ -341,8 +341,11 @@ def _read_rows(payload):
             cut = payload.find(b"]], [[", start + _CHUNK, stop)
             cut = stop if cut < 0 else cut + 2
             run = payload[start:cut]
-            skeleton = run.translate(None, _NUMBER_BYTES) + b","
-            if skeleton != _SKELETON * (len(skeleton) // len(_SKELETON)):
+            marks = run.translate(_AS_ZERO, b" \t\n\r")
+            skeleton, m = marks.translate(None, b"0") + b",", np.frombuffer(marks, np.uint8)
+            # numpy finds "]0" and "0[" ~10x faster than bytes.find does among runs of 0s
+            fused = (m[:-1] == ord("]")) & (m[1:] == ord("0")) | (m[:-1] == ord("0")) & (m[1:] == ord("["))
+            if fused.any() or skeleton != _SKELETON * (len(skeleton) // len(_SKELETON)):
                 return None
             runs.append(np.array(orjson.loads(b"[" + run.translate(None, b"[]") + b"]"), dtype=np.float64))
             start = cut + 2
@@ -353,11 +356,10 @@ def _read_rows(payload):
 
 
 def deserialize(payload: bytes) -> Cochain:
-    """The form in a form file's bytes or text: read by _read_rows when in
-    serialize's layout, else by one json.loads of the whole document, the
-    reference, with the cyclic GC paused over its five lists per row and left
-    as the caller had it.  Raises MalformedFormError for text that is not a
-    form file's JSON, FormVersionError for a version other than FILE_VERSION
+    """The form in a form file's bytes or text: read by _read_rows in
+    serialize's layout, else by the reference, json.loads of the whole document
+    with the cyclic GC paused.  Raises MalformedFormError for text that is not
+    a form file's JSON, FormVersionError for a version other than FILE_VERSION
     and FormShapeError for a header or data count that fits no form."""
     doc = _read_rows(payload)
     if doc is None:

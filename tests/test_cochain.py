@@ -231,6 +231,15 @@ _OFF_LAYOUT = {
                                                        [[6.0, 7.0]] * 3 + [[8.0]]), _BAD, False),
     "empty-slot": (lambda good, doc: _with_entry(good, ""), _BAD, False),
     "doubled-comma": (lambda good, doc: _with_entry(good, "0.0,"), _BAD, False),
+    # a number beside a bracket, outside every slot, keeps the skeleton once the
+    # number bytes go, and would fuse with its neighbour once the brackets go;
+    # a bracket moved over a number keeps the skeleton and the numbers alike
+    "number-after-a-row": (lambda good, doc: good.replace(b"]], [[", b"]]e5, [[", 1), _BAD, False),
+    "number-after-a-pair": (lambda good, doc: good.replace(b"], [", b"]9, [", 1), _BAD, False),
+    "number-before-a-row": (lambda good, doc: good.replace(b"]], [[", b"]], 3[[", 1), _BAD, False),
+    "number-before-a-pair": (lambda good, doc: good.replace(b"], [", b"], 3[", 1), _BAD, False),
+    "bracket-moved-over-a-number": (lambda good, doc: good.replace(_KEY + b"[[0.0, 0.0]", _KEY + b"[[0.0, ]0.0", 1),
+                                    _BAD, False),
     # entries the writer never emits: orjson rejects a number past the float
     # range, and its run goes to the whole-document parse
     "entry-upper-exponent": (lambda good, doc: _with_entry(good, "1E5"), None, True),
