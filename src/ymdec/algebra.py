@@ -39,20 +39,17 @@ def trace(a):
 
 
 def mat_mul(a, b):
-    """Product of the trailing 2x2 blocks, its four entries written out.
-
-    Broadcasts over leading axes and takes strided views; the result has
-    a's memory order, so entry-major operands (see cochain.Cochain) give
-    an entry-major product.  numpy's batched matmul is several times
-    slower on 2x2 operands; this is the one product of coefficient
-    matrices in the program.
-    """
+    """Product of the trailing 2x2 blocks as two broadcast products: column
+    0 of a times row 0 of b, plus column 1 times row 1 added in place, so
+    each entry is a_i0 b_0j + a_i1 b_1j.  Broadcasts over leading axes; the
+    result has the operands' memory order, so entry-major operands (see
+    cochain.Cochain) give an entry-major product.  numpy's batched matmul
+    is several times slower on 2x2 operands; this is the one product of
+    coefficient matrices in the program."""
     a = np.asarray(a)
     b = np.asarray(b)
-    out = np.empty_like(a, dtype=np.result_type(a, b), shape=np.broadcast_shapes(a.shape, b.shape))
-    for i in range(2):
-        for j in range(2):
-            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    out = a[..., :, :1] * b[..., :1, :]
+    out += a[..., :, 1:] * b[..., 1:, :]
     return out
 
 

@@ -81,9 +81,10 @@ def coboundary(f: Cochain) -> Cochain:
     # the (1, p) cup table: the difference along axis i takes the place of f^{i}
     for r_idx, (axis,), sign, _, s_idx in _cup_plan(1, f.degree):
         comp = f.values[..., s_idx, :, :]
-        out.values[..., r_idx, :, :] += sign * (
-            shift_plus(f.domain, comp, axis) - comp
-        )
+        diff = shift_plus(f.domain, comp, axis)
+        diff -= comp
+        plane = out.values[..., r_idx, :, :]
+        (np.add if sign > 0 else np.subtract)(plane, diff, out=plane)
     return out
 
 
@@ -101,7 +102,8 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
         gcomp = g.values[..., g_idx, :, :]
         for axis in p_axes:
             gcomp = shift_plus(g.domain, gcomp, axis)
-        out.values[..., r_idx, :, :] += sign * mat_mul(f.values[..., f_idx, :, :], gcomp)
+        plane = out.values[..., r_idx, :, :]
+        (np.add if sign > 0 else np.subtract)(plane, mat_mul(f.values[..., f_idx, :, :], gcomp), out=plane)
     return out
 
 
@@ -118,7 +120,7 @@ def star(f: Cochain) -> Cochain:
     interleave-permutation sign; lands on the other copy."""
     out = Cochain.zeros(f.domain, 4 - f.degree, f.copy ^ 1)
     for o_idx, sign, i_idx in star_plan(f.degree):
-        out.values[..., o_idx, :, :] = sign * f.values[..., i_idx, :, :]
+        np.multiply(f.values[..., i_idx, :, :], sign, out=out.values[..., o_idx, :, :])
     return out
 
 

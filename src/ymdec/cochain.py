@@ -158,9 +158,14 @@ def conj_transpose_form(f: Cochain) -> Cochain:
 
 
 def _fill_halo_clamped(domain: Domain, values):
-    """Edge-pad the halo from the interior (a fresh equal copy with no halo)."""
-    pad = [(0, 0)] + [(domain.halo,) * 2] * 4 + [(0, 0)] * (values.ndim - 5)
-    return np.pad(values[domain.interior], pad, mode="edge")
+    """Overwrite the halo of fresh draws (charts, k..., ...) in place with
+    its nearest interior value, as an edge pad of the interior would: axis
+    by axis, each halo slab from the slab inside it."""
+    for axis in range(1, 5):
+        lead = (slice(None),) * axis
+        for t in reversed(range(domain.halo)):
+            values[lead + (t,)] = values[lead + (t + 1,)]
+            values[lead + (-1 - t,)] = values[lead + (-2 - t,)]
 
 
 def zero_pad(f: Cochain) -> Cochain:
@@ -181,7 +186,7 @@ def random_form(domain: Domain, degree: int, seed, copy=BASE) -> Cochain:
     rng = np.random.default_rng(seed)
     shape = Cochain.shape(domain, degree)
     vals = rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)
-    vals = _fill_halo_clamped(domain, vals)
+    _fill_halo_clamped(domain, vals)
     return Cochain(domain, degree, vals, copy)
 
 
@@ -195,7 +200,7 @@ def random_connection(domain: Domain, amplitude: float, seed) -> Cochain:
     shape = (domain.ncharts, *domain.extents, 4, 3)
     # uniform(-a, a) bit for bit at every normal a, but with a finite width up to a = max
     vecs = 2 * rng.uniform(-amplitude / 2, amplitude / 2, size=shape)
-    vecs = _fill_halo_clamped(domain, vecs)
+    _fill_halo_clamped(domain, vecs)
     return Cochain(domain, 1, alg.embed_su2(vecs), BASE)
 
 
@@ -205,7 +210,7 @@ def random_gauge(domain: Domain, seed) -> Cochain:
     rng = np.random.default_rng(seed)
     shape = (domain.ncharts, *domain.extents, 1, 3)
     vecs = rng.uniform(-np.pi, np.pi, size=shape)
-    vecs = _fill_halo_clamped(domain, vecs)
+    _fill_halo_clamped(domain, vecs)
     return Cochain(domain, 0, alg.exp_su2(vecs), BASE)
 
 

@@ -53,7 +53,9 @@ def curvature(A: Cochain) -> Cochain:
     """F = coboundary(A) + cup(A, A); degree 2, general gl(2, C) coefficients."""
     if A.degree != 1:
         raise ValueError("curvature needs a degree-1 form")
-    return add(coboundary(A), cup(A, A))
+    F = coboundary(A)
+    F.values += cup(A, A).values
+    return F
 
 
 # The stencil's slots x^i, x^j, x^j(tau_i n), x^i(tau_j n), per pair (i, j):
@@ -197,8 +199,11 @@ def covariant_d(A: Cochain, omega: Cochain) -> Cochain:
     """d omega + A u omega + (-1)^{r+1} omega u A for an r-form omega."""
     if omega.degree > 3:
         raise ValueError("covariant differential needs degree <= 3")
-    sign = 1 if omega.degree % 2 else -1
-    return add(coboundary(omega), add(cup(A, omega), scale(cup(omega, A), sign)))
+    # the cup terms first: the sum rounds as d omega + (A u omega +- omega u A)
+    out = cup(A, omega)
+    (np.add if omega.degree % 2 else np.subtract)(out.values, cup(omega, A).values, out=out.values)
+    out.values += coboundary(omega).values
+    return out
 
 
 def gauge_inverse(h: Cochain) -> Cochain:
@@ -215,7 +220,9 @@ def gauge_transform(A: Cochain, h: Cochain) -> Cochain:
     caller (see algebra.su2_algebra_deviation).
     """
     hinv = gauge_inverse(h)
-    return add(cup(h, coboundary(hinv)), cup(h, cup(A, hinv)))
+    out = cup(h, coboundary(hinv))
+    out.values += cup(h, cup(A, hinv)).values
+    return out
 
 
 def bianchi_residual(A: Cochain) -> float:

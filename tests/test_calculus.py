@@ -14,6 +14,7 @@ from oracles import (
     parity_sign,
     stored_cells,
 )
+from ymdec import algebra as alg
 from ymdec import calculus as ca
 from ymdec import cochain as co
 from ymdec import gauge as ga
@@ -503,6 +504,70 @@ class TestGreenFormula:
         assert abs(bt) > 1e-3
 
 
+def _written_out_product(a, b):
+    # the product as four written-out entries, in a's memory order
+    out = np.empty_like(a, shape=np.broadcast_shapes(a.shape, b.shape))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def _cup_by_signed_terms(f, g):
+    # sign * product of each split R = P u Q, added in the order of R, then P
+    out = co.Cochain.zeros(f.domain, f.degree + g.degree, f.copy).values
+    for r_idx, rmask in enumerate(MASKS_BY_DEGREE[f.degree + g.degree]):
+        for f_idx, pmask in enumerate(MASKS_BY_DEGREE[f.degree]):
+            if pmask & ~rmask:
+                continue
+            qmask = rmask & ~pmask
+            gcomp = g.values[..., MASKS_BY_DEGREE[g.degree].index(qmask), :, :]
+            for axis in mask_axes(pmask):
+                gcomp = ca.shift_plus(g.domain, gcomp, axis)
+            out[..., r_idx, :, :] += cup_sign(pmask, qmask) * _written_out_product(f.values[..., f_idx, :, :], gcomp)
+    return out
+
+
+def _coboundary_by_signed_terms(f):
+    out = co.Cochain.zeros(f.domain, f.degree + 1, f.copy).values
+    for r_idx, rmask in enumerate(MASKS_BY_DEGREE[f.degree + 1]):
+        for axis in mask_axes(rmask):
+            comp = f.values[..., MASKS_BY_DEGREE[f.degree].index(rmask & ~axes_mask([axis])), :, :]
+            sign = cup_sign(axes_mask([axis]), rmask & ~axes_mask([axis]))
+            out[..., r_idx, :, :] += sign * (ca.shift_plus(f.domain, comp, axis) - comp)
+    return out
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestSignedTermsInPlace:
+    # The operators add each term straight into its output plane, picking
+    # np.add or np.subtract by the sign; sign * term summed in the same order
+    # is the reference, bit for bit.  cup_form_oracle stays the independent,
+    # tolerance-based check of the formulas.
+    @pytest.mark.parametrize("domain", [SPHERE_2342, BLOCK_2342, BLOCK], ids=["sphere-2342", "block-2342", "block"])
+    def test_operators_equal_the_signed_sums_bit_for_bit(self, domain):
+        forms = [rand(domain, p, seed=60 + p) for p in range(5)]
+        for f in forms:
+            for g in forms[: 5 - f.degree]:
+                assert np.array_equal(_bits(ca.cup(f, g).values), _bits(_cup_by_signed_terms(f, g)))
+            if f.degree < 4:
+                assert np.array_equal(_bits(ca.coboundary(f).values), _bits(_coboundary_by_signed_terms(f)))
+            want = co.Cochain.zeros(domain, 4 - f.degree, TILDE).values
+            for o_idx, sign, i_idx in ca.star_plan(f.degree):
+                want[..., o_idx, :, :] = sign * f.values[..., i_idx, :, :]
+            assert np.array_equal(_bits(ca.star(f).values), _bits(want))
+        a = co.random_connection(domain, 0.5, seed=7)
+        for omega in forms[:4]:
+            sign = 1 if omega.degree % 2 else -1
+            want = _coboundary_by_signed_terms(omega) + (
+                _cup_by_signed_terms(a, omega) + sign * _cup_by_signed_terms(omega, a)
+            )
+            assert np.array_equal(_bits(ga.covariant_d(a, omega).values), _bits(want))
+
+
 def _entry_major(f):
     return np.moveaxis(f.values, (-3, -2, -1), (0, 1, 2)).flags.c_contiguous
 
@@ -530,8 +595,15 @@ class TestEntryMajorLayout:
             "zero_pad": co.zero_pad(f),
             "curvature": ga.curvature(a),
             "pair_boundaries": ca.pair_boundaries(g),
+            "covariant_d": ga.covariant_d(a, f),
+            "gauge_transform": ga.gauge_transform(a, co.random_gauge(domain, seed=6)),
+            "yang_mills_residual": ga.yang_mills_residual(a),
         }
         assert [name for name, h in forms.items() if not _entry_major(h)] == []
+        # the 2x2 product keeps its operands' memory order: of two direction
+        # planes, each entry of the product is one contiguous plane
+        product = alg.mat_mul(f.values[..., 0, :, :], f.values[..., 5, :, :])
+        assert np.moveaxis(product, (-2, -1), (0, 1)).flags.c_contiguous
         # a cell-major input is copied into the layout
         copied = f.like(np.ascontiguousarray(f.values))
         assert _entry_major(copied) and np.array_equal(copied.values, f.values)

@@ -107,6 +107,21 @@ class TestConstructors:
             a.get(CHART_V, (2, 2, 2, 2), axes_mask([2])),
         )
 
+    @pytest.mark.parametrize(
+        "domain",
+        [BLOCK, SPHERE] + [Domain(s, t) for s in [(2, 3, 4, 2), (4, 4, 4, 4)] for t in ("block", "sphere")],
+        ids=["block", "sphere", "block-2342", "sphere-2342", "block-4444", "sphere-4444"],
+    )
+    def test_halo_fill_is_an_edge_pad(self, domain):
+        # the slab copies give the halo what an edge pad of the interior gives
+        rng = np.random.default_rng(9)
+        for trailing, dtype in [((4, 3), float), ((6, 2, 2), complex)]:
+            draws = rng.uniform(-1.0, 1.0, size=(domain.ncharts, *domain.extents, *trailing)).astype(dtype)
+            pad = [(0, 0)] + [(domain.halo,) * 2] * 4 + [(0, 0)] * len(trailing)
+            want = np.pad(draws[domain.interior], pad, mode="edge")
+            co._fill_halo_clamped(domain, draws)
+            assert draws.tobytes() == want.tobytes()
+
     def test_validation_rejects_bad_coefficients(self):
         a = co.random_connection(SPHERE, 0.5, seed=7)
         a.values[0, 0, 0, 0, 0] = np.eye(2)  # Hermitian with trace
