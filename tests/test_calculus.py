@@ -543,10 +543,10 @@ def _bits(values):
 
 
 class TestSignedTermsInPlace:
-    # The operators add each term straight into its output plane, picking
-    # np.add or np.subtract by the sign; sign * term summed in the same order
-    # is the reference, bit for bit.  cup_form_oracle stays the independent,
-    # tolerance-based check of the formulas.
+    # The operators add or subtract each term straight into its output plane
+    # (star multiplies by its sign into its slot); sign * term summed in the
+    # same order is the reference, bit for bit.  cup_form_oracle stays the
+    # independent, tolerance-based check of the formulas.
     @pytest.mark.parametrize("domain", [SPHERE_2342, BLOCK_2342, BLOCK], ids=["sphere-2342", "block-2342", "block"])
     def test_operators_equal_the_signed_sums_bit_for_bit(self, domain):
         forms = [rand(domain, p, seed=60 + p) for p in range(5)]
