@@ -70,9 +70,20 @@ def inv2(a):
 
 
 def embed_su2(v):
-    """Map real coefficient vectors (..., 3) to su(2) matrices (..., 2, 2)."""
-    v = np.asarray(v, dtype=np.float64)
-    return np.einsum("...a,aij->...ij", v, LAMBDA)
+    """Map real coefficient vectors (..., 3) to su(2) matrices (..., 2, 2):
+    [[-i h3, -h2 - i h1], [h2 - i h1, i h3]] with h = v / 2, written through
+    a float64 view, each zero entry +0 (0.0 - h, h + 0.0) as in sum_a v_a lam_a."""
+    h = 0.5 * np.asarray(v, dtype=np.float64)
+    out = np.empty(h.shape[:-1] + (2, 2), dtype=np.complex128)
+    x = out.view(np.float64)  # (..., 2, 4): re, im of each row's two entries
+    x[..., 0, 0] = x[..., 1, 2] = 0.0
+    np.subtract(0.0, h[..., 2], out=x[..., 0, 1])
+    np.subtract(0.0, h[..., 1], out=x[..., 0, 2])
+    np.subtract(0.0, h[..., 0], out=x[..., 0, 3])
+    np.add(h[..., 1], 0.0, out=x[..., 1, 0])
+    x[..., 1, 1] = x[..., 0, 3]
+    np.add(h[..., 2], 0.0, out=x[..., 1, 3])
+    return out
 
 
 def project_su2(m):
@@ -81,11 +92,21 @@ def project_su2(m):
     Inverse of embed_su2 on su(2).  tr(lam_a lam_b) = -delta_ab / 2, so the
     coefficients are -2 Re tr(m lam_a): the real part drops the Hermitian
     and trace parts of a general m, as tr lam_a = 0 and
-    tr(m^H lam_a) = -conj tr(m lam_a).  Written plane-backed (see gauge): a
+    tr(m^H lam_a) = -conj tr(m lam_a).  Written out they are
+    -(Im m01 + Im m10), Re m10 - Re m01 and Im m11 - Im m00, computed as
+    the trace sums them: halved entries, a sum from +0 (so a zero
+    coefficient is -0), times -2.  Written plane-backed (see gauge): a
     view of a C-contiguous (3, ...), one contiguous plane per component.
     """
-    planes = np.einsum("...ij,aji->a...", np.asarray(m, dtype=np.complex128), LAMBDA, order="C")
-    return np.moveaxis(-2.0 * np.real(planes), 0, -1)
+    m = np.asarray(m, dtype=np.complex128)
+    re, im = m.real, m.imag
+    planes = np.empty((3,) + m.shape[:-2])
+    np.add(0.5 * im[..., 0, 1], 0.5 * im[..., 1, 0], out=planes[0, ...])
+    np.subtract(0.5 * re[..., 0, 1], 0.5 * re[..., 1, 0], out=planes[1, ...])
+    np.subtract(0.5 * im[..., 0, 0], 0.5 * im[..., 1, 1], out=planes[2, ...])
+    planes += 0.0
+    planes *= -2.0
+    return np.moveaxis(planes, 0, -1)
 
 
 def exp_su2(v):

@@ -173,14 +173,21 @@ def norm(f: Cochain) -> float:
 def pair_boundaries(f: Cochain) -> Cochain:
     """Sum of coefficient * f over boundary_cell(cell), per stored (p+1)-cell.
 
-    Scattered from boundary_arrays, so it never reads the shifts; zero on
-    the block cells whose boundary leaves the halo.
+    Summed row by row from boundary_arrays, so it never reads the shifts;
+    zero on the block cells whose boundary leaves the halo.
     """
     row, col, coeff = boundary_arrays(f.domain, f.degree + 1)
+    # every kept row has 2(p + 1) consecutive terms: column t holds term t of each
+    terms = 2 * (f.degree + 1)
+    col, coeff = col.reshape(-1, terms), coeff.reshape(-1, terms, 1, 1)
     # the indices count (cell, direction) cell-major, so the sum goes into
     # a C-contiguous buffer: a reshape of entry-major values is a copy
+    values = f.values.reshape(-1, 2, 2)
+    total = np.zeros((len(col), 2, 2), dtype=np.complex128)
+    for t in range(terms):  # in order from +0, as a scatter-add into zeros
+        total += coeff[:, t] * values[col[:, t]]
     out = np.zeros(Cochain.shape(f.domain, f.degree + 1), dtype=np.complex128)
-    np.add.at(out.reshape(-1, 2, 2), row, coeff[:, None, None] * f.values.reshape(-1, 2, 2)[col])
+    out.reshape(-1, 2, 2)[row[::terms]] = total
     return Cochain(f.domain, f.degree + 1, out, f.copy)
 
 

@@ -182,10 +182,13 @@ def zero_pad(f: Cochain) -> Cochain:
 
 
 def random_form(domain: Domain, degree: int, seed, copy=BASE) -> Cochain:
-    """Random gl(2, C)-valued form; real and imaginary parts uniform in [-1, 1]."""
+    """Random gl(2, C)-valued form; real and imaginary parts uniform in [-1, 1],
+    drawn in the file order straight into the entry-major buffer the constructor keeps."""
     rng = np.random.default_rng(seed)
     shape = Cochain.shape(domain, degree)
-    vals = rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)
+    vals = np.empty(shape[-3:] + shape[:-3], dtype=np.complex128).transpose(Cochain._TO_VALUES)
+    vals.real = rng.uniform(-1.0, 1.0, size=shape)
+    vals.imag = rng.uniform(-1.0, 1.0, size=shape)
     _fill_halo_clamped(domain, vals)
     return Cochain(domain, degree, vals, copy)
 

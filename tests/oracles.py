@@ -17,7 +17,16 @@ import numpy as np
 from ymdec.algebra import LAMBDA
 from ymdec.calculus import star
 from ymdec.cochain import COPY_NAMES, FILE_VERSION, Cochain, conj_transpose_form
-from ymdec.complex4 import BASE, MASKS_BY_DEGREE, Cell, OutOfDomain, boundary_cell, degree, star_cell
+from ymdec.complex4 import (
+    BASE,
+    MASKS_BY_DEGREE,
+    Cell,
+    OutOfDomain,
+    boundary_arrays,
+    boundary_cell,
+    degree,
+    star_cell,
+)
 
 
 class Chain(dict):
@@ -300,6 +309,34 @@ def project_su2_by_trace(m):
     ah = (m - np.conj(np.swapaxes(m, -1, -2))) / 2.0
     ah = ah - (np.trace(ah, axis1=-2, axis2=-1) / 2.0)[..., None, None] * np.eye(2, dtype=np.complex128)
     return -2.0 * np.real(np.einsum("...ij,aji->...a", ah, LAMBDA))
+
+
+def embed_su2_by_einsum(v):
+    """sum_a v_a lam_a by one mixed real/complex einsum into C-order
+    matrices (..., 2, 2)."""
+    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=np.float64), LAMBDA)
+
+
+def random_form_by_sum(domain, degree, seed, copy=BASE):
+    """random_form as one cell-major array uniform + 1j * uniform, drawn in
+    the normative order, its block halo an edge pad of the interior, copied
+    into the layout by the Cochain constructor."""
+    rng = np.random.default_rng(seed)
+    shape = Cochain.shape(domain, degree)
+    vals = rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)
+    if domain.topology == "block":
+        inner = vals[:, 1:-1, 1:-1, 1:-1, 1:-1]
+        vals = np.pad(inner, [(0, 0)] + [(1, 1)] * 4 + [(0, 0)] * 3, mode="edge")
+    return Cochain(domain, degree, vals, copy)
+
+
+def pair_boundaries_by_scatter(f):
+    """pair_boundaries as one np.add.at of coefficient * f over the terms of
+    boundary_arrays into a zero cell-major buffer."""
+    row, col, coeff = boundary_arrays(f.domain, f.degree + 1)
+    out = np.zeros(Cochain.shape(f.domain, f.degree + 1), dtype=np.complex128)
+    np.add.at(out.reshape(-1, 2, 2), row, coeff[:, None, None] * f.values.reshape(-1, 2, 2)[col])
+    return Cochain(f.domain, f.degree + 1, out, f.copy)
 
 
 def serialize_by_json(f):

@@ -1,11 +1,13 @@
 """Tests for the 2x2 matrix layer and the su(2) structure."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import project_su2_by_trace
+from oracles import embed_su2_by_einsum, project_su2_by_trace
 from ymdec import algebra as alg
 from ymdec import cochain as co
 from ymdec.complex4 import Domain
@@ -121,6 +123,36 @@ class TestEmbedProject:
             assert np.array_equal(np.signbit(got), np.signbit(want))
             planes = np.moveaxis(got, -1, 0)
             assert planes.flags.c_contiguous and np.shares_memory(got, planes)
+
+    def test_embed_writes_the_einsum_bits(self):
+        # the written-out entries against sum_a v_a lam_a by einsum, bit for
+        # bit: a zero entry is +0 for +0 and -0 components alike, and halving
+        # a subnormal or a huge component rounds as the einsum's product does
+        rng = np.random.default_rng(28)
+        batched = rng.uniform(-1, 1, size=(4, 5, 3))
+        signed_zeros = np.array(list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=3)))
+        extremes = np.array(list(itertools.product((1e300, -1e300, 5e-324, -5e-324, 3e-308, -0.0), repeat=3)))
+        for v in (
+            batched,
+            batched[2, 3],
+            np.moveaxis(np.moveaxis(batched, -1, 0).copy(), 0, -1),  # strided components
+            signed_zeros,
+            signed_zeros[9],
+            extremes,
+            extremes[100],
+        ):
+            got, want = alg.embed_su2(v), embed_su2_by_einsum(v)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+    def test_embed_of_an_infinite_component_has_no_nan(self):
+        # the one entry the einsum cannot match: it multiplies inf by the
+        # zero entries of every lam_a, so its matrix is NaN where the
+        # written-out map keeps the exact zeros
+        got, want = alg.embed_su2([np.inf, 0.0, 0.0]), embed_su2_by_einsum([np.inf, 0.0, 0.0])
+        assert not np.isnan(got).any() and np.isnan(want).any()
+        assert np.array_equal(got, [[0.0, complex(0.0, -np.inf)], [complex(0.0, -np.inf), 0.0]])
 
 
 class TestExp:

@@ -10,6 +10,7 @@ from oracles import (
     gather_by_resolve,
     green_boundary_term_oracle,
     interior_cells,
+    pair_boundaries_by_scatter,
     pair_chain,
     parity_sign,
     stored_cells,
@@ -572,6 +573,27 @@ def _entry_major(f):
     return np.moveaxis(f.values, (-3, -2, -1), (0, 1, 2)).flags.c_contiguous
 
 
+class TestPairBoundariesBitForBit:
+    @pytest.mark.parametrize(
+        "domain",
+        [SPHERE_2342, BLOCK_2342, Domain((4, 4, 4, 4), "sphere"), Domain((4, 4, 4, 4), "block")],
+        ids=["sphere-2342", "block-2342", "sphere-4444", "block-4444"],
+    )
+    def test_row_sums_match_the_scatter_add(self, domain):
+        # each row's terms summed in order give the bits of np.add.at into
+        # zeros: random forms, forms zero near the block boundary and forms
+        # of zeros of either sign, so no zero sum takes the other sign
+        rng = np.random.default_rng(31)
+        for p in range(4):
+            for copy in (BASE, TILDE):
+                f = rand(domain, p, seed=32 + p, copy=copy)
+                zeros = np.where(rng.random(f.values.shape + (2,)) < 0.5, 0.0, -0.0).view(np.complex128)
+                for g in (f, co.zero_pad(f), f.like(zeros[..., 0])):
+                    got, want = ca.pair_boundaries(g), pair_boundaries_by_scatter(g)
+                    assert (got.degree, got.copy) == (want.degree, want.copy)
+                    assert np.array_equal(_bits(got.values), _bits(want.values))
+
+
 class TestEntryMajorLayout:
     @pytest.mark.parametrize("domain", [SPHERE_2342, BLOCK_2342], ids=["sphere-2342", "block-2342"])
     def test_every_result_is_entry_major(self, domain):
@@ -617,6 +639,25 @@ class TestEntryMajorLayout:
             "data": np.array(f.values, order="C").view(np.float64).reshape(-1, 4, 2).tolist(),
         }
         assert co.serialize(f) == json.dumps(doc).encode()
+
+    @pytest.mark.parametrize("domain", [SPHERE_2342, BLOCK_2342], ids=["sphere-2342", "block-2342"])
+    def test_draws_are_entry_major(self, domain, monkeypatch):
+        # random_form draws into the layout, so the constructor keeps the
+        # buffer it is handed; random_connection's C-order matrices are copied in
+        handed = []
+        init = co.Cochain.__init__
+
+        def spy(self, domain, degree, values, copy=BASE):
+            handed.append(values)
+            init(self, domain, degree, values, copy)
+
+        monkeypatch.setattr(co.Cochain, "__init__", spy)
+        for p in range(5):
+            for copy in (BASE, TILDE):
+                f = rand(domain, p, seed=7 + p, copy=copy)
+                assert _entry_major(f) and np.shares_memory(f.values, handed[-1])
+        a = co.random_connection(domain, 0.5, seed=3)
+        assert _entry_major(a) and not np.shares_memory(a.values, handed[-1])
 
 
 class TestGatherTable:

@@ -176,6 +176,20 @@ class TestAction:
         path = write_config(tmp_path, connection=f"file:{conn}")  # sphere by default
         assert run(["action", "--config", path]) == 2
 
+    @pytest.mark.parametrize("command", ["relax", "action"])
+    def test_zero_connection_writes_no_negative_zero(self, tmp_path, command):
+        # project_su2 reads the zero connection as -0 vectors and embed_su2
+        # writes them back as +0 entries, as sum_a v_a lam_a does: the final
+        # form is the zero form's bytes, and no written file holds a -0
+        out = tmp_path / "out.json"
+        assert run([command, "--config", write_config(tmp_path, connection="zero"), "--output", str(out)]) == 0
+        written = [out.read_bytes()]
+        if command == "relax":
+            zero = co.serialize(co.Cochain.zeros(Domain((2, 2, 2, 2), "sphere"), 1))
+            assert written[0] == zero
+            written.append((tmp_path / "out.json.report.json").read_bytes())
+        assert all(b"-0.0" not in data and b"-0e" not in data for data in written)
+
 
 class TestSingleCurvature:
     """The four connection scalars of a report come from one curvature."""

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interior_cells, serialize_by_json, stored_cells
+from oracles import interior_cells, random_form_by_sum, serialize_by_json, stored_cells
 from ymdec import algebra as alg
 from ymdec import cli
 from ymdec import cochain as co
-from ymdec.complex4 import CHART_V, CHART_VHAT, Domain, axes_mask, shift
+from ymdec.complex4 import BASE, CHART_V, CHART_VHAT, TILDE, Domain, axes_mask, shift
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,6 +175,22 @@ class TestConstructors:
         shape = co.Cochain.shape(domain, degree)
         want = rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)
         assert co.random_form(domain, degree, seed=8).values.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "domain",
+        [Domain(s, t) for s in [(2, 3, 4, 2), (4, 4, 4, 4)] for t in ("sphere", "block")],
+        ids=["sphere-2342", "block-2342", "sphere-4444", "block-4444"],
+    )
+    def test_form_draw_is_the_sum_of_draws(self, domain):
+        # the two parts drawn straight into the layout keep every bit of
+        # uniform + 1j * uniform, edge-padded and copied in by the constructor
+        for degree in range(5):
+            for copy in (BASE, TILDE):
+                got = co.random_form(domain, degree, seed=40 + degree, copy=copy)
+                want = random_form_by_sum(domain, degree, seed=40 + degree, copy=copy)
+                assert got.copy == want.copy == copy
+                assert np.ascontiguousarray(got.values).view(np.uint64).tobytes() == \
+                    np.ascontiguousarray(want.values).view(np.uint64).tobytes()
 
     def test_zero_pad_support(self):
         f = co.random_form(Domain((3, 3, 3, 3), "block"), 1, seed=10)
