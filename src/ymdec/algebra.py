@@ -151,8 +151,20 @@ def plane_cross(x, y):
 
 def quaternion_matrices(s, u):
     """The 2x2 matrices s I + sum_a u_a e_a of scalar planes s (...) and
-    vector planes u (3, ...), shape (..., 2, 2)."""
-    return s[..., None, None] * IDENTITY2 + embed_su2(2.0 * np.moveaxis(u, 0, -1))
+    vector planes u (3, ...), shape (..., 2, 2): [[s - i u3, -u2 - i u1],
+    [u2 - i u1, s + i u3]], written through a float64 view as embed_su2
+    writes its entries, each zero entry +0 (s + 0.0, 0.0 - u, u + 0.0)."""
+    out = np.empty(s.shape + (2, 2), dtype=np.complex128)
+    x = out.view(np.float64)  # (..., 2, 4): re, im of each row's two entries
+    np.add(s, 0.0, out=x[..., 0, 0])
+    x[..., 1, 2] = x[..., 0, 0]
+    np.subtract(0.0, u[2], out=x[..., 0, 1])
+    np.subtract(0.0, u[1], out=x[..., 0, 2])
+    np.subtract(0.0, u[0], out=x[..., 0, 3])
+    np.add(u[1], 0.0, out=x[..., 1, 0])
+    x[..., 1, 1] = x[..., 0, 3]
+    np.add(u[2], 0.0, out=x[..., 1, 3])
+    return out
 
 
 def su2_algebra_deviation(m):

@@ -256,13 +256,13 @@ def validate_gauge(f: Cochain) -> Cochain:
 
 
 # one matrix of the data array: its four entries row-major as [re, im]
-_ROW = "[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"
+_ROW = b"[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"
 # the data rows follow _DATA_KEY in serialize's layout; the codec reads and writes
 # ~_CHUNK bytes of them at a time, so its transient objects are bounded
 _DATA_KEY = b', "data": ['
 _CHUNK = 1 << 18
 _AS_ZERO = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)
-_SKELETON = _ROW.replace("%s", "").replace(" ", "").encode() + b","
+_SKELETON = _ROW.replace(b"%s", b"").replace(b" ", b"") + b","
 
 
 def serialize(f: Cochain) -> bytes:
@@ -272,8 +272,12 @@ def serialize(f: Cochain) -> bytes:
 
     The bytes are json.dumps' bytes of the document with "data" last.  The
     rows are written a run at a time; in each run, each distinct magnitude
-    is formatted once, by json itself (NaN and Infinity included), and
-    signed where its sign bit is set; json writes NaN unsigned.
+    is formatted once and signed where its sign bit is set; json writes NaN
+    unsigned.  In [1e-4, 1e16) float.__repr__, and so json, writes the
+    shortest round-trip digits positionally, as orjson does, so orjson
+    formats those; json formats the rest (0, magnitudes below 1e-4, 1e16
+    and up, Infinity and NaN), where the two differ (8e-05 against
+    0.00008, 1e+16 against 1e16, NaN against null).
     """
     header = json.dumps({
         "version": FILE_VERSION,
@@ -291,11 +295,18 @@ def serialize(f: Cochain) -> bytes:
 def _format_rows(flat) -> bytes:
     """The data text of whole rows, given as their flat float64 entries."""
     magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
-    text = json.dumps(magnitudes.tolist())[1:-1].split(", ")
-    tokens = np.array(text + ["-" + t for t in text], dtype=object)
+    # sorted, NaN last: the magnitudes below 1e-4, those in range, the rest;
+    # split() drops the empty text of an empty group
+    lo, hi = np.searchsorted(magnitudes, (1e-4, 1e16))
+    text = b" ".join((
+        json.dumps(magnitudes[:lo].tolist())[1:-1].encode(),
+        orjson.dumps(magnitudes[lo:hi], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1],
+        json.dumps(magnitudes[hi:].tolist())[1:-1].encode(),
+    )).replace(b",", b" ").split()
+    tokens = np.array(text + [b"-" + t for t in text], dtype=object)
     signed = np.signbit(flat) & ~np.isnan(flat)
     entries = tokens[inverse + len(text) * signed].tolist()
-    return (", ".join([_ROW] * (flat.size // 8)) % tuple(entries)).encode()
+    return b", ".join([_ROW] * (flat.size // 8)) % tuple(entries)
 
 
 def is_json_int(v) -> bool:

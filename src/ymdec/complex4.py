@@ -122,7 +122,7 @@ class Domain:
     source) indices of shift_plus's step: the bulk slab copy, then each
     chart's last slot, read off resolve one past it, None (zero) where it
     raises).  A Domain states these facts and enumerates no cells; the
-    neighbour table behind boundary_arrays walks the stored cells.
+    neighbour table behind boundary_arrays resolves each axis's last slot.
     """
 
     sizes: tuple
@@ -217,20 +217,33 @@ def boundary_cell(domain: Domain, cell: Cell) -> dict:
 @lru_cache(maxsize=None)
 def _neighbours(domain: Domain):
     """(ncells, 4) storage positions of Domain.resolve(chart, tau_i k) per
-    stored cell and axis i, -1 where resolve raises OutOfDomain.  This is
-    the package's one walk over the stored cells: per chart, k runs over
-    1 - halo .. N_i + halo in lexicographic order, which is storage order.
-    Cached per domain; read-only."""
-    ranges = [range(1 - domain.halo, n + 1 + domain.halo) for n in domain.sizes]
-    cells = [(chart, k) for chart in range(domain.ncharts) for k in itertools.product(*ranges)]
-    position = {ck: n for n, ck in enumerate(cells)}
-    out = np.full((len(cells), 4), -1, dtype=np.intp)
-    for n, (chart, k) in enumerate(cells):
-        for i in AXES:
+    stored cell and axis i, -1 where resolve raises OutOfDomain.  A step
+    inside the stored range is the next storage slot along the axis; only
+    a cell at an axis's last slot, whose step crosses the sphere's seam or
+    leaves the block's halo, goes through resolve.  Storage order is, per
+    chart, k over 1 - halo .. N_i + halo in lexicographic order.  Cached
+    per domain; read-only."""
+    shape, halo = (domain.ncharts, *domain.extents), domain.halo
+    position = np.arange(domain.ncells, dtype=np.intp).reshape(shape)
+    out = np.full(shape + (4,), -1, dtype=np.intp)
+    for i in AXES:
+        lead = (slice(None),) * i
+        out[lead + (slice(0, -1), Ellipsis, i - 1)] = position[lead + (slice(1, None),)]
+        # tau_i k of the last slot, one past the stored range, and where it resolves
+        ranges = [range(1 - halo, n + 1 + halo) for n in domain.sizes]
+        ranges[i - 1] = (domain.sizes[i - 1] + halo + 1,)
+        ends = []
+        for chart, k in itertools.product(range(domain.ncharts), itertools.product(*ranges)):
             try:
-                out[n, i - 1] = position[domain.resolve(chart, shift(k, i))]
+                to, kk = domain.resolve(chart, k)
+                ends.append((chart, *k, to, *kk))
             except OutOfDomain:
                 pass
+        ends = np.array(ends, dtype=np.intp).reshape(-1, 2, 5)
+        ends[:, :, 1:] += halo - 1  # storage indices
+        ends[:, 0, i] -= 1          # the last slot itself
+        out[tuple(ends[:, 0].T) + (i - 1,)] = position[tuple(ends[:, 1].T)]
+    out = out.reshape(domain.ncells, 4)
     out.setflags(write=False)
     return out
 

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from ymdec.algebra import LAMBDA
+from ymdec.algebra import IDENTITY2, LAMBDA, embed_su2
 from ymdec.calculus import star
 from ymdec.cochain import COPY_NAMES, FILE_VERSION, Cochain, conj_transpose_form
 from ymdec.complex4 import (
@@ -315,6 +315,12 @@ def embed_su2_by_einsum(v):
     """sum_a v_a lam_a by one mixed real/complex einsum into C-order
     matrices (..., 2, 2)."""
     return np.einsum("...a,aij->...ij", np.asarray(v, dtype=np.float64), LAMBDA)
+
+
+def quaternion_matrices_by_broadcast(s, u):
+    """s I + sum_a u_a e_a as a broadcast complex product s * I plus the
+    su(2) embedding of the doubled vectors 2 u (e_a = 2 lam_a)."""
+    return s[..., None, None] * IDENTITY2 + embed_su2(2.0 * np.moveaxis(u, 0, -1))
 
 
 def random_form_by_sum(domain, degree, seed, copy=BASE):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import embed_su2_by_einsum, project_su2_by_trace
+from oracles import embed_su2_by_einsum, project_su2_by_trace, quaternion_matrices_by_broadcast
 from ymdec import algebra as alg
 from ymdec import cochain as co
 from ymdec.complex4 import Domain
@@ -153,6 +153,46 @@ class TestEmbedProject:
         got, want = alg.embed_su2([np.inf, 0.0, 0.0]), embed_su2_by_einsum([np.inf, 0.0, 0.0])
         assert not np.isnan(got).any() and np.isnan(want).any()
         assert np.array_equal(got, [[0.0, complex(0.0, -np.inf)], [complex(0.0, -np.inf), 0.0]])
+
+
+class TestQuaternionMatrices:
+    def test_writes_the_broadcast_bits(self):
+        # the written-out entries against s * I + embed_su2(2 u), bit for bit:
+        # a zero entry is +0 for +0 and -0 scalars and components alike, and
+        # subnormal and huge planes up to max / 2 (where 2 u still is finite)
+        rng = np.random.default_rng(40)
+        batched = rng.uniform(-1, 1, size=(4, 5, 6))
+        signed_zeros = np.array(list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4))).T.copy()
+        half_max = np.finfo(np.float64).max / 2
+        values = (1e300, -1e300, half_max, -half_max, 5e-324, -5e-324, 3e-308, -0.0)
+        extremes = np.array(list(itertools.product(values, repeat=4))).T.copy()
+        for q in (
+            batched,
+            batched[:, 3, 1],
+            np.moveaxis(np.moveaxis(batched, 0, -1).copy(), -1, 0),  # strided planes
+            signed_zeros,
+            extremes,
+        ):
+            got, want = alg.quaternion_matrices(q[0], q[1:]), quaternion_matrices_by_broadcast(q[0], q[1:])
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+    def test_entries_the_broadcast_cannot_match(self):
+        # an infinite s: the broadcast product writes s * 0 (NaN) into every
+        # entry but the real diagonal, where the written-out map keeps u's
+        # entries; a component past max / 2: 2 u overflows to inf
+        s, u = np.array([np.inf]), np.array([[1.0], [0.0], [-2.0]])
+        with np.errstate(invalid="ignore"):
+            want = quaternion_matrices_by_broadcast(s, u)
+        got = alg.quaternion_matrices(s, u)
+        assert not np.isnan(got).any() and np.isnan(want).any()
+        assert np.array_equal(got[0], [[complex(np.inf, 2.0), -1j], [-1j, complex(np.inf, -2.0)]])
+        s, u = np.zeros(1), np.array([[np.finfo(np.float64).max], [0.0], [0.0]])
+        with np.errstate(over="ignore"):
+            want = quaternion_matrices_by_broadcast(s, u)
+        got = alg.quaternion_matrices(s, u)
+        assert got[0, 0, 1] == complex(0.0, -u[0, 0]) and want[0, 0, 1] == complex(0.0, -np.inf)
 
 
 class TestExp:

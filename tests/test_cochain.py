@@ -436,6 +436,50 @@ class TestSerialization:
         f = co.Cochain(SPHERE, 0, flat.view(np.complex128).reshape(shape))
         assert co.serialize(f) == serialize_by_json(f)
 
+    def test_orjson_writes_json_tokens_in_its_range(self):
+        # the writer hands the magnitudes in [1e-4, 1e16) to orjson: there it
+        # must write float.__repr__'s token for every double
+        rng = np.random.default_rng(40)
+        lo, hi = 1e-4, 1e16
+        # random mantissas at every binary exponent of the range
+        exponents = np.repeat(np.arange(-14, 54), 1600)
+        bits = (exponents + 1023).astype(np.uint64) << np.uint64(52)
+        bits |= rng.integers(0, 1 << 52, exponents.size, dtype=np.uint64)
+        xs = [bits.view(np.float64)]
+        # integers, powers of two and their neighbours 1 ulp away
+        xs.append(rng.integers(1, 10**16, 20000).astype(np.float64))
+        xs.append(np.arange(1, 1 << 16).astype(np.float64))
+        twos = np.ldexp(1.0, np.arange(-14, 54))
+        xs += [twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf)]
+        # the 2 000 doubles from 1e-4 up and the 2 000 below 1e16
+        up, down = [lo], [np.nextafter(hi, 0.0)]
+        for _ in range(1999):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], 0.0))
+        xs += [np.array(up), np.array(down)]
+        x = np.concatenate(xs)
+        x = x[(x >= lo) & (x < hi)]
+        assert x.size >= 100_000 and x.min() == lo and x.max() == np.nextafter(hi, 0.0)
+        ours = co.orjson.dumps(x, option=co.orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+        assert ours == json.dumps(x.tolist())[1:-1].encode().split(b", ")
+
+    @pytest.mark.parametrize("amplitude", [3e-4, 3e16])
+    @pytest.mark.parametrize("domain", [SPHERE, Domain((3, 3, 3, 3), "block")], ids=["sphere-2", "block-3"])
+    def test_bytes_at_the_formatters_range_ends_are_the_json_writers(self, domain, amplitude):
+        # entries straddle 1e-4 or 1e16, and 1e16 itself and the doubles just
+        # below 1e-4 sit in the data, with both signs
+        f = co.random_connection(domain, amplitude, seed=3)
+        below = [1e-4]
+        for _ in range(100):
+            below.append(np.nextafter(below[-1], 0.0))
+        ends = np.array([1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf)] + below)
+        flat = np.ascontiguousarray(f.values).view(np.float64).reshape(-1)
+        flat[1::4][: 2 * ends.size] = np.concatenate((ends, -ends))
+        f = co.Cochain(domain, 1, flat.view(np.complex128).reshape(f.values.shape))
+        magnitudes = np.abs(flat[flat != 0])
+        assert magnitudes.min() < 1e-4 <= magnitudes.max() and 1e16 in magnitudes
+        assert co.serialize(f) == serialize_by_json(f)
+
     def test_integer_beyond_the_float_range_is_malformed(self):
         doc = json.loads(co.serialize(_golden_form()))
         doc["data"][0][0][0] = 10**400

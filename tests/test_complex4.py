@@ -443,8 +443,8 @@ class TestBoundaryArrays:
     )
     @pytest.mark.parametrize("p", range(1, 5))
     def test_term_order_matches_per_cell_build(self, domain, p):
-        # pair_boundaries sums the terms with np.add.at, so their order, not
-        # only their multiset, fixes its bits
+        # pair_boundaries adds each row's terms in column order into zeros,
+        # so their order, not only their multiset, fixes its bits
         got = cx.boundary_arrays(domain, p)
         want = boundary_arrays_by_cell(domain, p)
         for a, b in zip(got, want):
